@@ -33,6 +33,7 @@ from .integrals import (
     chi_theta,
     expected_dim_pairs,
     integrate,
+    parse_chern_expr,
     quot_count,
     validate_construction,
     verify_conjecture,
@@ -63,7 +64,6 @@ from .toric import (
     surface_from_json,
     surface_to_json,
 )
-from .cli import parse_chern_expr
 
 __version__ = ENGINE_VERSION
 

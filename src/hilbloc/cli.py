@@ -17,18 +17,16 @@ import csv
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .cache import ENGINE_VERSION, default_cache
-from .errors import ComputationError, EngineError, ParseError, UsageError
+from .errors import ComputationError, EngineError, UsageError
 from .hilb import count_fixed_points, enumerate_fixed_points
 from .integrals import (
-    ChernExpr,
-    Term,
     c2_for_expected_dim_zero,
     chi_theta,
     expected_dim_pairs,
+    parse_chern_expr,
     quot_count,
     validate_construction,
     verify_conjecture,
@@ -45,112 +43,6 @@ from .toric import (
 from .symbolic import DEFAULT_SEED
 
 __all__ = ["main", "parse_chern_expr"]
-
-
-# ---------------------------------------------------------------------------
-# Chern-expression grammar: sum of terms, term = factors joined by "*",
-# factor = rational number or c<j>(<identifier>); whitespace-insensitive.
-
-
-def parse_chern_expr(text: str) -> ChernExpr:
-    """Parse an expression like "3*c1(IT)*c1(IT) - 1/2*c2(IT)".
-
-    Errors carry a 1-based column number.
-    """
-    pos = 0
-    n = len(text)
-
-    def skip() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_number() -> Fraction:
-        nonlocal pos
-        start = pos
-        while pos < n and text[pos].isdigit():
-            pos += 1
-        value = int(text[start:pos])
-        if pos < n and text[pos] == "/":
-            pos += 1
-            dstart = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if dstart == pos:
-                raise ParseError("expected digits after '/'", pos + 1)
-            den = int(text[dstart:pos])
-            if den == 0:
-                raise ParseError("zero denominator", dstart + 1)
-            return Fraction(value, den)
-        return Fraction(value)
-
-    def parse_factor():
-        nonlocal pos
-        skip()
-        if pos >= n:
-            raise ParseError("expected a factor", pos + 1)
-        ch = text[pos]
-        if ch.isdigit():
-            return parse_number()
-        if ch == "c":
-            pos += 1
-            istart = pos
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            if istart == pos:
-                raise ParseError("expected a Chern index after 'c'", istart + 1)
-            index = int(text[istart:pos])
-            if pos >= n or text[pos] != "(":
-                raise ParseError("expected '(' after the Chern index", pos + 1)
-            paren = pos
-            pos += 1
-            idstart = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            if idstart == pos or pos >= n or text[pos] != ")":
-                raise ParseError("unclosed Chern factor", paren + 1)
-            bundle_id = text[idstart:pos]
-            pos += 1
-            return (bundle_id, index)
-        raise ParseError(f"unexpected character {ch!r}", pos + 1)
-
-    def parse_term(sign: int) -> Term:
-        nonlocal pos
-        coeff = Fraction(sign)
-        factors: list[tuple[str, int]] = []
-        while True:
-            f = parse_factor()
-            if isinstance(f, Fraction):
-                coeff *= f
-            else:
-                bid, index = f
-                if index > 0:
-                    factors.append((bid, index))
-            skip()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                continue
-            return Term(coeff, tuple(sorted(factors)))
-
-    terms: list[Term] = []
-    skip()
-    sign = 1
-    if pos < n and text[pos] in "+-":
-        sign = -1 if text[pos] == "-" else 1
-        pos += 1
-    while True:
-        terms.append(parse_term(sign))
-        skip()
-        if pos >= n:
-            break
-        if text[pos] == "+":
-            sign = 1
-        elif text[pos] == "-":
-            sign = -1
-        else:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
-        pos += 1
-    return ChernExpr(tuple(terms)).collect()
 
 
 # ---------------------------------------------------------------------------

@@ -173,13 +173,12 @@ def count_fixed_points(surface: ToricSurfaceModel, k: int) -> int:
     return series[k]
 
 
-def cell_tangent_weights(
-    v1: Weight, v2: Weight, part: Partition
-) -> list[Weight]:
+def cell_tangent_weights(v1, v2, part: Partition) -> list:
     """Tangent weights of the punctual stratum for one chart.
 
     Cell (i, j) with arm a and leg l contributes (l+1)v1 - a*v2 and
-    -l*v1 + (a+1)*v2.
+    -l*v1 + (a+1)*v2.  The chart weights may be Weights or their integer
+    specializations; the result has the same type.
     """
     out = []
     for i, j in part.cells():

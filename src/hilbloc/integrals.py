@@ -1,33 +1,40 @@
 """Localization integrals over the Hilbert scheme X^[k].
 
-Everything here reduces to sums over the fixed points of X^[k]: Chern-class
-integrals of tautological bundles (integrate, quot_count), holomorphic Euler
-characteristics of determinant line bundles (chi_theta), and the bookkeeping
-that ties the two together for the count-matching verification loop
-(verify_conjecture).
+Chern-class integrals of tautological bundles (integrate, quot_count) and
+holomorphic Euler characteristics of determinant line bundles (chi_theta)
+are sums over the torus-fixed points of X^[k]: tuples of partitions, one
+per fixed point p of the surface.  Each integrand, over the tangent Euler
+class, is a product of local factors f_p(lambda_p), so the sum is the q^k
+coefficient of prod_p sum_lambda q^|lambda| f_p(lambda) (the
+Ellingsrud-Goettsche-Lehn factorization).  ``localize`` evaluates it by
+walking the partitions of n <= k at each point, not the tuples.
 
-All sums are evaluated twice under independent integer specializations of
+Every sum is evaluated under two independent integer specializations of
 (t1, t2) and the results asserted equal, so a silently bad specialization
-cannot leak into output.  Values are exact rationals throughout.
+cannot leak into output.  Values are exact rationals throughout.  The
+module also holds the Chern-expression grammar and the count-matching
+verification loop (verify_conjecture).
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Sequence
+from functools import lru_cache, partial
+from itertools import product
+from math import comb, prod
+from typing import Callable, Sequence
 
 from .cache import ResultCache
-from .errors import ComputationError, RealizationError, UsageError
-from .hilb import (
-    enumerate_fixed_points,
-    tangent_weights,
-    taut_weights,
-    theta_weight,
+from .errors import (
+    ComputationError,
+    ParseError,
+    PoleError,
+    RealizationError,
+    UsageError,
 )
+from .hilb import cell_tangent_weights, partitions
 from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
@@ -50,7 +57,9 @@ from .toric import (
 __all__ = [
     "Term",
     "ChernExpr",
+    "parse_chern_expr",
     "IntegralRequest",
+    "localize",
     "integrate",
     "quot_count",
     "chi_theta",
@@ -150,6 +159,111 @@ class ChernExpr:
         return " + ".join(str(t) for t in self.terms)
 
 
+# Chern-expression grammar: sum of terms, term = factors joined by "*",
+# factor = rational number or c<j>(<identifier>); whitespace-insensitive.
+
+
+def parse_chern_expr(text: str) -> ChernExpr:
+    """Parse an expression like "3*c1(IT)*c1(IT) - 1/2*c2(IT)".
+
+    Errors carry a 1-based column number.
+    """
+    pos = 0
+    n = len(text)
+
+    def skip() -> None:
+        nonlocal pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+
+    def parse_number() -> Fraction:
+        nonlocal pos
+        start = pos
+        while pos < n and text[pos].isdigit():
+            pos += 1
+        value = int(text[start:pos])
+        if pos < n and text[pos] == "/":
+            pos += 1
+            dstart = pos
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            if dstart == pos:
+                raise ParseError("expected digits after '/'", pos + 1)
+            den = int(text[dstart:pos])
+            if den == 0:
+                raise ParseError("zero denominator", dstart + 1)
+            return Fraction(value, den)
+        return Fraction(value)
+
+    def parse_factor():
+        nonlocal pos
+        skip()
+        if pos >= n:
+            raise ParseError("expected a factor", pos + 1)
+        ch = text[pos]
+        if ch.isdigit():
+            return parse_number()
+        if ch == "c":
+            pos += 1
+            istart = pos
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            if istart == pos:
+                raise ParseError("expected a Chern index after 'c'", istart + 1)
+            index = int(text[istart:pos])
+            if pos >= n or text[pos] != "(":
+                raise ParseError("expected '(' after the Chern index", pos + 1)
+            paren = pos
+            pos += 1
+            idstart = pos
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            if idstart == pos or pos >= n or text[pos] != ")":
+                raise ParseError("unclosed Chern factor", paren + 1)
+            bundle_id = text[idstart:pos]
+            pos += 1
+            return (bundle_id, index)
+        raise ParseError(f"unexpected character {ch!r}", pos + 1)
+
+    def parse_term(sign: int) -> Term:
+        nonlocal pos
+        coeff = Fraction(sign)
+        factors: list[tuple[str, int]] = []
+        while True:
+            f = parse_factor()
+            if isinstance(f, Fraction):
+                coeff *= f
+            else:
+                bid, index = f
+                if index > 0:
+                    factors.append((bid, index))
+            skip()
+            if pos < n and text[pos] == "*":
+                pos += 1
+                continue
+            return Term(coeff, tuple(sorted(factors)))
+
+    terms: list[Term] = []
+    skip()
+    sign = 1
+    if pos < n and text[pos] in "+-":
+        sign = -1 if text[pos] == "-" else 1
+        pos += 1
+    while True:
+        terms.append(parse_term(sign))
+        skip()
+        if pos >= n:
+            break
+        if text[pos] == "+":
+            sign = 1
+        elif text[pos] == "-":
+            sign = -1
+        else:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
+        pos += 1
+    return ChernExpr(tuple(terms)).collect()
+
+
 @dataclass
 class IntegralRequest:
     """One integral over X^[k]: declared bundles and a degree-2k expression."""
@@ -180,85 +294,93 @@ class IntegralRequest:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point evaluation
+# the factorized localization core
 
 
-def _spec_taut(surface, bundles, fp, z):
-    """Specialized (plus, minus) taut weight integers per bundle id."""
-    out = {}
-    for bid, b in bundles.items():
-        plus, minus = taut_weights(surface, fp, b)
-        out[bid] = (
-            [w.spec_int(*z) for w in plus],
-            [w.spec_int(*z) for w in minus],
+@lru_cache(maxsize=None)
+def _fitting(width: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per flat index i of a row-major series of this width, the flat j
+    whose exponents add to i's within the truncation; a[i]*b[j] lands at i+j."""
+    exps = list(product(*(range(w) for w in width)))
+    return tuple(
+        tuple(
+            j for j, ej in enumerate(exps)
+            if all(x + y < w for x, y, w in zip(ei, ej, width))
         )
+        for ei in exps
+    )
+
+
+def _q_coefficient(a: list, b: list, n: int, fitting) -> list:
+    """[q^n] of the product of two q-series of truncated series."""
+    out = [0] * len(fitting)
+    for m in range(n + 1):
+        left, right = a[m], b[n - m]
+        for i, x in enumerate(left):
+            if x:
+                for j in fitting[i]:
+                    y = right[j]
+                    if y:
+                        out[i + j] += x * y
     return out
 
-def _integrate_chunk(args) -> Fraction:
-    surface, bundles, terms, z, fps = args
-    need: dict[str, int] = {}
-    for t in terms:
-        for bid, idx in t.factors:
-            need[bid] = max(need.get(bid, 0), idx)
-    total = Fraction(0)
-    for fp in fps:
-        cvals = {}
-        for bid, (plus, minus) in _spec_taut(surface, bundles, fp, z).items():
-            cvals[bid] = signed_chern_coefficients(plus, minus, need.get(bid, 0))
-        num = Fraction(0)
-        for t in terms:
-            val = t.coefficient
-            for bid, idx in t.factors:
-                val *= cvals[bid][idx]
-            num += val
-        den = 1
-        for w in tangent_weights(surface, fp):
-            den *= w.spec_int(*z)
-        total += num / den
-    return total
+
+def localize(
+    surface: ToricSurfaceModel,
+    k: int,
+    point_factor: Callable[[int, list[int], list[int]], Sequence],
+    z: tuple[int, int],
+    width: tuple[int, ...],
+) -> list:
+    """[q^k] of prod_p sum_lambda q^|lambda| point_factor(p, lambda) / e_p(lambda).
+
+    ``point_factor(p, shifts, tangents)`` gets the specialized cell shifts
+    i*v1 + j*v2 and the 2|lambda| specialized tangent weights of the
+    partition lambda at surface point p.  It returns the local integrand as
+    a truncated series: a flat row-major list over one formal variable per
+    entry of ``width``, each kept below its entry.  The q^k coefficient, a
+    series of the same width, is the fixed-point sum over X^[k] of the
+    product of the local integrands.  A tangent weight that specializes to
+    zero raises PoleError.
+    """
+    fitting = _fitting(width)
+    table = [list(partitions(n)) for n in range(k + 1)]
+
+    def point_series(p: int) -> list[list]:
+        v1, v2 = surface.points[p]
+        s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
+        out = []
+        for parts in table:
+            acc = [0] * len(fitting)
+            for part in parts:
+                tangents = cell_tangent_weights(s1, s2, part)
+                den = prod(tangents)
+                if den == 0:
+                    raise PoleError(f"tangent weight vanished at point {p} under z={z}")
+                shifts = [i * s1 + j * s2 for i, j in part.cells()]
+                inv = Fraction(1, den)
+                for i, c in enumerate(point_factor(p, shifts, tangents)):
+                    if c:
+                        acc[i] += c * inv
+            out.append(acc)
+        return out
+
+    *head, last = [point_series(p) for p in range(len(surface.points))]
+    total = [[1] + [0] * (len(fitting) - 1)] + [[0] * len(fitting)] * k
+    for local in head:
+        total = [_q_coefficient(total, local, n, fitting) for n in range(k + 1)]
+    return _q_coefficient(total, last, k, fitting)
 
 
-def _theta_chunk(args) -> list[Fraction]:
-    surface, bundle, z, order, fps = args
-    logtodd = todd_log_coefficients(order)
-    total = [Fraction(0)] * (order + 1)
-    for fp in fps:
-        tspec = [w.spec_int(*z) for w in tangent_weights(surface, fp)]
-        theta = theta_weight(surface, fp, bundle).spec_int(*z)
-        # exp(-theta u) * prod_i todd(v_i u) = exp(-theta u + sum log todd)
-        log_coeffs = [Fraction(0)] * (order + 1)
-        if order >= 1:
-            log_coeffs[1] = Fraction(-theta)
-        pows = list(tspec)
-        for n in range(1, order + 1):
-            if n > 1:
-                pows = [p * v for p, v in zip(pows, tspec)]
-            log_coeffs[n] += logtodd[n] * sum(pows)
-        series = series_exp(log_coeffs)
-        den = 1
-        for v in tspec:
-            den *= v
-        for n in range(order + 1):
-            total[n] += series[n] / den
-    return total
-
-
-def _chunked(items: Sequence, nchunks: int):
-    size = max(1, (len(items) + nchunks - 1) // nchunks)
-    for i in range(0, len(items), size):
-        yield items[i : i + size]
-
-
-def _parallel_sum(worker, make_args, fps, threads, zero, add):
-    """Map worker over fixed-point chunks, reducing in submission order."""
-    if threads <= 1 or len(fps) < 2 * threads:
-        return worker(make_args(fps))
-    chunks = list(_chunked(fps, 4 * threads))
-    total = zero
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(worker, [make_args(c) for c in chunks]):
-            total = add(total, part)
-    return total
+def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
+    """Specialized (plus, minus) line weights per surface point."""
+    return [
+        (
+            [line.weights[p].spec_int(*z) for line in bundle.plus],
+            [line.weights[p].spec_int(*z) for line in bundle.minus],
+        )
+        for p in range(len(bundle.surface.points))
+    ]
 
 
 def integrate(
@@ -267,46 +389,45 @@ def integrate(
     threads: int = 1,
     cache: ResultCache | None = None,
 ) -> Fraction:
-    """Atiyah-Bott evaluation of a Chern-class integral over X^[k]."""
-    if req.k == 0:
-        # X^[0] is a point; the expression is a constant by homogeneity
-        return sum((t.coefficient for t in req.expr.terms), Fraction(0))
+    """Atiyah-Bott evaluation of a Chern-class integral over X^[k].
 
-    def compute() -> Fraction:
-        fps = list(enumerate_fixed_points(req.surface, req.k))
+    Each term c_{i1}(B1)...c_{im}(Bm) is the t1^i1...tm^im coefficient of
+    the product of total Chern classes c_{t1}(B1^[k])...c_{tm}(Bm^[k]),
+    which is multiplicative over the surface points.  ``threads`` is
+    accepted and unused.
+    """
 
-        def at(z: tuple[int, int]) -> Fraction:
-            return _parallel_sum(
-                _integrate_chunk,
-                lambda c: (req.surface, req.bundles, req.expr.terms, z, tuple(c)),
-                fps,
-                threads,
-                Fraction(0),
-                lambda a, b: a + b,
-            )
+    def at(z: tuple[int, int]) -> Fraction:
+        lines = {bid: _spec_lines(b, z) for bid, b in req.bundles.items()}
+        total = Fraction(0)
+        for term in req.expr.terms:
 
-        return dual_specialized(at, seed)
+            def factor(p, shifts, tangents, term=term):
+                flat = [1]
+                for bid, idx in term.factors:
+                    plus, minus = lines[bid][p]
+                    chern = signed_chern_coefficients(
+                        [w + s for w in plus for s in shifts],
+                        [w + s for w in minus for s in shifts],
+                        idx,
+                    )
+                    flat = [x * y for x in flat for y in chern]
+                return flat
 
-    if cache is None:
-        return compute()
-    return cache.fetch(_integrate_request_json(req), compute)
+            width = tuple(idx + 1 for _, idx in term.factors)
+            series = localize(req.surface, req.k, factor, z, width)
+            total += term.coefficient * series[-1]  # each t_j at its index
+        return total
 
-
-def _bundle_key(bundle: SplitBundle) -> dict:
-    return {
-        "plus": [[w.to_json() for w in l.weights] for l in bundle.plus],
-        "minus": [[w.to_json() for w in l.weights] for l in bundle.minus],
-    }
-
-
-def _integrate_request_json(req: IntegralRequest) -> dict:
-    return {
+    request = {
         "op": "integrate",
         "surface": req.surface.name,
         "k": req.k,
-        "bundles": {bid: _bundle_key(b) for bid, b in sorted(req.bundles.items())},
+        "bundles": {bid: b.weight_key() for bid, b in sorted(req.bundles.items())},
         "expr": str(req.expr),
     }
+    compute = partial(dual_specialized, at, seed)
+    return compute() if cache is None else cache.fetch(request, compute)
 
 
 def quot_count(
@@ -337,9 +458,6 @@ def quot_count(
     return value
 
 
-THETA_ORDER_MARGIN = 2  # u-coefficients kept beyond the u^0 extraction
-
-
 def chi_theta(
     surface: ToricSurfaceModel,
     e: SplitBundle | EquivariantLineBundle,
@@ -353,9 +471,10 @@ def chi_theta(
 
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
     the strictly negative u-powers must cancel across fixed points and the
-    u^0 coefficient is the (integer) answer.  A non-orthogonal e (chi_pair
-    nonzero) only warns: the line bundle exists, it is just not the
-    canonical pairing class.
+    u^0 coefficient is the (integer) answer.  A truncated product is exact
+    up to its order, so the default order 2k suffices.  A non-orthogonal e
+    (chi_pair nonzero) only warns: the line bundle exists, it is just not
+    the canonical pairing class.  ``threads`` is accepted and unused.
     """
     e = as_split(e)
     if k < 0:
@@ -368,38 +487,40 @@ def chi_theta(
     if k == 0:
         return 1
     if order is None:
-        order = 2 * k + THETA_ORDER_MARGIN
+        order = 2 * k
     if order < 2 * k:
         raise UsageError(f"order {order} cannot resolve u^0 at k={k}")
+    logtodd = todd_log_coefficients(order)
 
-    def compute() -> Fraction:
-        fps = list(enumerate_fixed_points(surface, k))
+    def at(z: tuple[int, int]) -> Fraction:
+        lines = _spec_lines(e, z)
 
-        def at(z: tuple[int, int]) -> Fraction:
-            total = _parallel_sum(
-                _theta_chunk,
-                lambda c: (surface, e, z, order, tuple(c)),
-                fps,
-                threads,
-                [Fraction(0)] * (order + 1),
-                lambda a, b: [x + y for x, y in zip(a, b)],
-            )
-            bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
-            if bad:
-                raise ComputationError(
-                    f"negative u-powers survive the theta sum: {bad}"
-                )
-            return total[2 * k]
+        def factor(p, shifts, tangents):
+            # exp(-theta u) * prod_i todd(v_i u) = exp(-theta u + sum log todd)
+            plus, minus = lines[p]
+            theta = len(shifts) * (sum(plus) - sum(minus))
+            theta += (len(plus) - len(minus)) * sum(shifts)
+            log_coeffs, pows = [0], [1] * len(tangents)
+            for n in range(1, order + 1):
+                pows = [a * v for a, v in zip(pows, tangents)]
+                log_coeffs.append(logtodd[n] * sum(pows))
+            log_coeffs[1] -= theta
+            return series_exp(log_coeffs)
 
-        return dual_specialized(at, seed)
+        total = localize(surface, k, factor, z, (order + 1,))
+        bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
+        if bad:
+            raise ComputationError(f"negative u-powers survive the theta sum: {bad}")
+        return total[2 * k]
 
     request = {
         "op": "chi_theta",
         "surface": surface.name,
         "k": k,
-        "bundle": _bundle_key(e),
+        "bundle": e.weight_key(),
         "order": order,
     }
+    compute = partial(dual_specialized, at, seed)
     value = compute() if cache is None else cache.fetch(request, compute)
     if value.denominator != 1:
         raise ComputationError(f"chi_theta came out non-integral: {value}")

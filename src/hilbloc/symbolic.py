@@ -5,10 +5,10 @@ Conventions used throughout the engine:
 * The two-dimensional torus has character lattice with basis (t1, t2); a
   ``Weight`` is the integer linear form a*t1 + b*t2.
 * Mixed-degree bookkeeping happens in a single grading variable u.  A weight
-  w enters series formulas as the rational multiple ``specialize(w, z) * u``.
-* All coefficients are ``fractions.Fraction``; no floats appear anywhere in
-  the numeric core.  ``Rational`` is an alias for ``Fraction``: the stdlib
-  type already guarantees lowest terms and a positive denominator.
+  w enters series formulas as its integer specialization times u
+  (``Weight.spec_int``).
+* All coefficients are ``fractions.Fraction`` or ``int``; no floats appear
+  anywhere in the numeric core.
 * Bernoulli numbers follow the convention B1 = -1/2, so the Todd series of a
   weight a is 1 + (a/2)u + (a^2/12)u^2 + 0*u^3 - (a^4/720)u^4 + ...
 * Specialization points are pairs of distinct primes drawn from a fixed pool
@@ -23,12 +23,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .errors import ComputationError, PoleError
 
 __all__ = [
-    "Rational",
     "Weight",
     "USeries",
     "ULaurent",
@@ -39,14 +38,11 @@ __all__ = [
     "series_exp",
     "elementary_symmetric",
     "signed_chern_coefficients",
-    "specialize",
     "PRIME_POOL",
     "DEFAULT_SEED",
     "SpecializationDraw",
     "dual_specialized",
 ]
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -103,11 +99,6 @@ class Weight:
 
 
 ZERO_WEIGHT = Weight(0, 0)
-
-
-def specialize(w: Weight, z: tuple[Rational, Rational]) -> Rational:
-    """Evaluate the character at a numeric point (z1, z2)."""
-    return w.a * Fraction(z[0]) + w.b * Fraction(z[1])
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +160,7 @@ class USeries:
                     out[i + j] += ai * bj
         return USeries(out)
 
-    def scale(self, c: Rational) -> "USeries":
+    def scale(self, c: Fraction) -> "USeries":
         c = Fraction(c)
         return USeries([c * a for a in self.coeffs])
 
@@ -177,7 +168,7 @@ class USeries:
         return f"USeries({list(self.coeffs)!r})"
 
 
-def exp_series(a: Rational, order: int) -> USeries:
+def exp_series(a: Fraction, order: int) -> USeries:
     """exp(a*u) truncated: the equivariant Chern character of a weight-a line."""
     a = Fraction(a)
     coeffs = [_ONE]
@@ -186,7 +177,7 @@ def exp_series(a: Rational, order: int) -> USeries:
     return USeries(coeffs)
 
 
-def todd_series(a: Rational, order: int) -> USeries:
+def todd_series(a: Fraction, order: int) -> USeries:
     """(a*u) / (1 - exp(-a*u)) truncated; coefficient of u^n is (-1)^n B_n a^n / n!."""
     a = Fraction(a)
     bern = bernoulli_numbers(order)
@@ -264,7 +255,7 @@ class ULaurent:
                 out[off + i] += c
         return ULaurent(low, out)
 
-    def scale(self, c: Rational) -> "ULaurent":
+    def scale(self, c: Fraction) -> "ULaurent":
         c = Fraction(c)
         return ULaurent(self.low, [c * a for a in self.coeffs])
 
@@ -387,9 +378,3 @@ def dual_specialized(
             f"(pairs {seen[0]} and {seen[1]})"
         )
     return values[0]
-
-
-def iter_pairs(seed: int, n: int) -> Iterable[tuple[int, int]]:
-    """First n pairs of the seeded stream (diagnostics and tests)."""
-    draw = SpecializationDraw(seed)
-    return [draw.pair() for _ in range(n)]

@@ -361,19 +361,12 @@ def virtual_integral(
         "op": "virtual_integral",
         "surface": surface.name,
         "k": k,
-        "V": _split_key(v),
-        "Lambda": _split_key(lam),
+        "V": v.weight_key(),
+        "Lambda": lam.weight_key(),
         "expr": str(p_expr),
         "hmax": hmax,
     }
     return cache.fetch(request, compute)
-
-
-def _split_key(bundle: SplitBundle) -> dict:
-    return {
-        "plus": [[w.to_json() for w in l.weights] for l in bundle.plus],
-        "minus": [[w.to_json() for w in l.weights] for l in bundle.minus],
-    }
 
 
 # ---------------------------------------------------------------------------

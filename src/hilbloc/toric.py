@@ -302,6 +302,13 @@ class SplitBundle:
         minus += [a.tensor(b) for a in self.minus for b in other.plus]
         return SplitBundle(self.surface, tuple(plus), tuple(minus))
 
+    def weight_key(self) -> dict:
+        """The line weights as JSON: what a cache key needs of the bundle."""
+        return {
+            "plus": [[w.to_json() for w in l.weights] for l in self.plus],
+            "minus": [[w.to_json() for w in l.weights] for l in self.minus],
+        }
+
     def chern_data(self) -> ChernData:
         """Rank, c1 and c2 by the Whitney formula; needs known degrees."""
         if not self.has_degrees():

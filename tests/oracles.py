@@ -2,13 +2,26 @@
 
 Everything here is deliberately naive and self-contained: series
 convolution instead of partition enumeration, direct surface localization
-instead of Hilbert-scheme machinery.  The tests compare the engine against
+instead of Hilbert-scheme machinery, and a sum over whole fixed-point
+tuples (reading only ``hilb``'s per-fixed-point weights) instead of the
+factorized localization core.  The tests compare the engine against
 these implementations, so they must not import from the modules they check
 beyond plain data access.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
+
+from hilbloc.hilb import (
+    enumerate_fixed_points,
+    tangent_weights,
+    taut_weights,
+    theta_weight,
+)
+
+# Two primes large enough that no weight of a k <= 4 fixed point (integer
+# coefficients far below 101) can specialize to zero.
+BRUTE_POINT = (101, 103)
 
 
 def euler_product_coefficients(chi_top: int, k_max: int) -> list[int]:
@@ -56,3 +69,77 @@ def c2_by_surface_localization(surface, bundle) -> int:
         results.append(int(total))
     assert results[0] == results[1]
     return results[0]
+
+
+def _truncated_mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _chern_classes(plus, minus, order):
+    """c_0..c_order of prod (1 + w t) over plus times prod 1/(1 + w t) over minus."""
+    total = [Fraction(1)] + [Fraction(0)] * order
+    for w in plus:
+        total = _truncated_mul(total, [Fraction(1), Fraction(w)], order)
+    for w in minus:
+        inverse = [Fraction(-w) ** n for n in range(order + 1)]
+        total = _truncated_mul(total, inverse, order)
+    return total
+
+
+def brute_chern_integral(surface, k, bundles, expr, z=BRUTE_POINT):
+    """A Chern expression integrated over X^[k], one fixed-point tuple at a time.
+
+    ``bundles`` maps ids to split bundles; ``expr`` is read only through its
+    ``terms`` (coefficient and (id, index) factors).
+    """
+    total = Fraction(0)
+    for fp in enumerate_fixed_points(surface, k):
+        euler = prod(w.spec_int(*z) for w in tangent_weights(surface, fp))
+        chern = {}
+        for bid, bundle in bundles.items():
+            plus, minus = taut_weights(surface, fp, bundle)
+            chern[bid] = _chern_classes(
+                [w.spec_int(*z) for w in plus], [w.spec_int(*z) for w in minus], 2 * k
+            )
+        for term in expr.terms:
+            value = term.coefficient
+            for bid, idx in term.factors:
+                value *= chern[bid][idx]
+            total += value / euler
+    return total
+
+
+def _todd_coefficients(order):
+    """x / (1 - exp(-x)) by inverting sum_n (-x)^n / (n+1)!."""
+    denom = [Fraction((-1) ** n, factorial(n + 1)) for n in range(order + 1)]
+    inv = [Fraction(1)]
+    for n in range(1, order + 1):
+        inv.append(-sum(denom[j] * inv[n - j] for j in range(1, n + 1)))
+    return inv
+
+
+def brute_chi_theta(surface, e, k, z=BRUTE_POINT):
+    """chi of the determinant line bundle of e on X^[k], one tuple at a time.
+
+    Sums exp(-theta u) * prod todd(v u) / prod v over the fixed points,
+    asserts that the u-powers below 2k cancel, and returns the u^2k
+    coefficient.
+    """
+    order = 2 * k
+    todd = _todd_coefficients(order)
+    total = [Fraction(0)] * (order + 1)
+    for fp in enumerate_fixed_points(surface, k):
+        theta = theta_weight(surface, fp, e).spec_int(*z)
+        series = [Fraction(-theta) ** n / factorial(n) for n in range(order + 1)]
+        tangents = [w.spec_int(*z) for w in tangent_weights(surface, fp)]
+        for v in tangents:
+            factor = [t * v**n for n, t in enumerate(todd)]
+            series = _truncated_mul(series, factor, order)
+        euler = prod(tangents)
+        total = [a + b / euler for a, b in zip(total, series)]
+    assert not any(total[:order]), total[:order]
+    return total[order]

@@ -2,7 +2,10 @@
 
 import json
 import os
+import warnings
 from fractions import Fraction
+
+import pytest
 
 from hilbloc.cache import (
     ENGINE_VERSION,
@@ -10,6 +13,11 @@ from hilbloc.cache import (
     canonical_key,
     default_cache,
 )
+from hilbloc.integrals import chi_theta, quot_count
+from hilbloc.tautological import virtual_integral
+from hilbloc.toric import make_surface, split_bundle
+
+P2 = make_surface("P2")
 
 
 def test_canonical_key_is_order_insensitive():
@@ -102,3 +110,36 @@ def test_disabled_cache_never_touches_disk(tmp_path):
     cache.put({"op": "x"}, Fraction(2))
     assert not path.exists()
     assert not os.path.exists(path)
+
+
+# sha256 keys written by engine 0.1.0; a change here turns every cached
+# result on disk into a miss
+@pytest.mark.parametrize(
+    "run, key",
+    [
+        (
+            lambda c: quot_count(P2, split_bundle(P2, [-2, -3]), 2, cache=c),
+            "ef8e0086e3ae22d520dd10671c42e5b5fc705e9ce7f37026bc77d4d3a01b7c53",
+        ),
+        (
+            lambda c: chi_theta(
+                P2, split_bundle(P2, [1, 1], [2]), 2, cache=c, order=6
+            ),
+            "847c187de91afc89a35b70535d699f6eea45bf42b30a3689604a489ec3f9f928",
+        ),
+        (
+            lambda c: virtual_integral(
+                P2, split_bundle(P2, [-1, -1]), split_bundle(P2, [1]), 1, cache=c
+            ),
+            "3cb362e723517283d09ad6123cbc9a1fa40ebd28fe7a36657a81a613899ec3bd",
+        ),
+    ],
+    ids=["quot_count", "chi_theta", "virtual_integral"],
+)
+def test_request_keys_are_stable(tmp_path, run, key):
+    path = tmp_path / "cache.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run(ResultCache(path))
+    [rec] = [json.loads(line) for line in path.read_text().splitlines()]
+    assert rec["key_hash"] == canonical_key(rec["request"]) == key

@@ -8,10 +8,15 @@ output formats and exit codes in one pass.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hilbloc
 from hilbloc.cache import ENGINE_VERSION
 from hilbloc.cli import main, parse_chern_expr
 from hilbloc.errors import ParseError
@@ -81,6 +86,19 @@ def test_validate_construction_accept(capsys):
     )
     assert report["ok"] is True
     assert report["violations"] == []
+
+
+def test_module_entry_point_prints_no_runpy_warning():
+    src = str(Path(hilbloc.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbloc.cli", "surface-info", "--surface", "P2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["surface"]["name"] == "P2"
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

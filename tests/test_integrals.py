@@ -1,11 +1,15 @@
 """Hilbert-scheme integrals: quotient counts and determinant chi."""
 
 import random
+import warnings
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hilbloc.errors import ComputationError, UsageError
+from hilbloc.errors import ComputationError, PoleError, UsageError
+from hilbloc.hilb import count_fixed_points
 from hilbloc.integrals import (
     ChernExpr,
     IntegralRequest,
@@ -13,6 +17,7 @@ from hilbloc.integrals import (
     chi_theta,
     expected_dim_pairs,
     integrate,
+    localize,
     quot_count,
     validate_construction,
     verify_conjecture,
@@ -26,11 +31,29 @@ from hilbloc.toric import (
     split_bundle,
 )
 
-from oracles import c2_by_surface_localization
+from oracles import (
+    brute_chern_integral,
+    brute_chi_theta,
+    c2_by_surface_localization,
+)
 
 P2 = make_surface("P2")
 QUADRIC = make_surface("P1xP1")
 F1 = make_surface("Hirzebruch", 1)
+
+
+@st.composite
+def split_bundles(draw, surface):
+    """Split bundles with small degrees, with or without minus lines."""
+    degree = st.tuples(*[st.integers(-2, 3)] * surface.divisor_rank)
+    plus = draw(st.lists(degree, min_size=1, max_size=3))
+    minus = draw(st.lists(degree, max_size=2))
+    return split_bundle(surface, plus, minus)
+
+
+@st.composite
+def surfaces_and_k(draw):
+    return draw(st.sampled_from((P2, QUADRIC, F1))), draw(st.integers(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +92,46 @@ def test_integrate_composite_expression():
         integrate(IntegralRequest(P2, 1, {"A": v}, ChernExpr.chern(2, "A"))),
     )
     assert direct == parts[0] - parts[1]
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_integrate_matches_brute_tuple_sum(data):
+    surface, k = data.draw(surfaces_and_k())
+    a = data.draw(split_bundles(surface))
+    b = data.draw(split_bundles(surface))
+    i = data.draw(st.integers(1, 2 * k - 1))
+    coeff = data.draw(st.fractions(-5, 5, max_denominator=4))
+    # a two-factor term c_i(A) c_{2k-i}(B) plus a one-factor term
+    expr = ChernExpr.chern(i, "A") * ChernExpr.chern(2 * k - i, "B")
+    expr = expr + ChernExpr.chern(2 * k, "A", coeff)
+    bundles = {"A": a, "B": b}
+    value = integrate(IntegralRequest(surface, k, bundles, expr))
+    assert value == brute_chern_integral(surface, k, bundles, expr)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_chi_theta_matches_brute_tuple_sum(data):
+    surface, k = data.draw(surfaces_and_k())
+    e = data.draw(split_bundles(surface))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # e is rarely orthogonal
+        value = chi_theta(surface, e, k)
+    assert value == brute_chi_theta(surface, e, k)
+
+
+def test_localize_raises_pole_error_on_vanishing_tangent_weight():
+    # z = (1, 1) kills t2 - t1, a chart weight at the second point of P2
+    with pytest.raises(PoleError):
+        localize(P2, 1, lambda p, shifts, tangents: [1], (1, 1), (1,))
+
+
+def test_localize_counts_fixed_points():
+    # a local factor of prod(tangents) makes every fixed point count once
+    for k in range(5):
+        got = localize(F1, k, lambda p, s, t: [prod(t)], (53, 59), (1,))
+        assert got == [count_fixed_points(F1, k)]
 
 
 # ---------------------------------------------------------------------------
