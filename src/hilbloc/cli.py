@@ -237,7 +237,6 @@ def _cmd_taut_integral(args):
         seed=seed,
         threads=args.threads,
         cache=default_cache(enabled=not args.no_cache),
-        hdeg_extra=args.hdeg_extra,
     )
     return _report(args, seed, {"value": str(value)}), 0
 
@@ -375,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--expr", default=None,
                    help="P in c_j(IT); defaults to 1 (the count shape)")
-    p.add_argument("--hdeg-extra", type=int, default=0,
-                   help="extra h-truncation beyond Dp (results must agree)")
     _add_compute(p)
 
     p = cmd("universal-poly", _cmd_universal_poly,

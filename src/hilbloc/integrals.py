@@ -38,9 +38,8 @@ from .hilb import cell_tangent_weights, partitions
 from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
-    series_exp,
+    exp_todd_series,
     signed_chern_coefficients,
-    todd_log_coefficients,
 )
 from .toric import (
     ChernData,
@@ -60,6 +59,7 @@ __all__ = [
     "parse_chern_expr",
     "IntegralRequest",
     "localize",
+    "localize_chern",
     "integrate",
     "quot_count",
     "chi_theta",
@@ -383,6 +383,38 @@ def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
     ]
 
 
+def localize_chern(
+    surface: ToricSurfaceModel,
+    k: int,
+    factors: Sequence[tuple[SplitBundle, int]],
+    z: tuple[int, int],
+) -> list:
+    """Fixed-point sums of products of Chern classes of tautological bundles.
+
+    ``factors`` lists pairs (B_j, top_j).  The result is the flat row-major
+    series, one formal variable t_j per factor kept below t_j^(top_j + 1),
+    whose entry at (d_1, ..., d_m) is the localization sum over X^[k] of
+    prod_j c_{d_j}(B_j^[k]).  The local factor is the product of the signed
+    Chern polynomials of the cell-shifted line weights of each B_j.
+    """
+    lines = [_spec_lines(bundle, z) for bundle, _ in factors]
+
+    def factor(p, shifts, tangents):
+        flat = [1]
+        for (_, top), spec in zip(factors, lines):
+            plus, minus = spec[p]
+            chern = signed_chern_coefficients(
+                [w + s for w in plus for s in shifts],
+                [w + s for w in minus for s in shifts],
+                top,
+            )
+            flat = [x * y for x in flat for y in chern]
+        return flat
+
+    width = tuple(top + 1 for _, top in factors)
+    return localize(surface, k, factor, z, width)
+
+
 def integrate(
     req: IntegralRequest,
     seed: int = DEFAULT_SEED,
@@ -398,24 +430,10 @@ def integrate(
     """
 
     def at(z: tuple[int, int]) -> Fraction:
-        lines = {bid: _spec_lines(b, z) for bid, b in req.bundles.items()}
         total = Fraction(0)
         for term in req.expr.terms:
-
-            def factor(p, shifts, tangents, term=term):
-                flat = [1]
-                for bid, idx in term.factors:
-                    plus, minus = lines[bid][p]
-                    chern = signed_chern_coefficients(
-                        [w + s for w in plus for s in shifts],
-                        [w + s for w in minus for s in shifts],
-                        idx,
-                    )
-                    flat = [x * y for x in flat for y in chern]
-                return flat
-
-            width = tuple(idx + 1 for _, idx in term.factors)
-            series = localize(req.surface, req.k, factor, z, width)
+            factors = [(req.bundles[bid], idx) for bid, idx in term.factors]
+            series = localize_chern(req.surface, req.k, factors, z)
             total += term.coefficient * series[-1]  # each t_j at its index
         return total
 
@@ -490,22 +508,15 @@ def chi_theta(
         order = 2 * k
     if order < 2 * k:
         raise UsageError(f"order {order} cannot resolve u^0 at k={k}")
-    logtodd = todd_log_coefficients(order)
 
     def at(z: tuple[int, int]) -> Fraction:
         lines = _spec_lines(e, z)
 
         def factor(p, shifts, tangents):
-            # exp(-theta u) * prod_i todd(v_i u) = exp(-theta u + sum log todd)
             plus, minus = lines[p]
             theta = len(shifts) * (sum(plus) - sum(minus))
             theta += (len(plus) - len(minus)) * sum(shifts)
-            log_coeffs, pows = [0], [1] * len(tangents)
-            for n in range(1, order + 1):
-                pows = [a * v for a, v in zip(pows, tangents)]
-                log_coeffs.append(logtodd[n] * sum(pows))
-            log_coeffs[1] -= theta
-            return series_exp(log_coeffs)
+            return exp_todd_series(theta, tangents, order)
 
         total = localize(surface, k, factor, z, (order + 1,))
         bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}

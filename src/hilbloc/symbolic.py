@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
@@ -29,13 +30,11 @@ from .errors import ComputationError, PoleError
 
 __all__ = [
     "Weight",
-    "USeries",
-    "ULaurent",
     "bernoulli_numbers",
-    "exp_series",
     "todd_series",
     "todd_log_coefficients",
     "series_exp",
+    "exp_todd_series",
     "elementary_symmetric",
     "signed_chern_coefficients",
     "PRIME_POOL",
@@ -102,7 +101,7 @@ ZERO_WEIGHT = Weight(0, 0)
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and the two generating series
+# Bernoulli numbers and the Todd series
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
@@ -116,68 +115,7 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return out
 
 
-class USeries:
-    """Truncated power series in u: coefficients for u^0..u^order, exact."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def one(order: int) -> "USeries":
-        return USeries([_ONE] + [_ZERO] * order)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, USeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "USeries") -> "USeries":
-        if self.order != other.order:
-            raise ComputationError("series addition needs equal truncation orders")
-        return USeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "USeries") -> "USeries":
-        if self.order != other.order:
-            raise ComputationError("series subtraction needs equal truncation orders")
-        return USeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other: "USeries") -> "USeries":
-        order = min(self.order, other.order)
-        out = [_ZERO] * (order + 1)
-        for i, ai in enumerate(self.coeffs[: order + 1]):
-            if ai == 0:
-                continue
-            for j in range(0, order - i + 1):
-                bj = other.coeffs[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return USeries(out)
-
-    def scale(self, c: Fraction) -> "USeries":
-        c = Fraction(c)
-        return USeries([c * a for a in self.coeffs])
-
-    def __repr__(self) -> str:
-        return f"USeries({list(self.coeffs)!r})"
-
-
-def exp_series(a: Fraction, order: int) -> USeries:
-    """exp(a*u) truncated: the equivariant Chern character of a weight-a line."""
-    a = Fraction(a)
-    coeffs = [_ONE]
-    for n in range(1, order + 1):
-        coeffs.append(coeffs[-1] * a / n)
-    return USeries(coeffs)
-
-
-def todd_series(a: Fraction, order: int) -> USeries:
+def todd_series(a: Fraction, order: int) -> list[Fraction]:
     """(a*u) / (1 - exp(-a*u)) truncated; coefficient of u^n is (-1)^n B_n a^n / n!."""
     a = Fraction(a)
     bern = bernoulli_numbers(order)
@@ -189,9 +127,10 @@ def todd_series(a: Fraction, order: int) -> USeries:
             fact *= n
             power *= a
         coeffs.append((-1) ** n * bern[n] * power / fact)
-    return USeries(coeffs)
+    return coeffs
 
 
+@lru_cache(maxsize=None)
 def todd_log_coefficients(order: int) -> tuple[Fraction, ...]:
     """Coefficients L_n of log todd(u), so log todd(a*u) = sum L_n a^n u^n.
 
@@ -199,7 +138,7 @@ def todd_log_coefficients(order: int) -> tuple[Fraction, ...]:
     weights (one series exponential per fixed point) instead of repeated
     series multiplication.
     """
-    td = todd_series(1, order).coeffs
+    td = todd_series(1, order)
     # series log: L' = td' / td, integrated termwise
     log = [_ZERO] * (order + 1)
     for n in range(1, order + 1):
@@ -225,60 +164,19 @@ def series_exp(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-class ULaurent:
-    """Finite Laurent tail in u: coefficients for u^low .. u^(low+len-1)."""
+def exp_todd_series(theta, weights: Sequence, order: int) -> list[Fraction]:
+    """exp(-theta u) * prod_v todd(v u), truncated at u^order (order >= 1).
 
-    __slots__ = ("low", "coeffs")
-
-    def __init__(self, low: int, coeffs: Sequence[Fraction]):
-        self.low = low
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-
-    @staticmethod
-    def from_series(s: USeries, pole_order: int = 0) -> "ULaurent":
-        """View a truncated series divided by u^pole_order as a Laurent tail."""
-        return ULaurent(-pole_order, s.coeffs)
-
-    def coefficient(self, n: int) -> Fraction:
-        i = n - self.low
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return _ZERO
-
-    def __add__(self, other: "ULaurent") -> "ULaurent":
-        low = min(self.low, other.low)
-        high = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        out = [_ZERO] * (high - low)
-        for src in (self, other):
-            off = src.low - low
-            for i, c in enumerate(src.coeffs):
-                out[off + i] += c
-        return ULaurent(low, out)
-
-    def scale(self, c: Fraction) -> "ULaurent":
-        c = Fraction(c)
-        return ULaurent(self.low, [c * a for a in self.coeffs])
-
-    def negative_part(self) -> dict[int, Fraction]:
-        """Nonzero coefficients at strictly negative exponents."""
-        return {
-            self.low + i: c
-            for i, c in enumerate(self.coeffs)
-            if self.low + i < 0 and c != 0
-        }
-
-    def u0(self) -> Fraction:
-        return self.coefficient(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ULaurent):
-            return NotImplemented
-        lo = min(self.low, other.low)
-        hi = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        return all(self.coefficient(n) == other.coefficient(n) for n in range(lo, hi))
-
-    def __repr__(self) -> str:
-        return f"ULaurent(low={self.low}, coeffs={list(self.coeffs)!r})"
+    The local integrand of every Riemann-Roch sum: one series exponential
+    of -theta u + sum_n L_n p_n u^n, with p_n the power sums of the weights.
+    """
+    logtodd = todd_log_coefficients(order)
+    log, pows = [0], [1] * len(weights)
+    for n in range(1, order + 1):
+        pows = [a * v for a, v in zip(pows, weights)]
+        log.append(logtodd[n] * sum(pows))
+    log[1] -= theta
+    return series_exp(log)
 
 
 # ---------------------------------------------------------------------------

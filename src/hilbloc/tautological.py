@@ -2,18 +2,19 @@
 
 The pair moduli space embeds in P x X^[k] (P the projective space of
 cosections of V, of dimension Dp = chi(V*) - 1) and its virtual class is the
-Euler class of the twisted tautological bundle of V*.  Integrals against the
-virtual class therefore localize on P x X^[k]: per Hilbert-scheme fixed
-point, classes become polynomials in the hyperplane symbol h and the weight
-grading u; integrating over P extracts the h^Dp coefficient, and integrating
-over X^[k] divides by the tangent weights and extracts u^0.
+Euler class of the twisted tautological bundle V*^[k] (x) O(1).  Integrals
+against the virtual class therefore live on P x X^[k].
 
-Chern classes enter through their total-Chern forms (1 + h + u*w), which
-keeps every factor invertible, so virtual (minus-line) splits work
-throughout.  The pieces of wrong cohomological degree that the total form
-drags along either cancel across fixed points (strictly negative u powers,
-asserted) or sit at strictly positive u powers that the u^0 extraction
-ignores.
+On P the only class is the hyperplane h, so it is integrated out in closed
+form.  With R the rank of V*^[k], c(V*^[k] (x) O(1)) is the sum over b of
+c_b(V*^[k]) (1 + h)^(R - b), and likewise the transform's Chern classes
+expand in c_beta(Lambda^[k]) times powers of (1 + h).  Reading off h^Dp
+turns a term c_i1(IT)...c_im(IT) into a binomial-weighted sum of
+tautological integrals of c_b(V*^[k]) prod_j c_beta_j(Lambda^[k]) over
+X^[k], all of which one ``localize_chern`` call returns.  Those of degree
+below dim X^[k] must vanish, which is asserted; those above it do not
+contribute.  Minus lines in V or Lambda keep the same expansion with
+generalized binomials.
 
 The module also extracts universal polynomials: the value of a fixed
 integral shape as a polynomial in intersection numbers of (X, V, Lambda),
@@ -30,12 +31,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
-from .hilb import enumerate_fixed_points, tangent_weights, taut_weights
-from .integrals import ChernExpr
+from .integrals import ChernExpr, localize_chern
 from .symbolic import DEFAULT_SEED, dual_specialized
 from .toric import (
     ChernData,
@@ -60,11 +61,15 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# bigraded truncated polynomials in (h, u)
+# bigraded truncated polynomials in (h, u): the per-fixed-point form of the
+# ambient class, which ``virtual_integral`` no longer needs; the tests keep it
+# as the reference sum.
 
 
 def _gen_binomial(m: int, t: int) -> Fraction:
-    """Generalized binomial C(m, t) for any integer m."""
+    """Generalized binomial C(m, t) for any integer m; zero when t < 0."""
+    if t < 0:
+        return Fraction(0)
     num = 1
     for s in range(t):
         num *= m - s
@@ -217,40 +222,6 @@ def it_class(
 # the ambient localization integral
 
 
-def _ambient_chunk(args) -> list[Fraction]:
-    (surface, vdual, lam, terms, z, dp, hmax, umax, chi_lam, fps) = args
-    total = [Fraction(0)] * (umax + 1)
-    reached = False
-    for fp in fps:
-        cit = AmbientClass.one(hmax, umax).mul_h_binomial(-chi_lam)
-        lplus, lminus = taut_weights(surface, fp, lam)
-        for w in lplus:
-            cit = cit.mul_trinomial(w.spec_int(*z))
-        for w in lminus:
-            cit = cit.div_trinomial(w.spec_int(*z))
-        pclass = AmbientClass.zero(hmax, umax)
-        for t in terms:
-            part = AmbientClass.one(hmax, umax).scale(t.coefficient)
-            for _, idx in t.factors:
-                part = part * cit.component(idx)
-            pclass = pclass + part
-        vplus, vminus = taut_weights(surface, fp, vdual)
-        for w in vplus:
-            pclass = pclass.mul_trinomial(w.spec_int(*z))
-        for w in vminus:
-            pclass = pclass.div_trinomial(w.spec_int(*z))
-        ulist = pclass.h_slice(dp)
-        if any(c != 0 for c in ulist):
-            reached = True
-        den = 1
-        for w in tangent_weights(surface, fp):
-            den *= w.spec_int(*z)
-        for n in range(umax + 1):
-            total[n] += ulist[n] / den
-    total.append(Fraction(1 if reached else 0))  # piggyback the reach flag
-    return total
-
-
 def virtual_integral(
     surface: ToricSurfaceModel,
     v: SplitBundle | EquivariantLineBundle,
@@ -260,16 +231,15 @@ def virtual_integral(
     seed: int = DEFAULT_SEED,
     threads: int = 1,
     cache: ResultCache | None = None,
-    hdeg_extra: int = 0,
 ) -> Fraction:
     """Integral of P (in Chern classes of the transform) against the
     virtual class of the pair space, evaluated on P x X^[k].
 
     P defaults to 1, which integrates the pushed-forward virtual class
     itself (the count shape).  The expression may mix degrees.  Minus lines
-    in V or Lambda are accepted: the Euler factor is formed from invertible
-    total-Chern factors, with a warning that the ambient dimension is then
-    read off Chern data rather than certified by section counts.
+    in V or Lambda are accepted, with a warning that the ambient dimension
+    is then read off Chern data rather than certified by section counts.
+    ``threads`` is accepted and unused.
     """
     v = as_split(v)
     lam = SplitBundle(surface) if lam is None else as_split(lam)
@@ -285,7 +255,8 @@ def virtual_integral(
     except UsageError as exc:
         warnings.warn(f"{exc}; continuing with Dp = chi(V*) - 1 formally",
                       stacklevel=2)
-    chi_vdual = chi_surface(surface, v.dual())
+    vdual = v.dual()
+    chi_vdual = chi_surface(surface, vdual)
     dp = chi_vdual - 1
     if dp < 0:
         raise UsageError(f"ambient projective space is empty: chi(V*) = {chi_vdual}")
@@ -298,56 +269,53 @@ def virtual_integral(
             f"{sorted(degs)}; the integral vanishes by degree",
             stacklevel=2,
         )
-    hmax = dp + hdeg_extra
-    umax = 2 * k
 
-    def compute() -> Fraction:
-        fps = list(enumerate_fixed_points(surface, k))
-        reach_seen = []
+    # Per term: the Chern factors (V*, top b) and (Lambda, top beta_j); the
+    # entries of u-degree b + sum(beta) below 2k, which must vanish; and the
+    # binomial weights of those of u-degree 2k.  Above the rank of an honest
+    # bundle its Chern classes vanish, so the tops stop there.
+    rank_v, rank_lam = vdual.rank * k, lam.rank * k
+    m_lam = rank_lam - chi_lam
+    b_top = min(2 * k, rank_v) if vdual.is_honest() else 2 * k
+    plans = []
+    reached = False
+    for term in p_expr.terms:
+        idxs = [idx for _, idx in term.factors]
+        tops = [min(i, rank_lam) if lam.is_honest() else i for i in idxs]
+        factors = [(vdual, b_top)] + [(lam, t) for t in tops]
+        low, top = [], []
+        ranges = [range(b_top + 1)] + [range(t + 1) for t in tops]
+        for flat, (b, *betas) in enumerate(product(*ranges)):
+            udeg = b + sum(betas)
+            if udeg > 2 * k:
+                continue
+            weight = term.coefficient * _gen_binomial(
+                rank_v - b, dp - sum(idxs) + sum(betas)
+            )
+            for i, beta in zip(idxs, betas):
+                weight *= _gen_binomial(m_lam - beta, i - beta)
+            reached = reached or weight != 0
+            if udeg < 2 * k:
+                low.append((flat, (b, *betas)))
+            elif weight:
+                top.append((flat, weight))
+        plans.append((factors, low, top))
 
-        def at(z: tuple[int, int]) -> Fraction:
-            if threads <= 1 or len(fps) < 2 * threads:
-                rows = [
-                    _ambient_chunk(
-                        (surface, v.dual(), lam, p_expr.terms, z, dp, hmax,
-                         umax, chi_lam, tuple(fps))
-                    )
-                ]
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                size = max(1, (len(fps) + 4 * threads - 1) // (4 * threads))
-                chunks = [
-                    tuple(fps[i : i + size]) for i in range(0, len(fps), size)
-                ]
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    rows = list(
-                        pool.map(
-                            _ambient_chunk,
-                            [
-                                (surface, v.dual(), lam, p_expr.terms, z, dp,
-                                 hmax, umax, chi_lam, c)
-                                for c in chunks
-                            ],
-                        )
-                    )
-            total = [Fraction(0)] * (umax + 1)
-            reached = False
-            for row in rows:
-                if row[-1] != 0:
-                    reached = True
-                for n in range(umax + 1):
-                    total[n] += row[n]
-            reach_seen.append(reached)
-            bad = {n - umax: c for n, c in enumerate(total[:umax]) if c != 0}
+    def at(z: tuple[int, int]) -> Fraction:
+        total = Fraction(0)
+        for factors, low, top in plans:
+            series = localize_chern(surface, k, factors, z)
+            bad = {exps: series[flat] for flat, exps in low if series[flat]}
             if bad:
                 raise ComputationError(
                     f"negative u-powers survive the ambient sum: {bad}"
                 )
-            return total[umax]
+            total += sum(w * series[flat] for flat, w in top)
+        return total
 
+    def compute() -> Fraction:
         value = dual_specialized(at, seed)
-        if reach_seen and not any(reach_seen):
+        if not reached:
             warnings.warn(
                 f"h^{dp} is never reached by the integrand; "
                 "the ambient dimension exceeds the class degree",
@@ -364,7 +332,7 @@ def virtual_integral(
         "V": v.weight_key(),
         "Lambda": lam.weight_key(),
         "expr": str(p_expr),
-        "hmax": hmax,
+        "hmax": dp,
     }
     return cache.fetch(request, compute)
 

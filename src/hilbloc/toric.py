@@ -28,15 +28,7 @@ from itertools import product as iproduct
 from typing import Iterable, Sequence
 
 from .errors import ComputationError, PoleError, RealizationError, UsageError
-from .symbolic import (
-    DEFAULT_SEED,
-    ULaurent,
-    USeries,
-    Weight,
-    dual_specialized,
-    exp_series,
-    todd_series,
-)
+from .symbolic import DEFAULT_SEED, Weight, dual_specialized, exp_todd_series
 
 __all__ = [
     "ChernData",
@@ -375,37 +367,32 @@ def as_split(bundle: SplitBundle | EquivariantLineBundle) -> SplitBundle:
     return bundle
 
 
-SURFACE_HRR_ORDER = 4  # u^2 pole plus a two-step guard
-
-
 def _chi_surface_at(
     surface: ToricSurfaceModel,
     bundle: SplitBundle,
     z: tuple[int, int],
-    order: int = SURFACE_HRR_ORDER,
 ) -> Fraction:
     """One specialization of the fixed-point Euler characteristic sum.
 
-    Each point contributes (sum of +-exp(-w u)) * todd(v1 u) * todd(v2 u)
-    divided by (v1 v2 u^2); the poles must cancel in the total and the u^0
-    coefficient is chi.
+    Each line contributes exp(-w u) * todd(v1 u) * todd(v2 u) / (v1 v2 u^2)
+    at each point, with sign -1 for minus lines; the poles must cancel in
+    the total and the u^0 coefficient is chi.  Order 2 reaches u^0 exactly.
     """
-    total = ULaurent(0, [])
+    total = [Fraction(0)] * 3
     for p, (v1, v2) in enumerate(surface.points):
         s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
         if s1 == 0 or s2 == 0:
             raise PoleError(f"tangent weight vanished at point {p} under z={z}")
-        ch = USeries([Fraction(0)] * (order + 1))
-        for line in bundle.plus:
-            ch = ch + exp_series(-line.weights[p].spec_int(*z), order)
-        for line in bundle.minus:
-            ch = ch - exp_series(-line.weights[p].spec_int(*z), order)
-        num = ch * todd_series(s1, order) * todd_series(s2, order)
-        total = total + ULaurent.from_series(num, 2).scale(Fraction(1, s1 * s2))
-    leftover = total.negative_part()
+        num = [0] * 3
+        for lines, sign in ((bundle.plus, 1), (bundle.minus, -1)):
+            for line in lines:
+                series = exp_todd_series(line.weights[p].spec_int(*z), (s1, s2), 2)
+                num = [a + sign * c for a, c in zip(num, series)]
+        total = [t + Fraction(c, s1 * s2) for t, c in zip(total, num)]
+    leftover = {n - 2: c for n, c in enumerate(total[:2]) if c != 0}
     if leftover:
         raise ComputationError(f"surface HRR poles fail to cancel: {leftover}")
-    return total.u0()
+    return total[2]
 
 
 def chi_surface(

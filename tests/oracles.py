@@ -4,7 +4,9 @@ Everything here is deliberately naive and self-contained: series
 convolution instead of partition enumeration, direct surface localization
 instead of Hilbert-scheme machinery, and a sum over whole fixed-point
 tuples (reading only ``hilb``'s per-fixed-point weights) instead of the
-factorized localization core.  The tests compare the engine against
+factorized localization core.  The ambient oracle keeps the (h, u)
+bigraded class of P x X^[k] at each fixed point instead of integrating h
+out in closed form.  The tests compare the engine against
 these implementations, so they must not import from the modules they check
 beyond plain data access.
 """
@@ -18,6 +20,8 @@ from hilbloc.hilb import (
     taut_weights,
     theta_weight,
 )
+from hilbloc.tautological import AmbientClass
+from hilbloc.toric import chi_surface
 
 # Two primes large enough that no weight of a k <= 4 fixed point (integer
 # coefficients far below 101) can specialize to zero.
@@ -143,3 +147,47 @@ def brute_chi_theta(surface, e, k, z=BRUTE_POINT):
         total = [a + b / euler for a, b in zip(total, series)]
     assert not any(total[:order]), total[:order]
     return total[order]
+
+
+def _trinomials(cls, plus, minus, z):
+    """cls times prod (1 + h + u w) over plus, divided by the same over minus."""
+    for w in plus:
+        cls = cls.mul_trinomial(w.spec_int(*z))
+    for w in minus:
+        cls = cls.div_trinomial(w.spec_int(*z))
+    return cls
+
+
+def brute_virtual_integral(surface, v, lam, k, expr, z=BRUTE_POINT):
+    """The ambient integral on P x X^[k], one fixed point at a time.
+
+    At each fixed point the transform's total Chern class is
+    (1 + h)^(-chi(Lambda)) prod (1 + h + u w) over the Lambda^[k] weights;
+    a factor c_i(IT) of ``expr`` takes its piece of total (h, u) degree i.
+    The product, times the same trinomials over the V*^[k] weights, gives
+    its h^Dp slice over the tangent weights.  Asserts that the u-powers
+    below 2k cancel in the sum.  Returns the u^2k coefficient and whether
+    any h^Dp slice was nonzero.
+    """
+    vdual = v.dual()
+    dp = chi_surface(surface, vdual) - 1
+    chi_lam = chi_surface(surface, lam) if lam.plus or lam.minus else 0
+    umax = 2 * k
+    total = [Fraction(0)] * (umax + 1)
+    reached = False
+    for fp in enumerate_fixed_points(surface, k):
+        cit = AmbientClass.one(dp, umax).mul_h_binomial(-chi_lam)
+        cit = _trinomials(cit, *taut_weights(surface, fp, lam), z)
+        pclass = AmbientClass.zero(dp, umax)
+        for term in expr.terms:
+            part = AmbientClass.one(dp, umax).scale(term.coefficient)
+            for _, idx in term.factors:
+                part = part * cit.component(idx)
+            pclass = pclass + part
+        pclass = _trinomials(pclass, *taut_weights(surface, fp, vdual), z)
+        ulist = pclass.h_slice(dp)
+        reached = reached or any(ulist)
+        euler = prod(w.spec_int(*z) for w in tangent_weights(surface, fp))
+        total = [a + b / euler for a, b in zip(total, ulist)]
+    assert not any(total[:umax]), total[:umax]
+    return total[umax], reached

@@ -1,6 +1,7 @@
 """Series and specialization primitives, checked against closed forms."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,14 +10,12 @@ from hilbloc.errors import ComputationError, PoleError
 from hilbloc.symbolic import (
     DEFAULT_SEED,
     PRIME_POOL,
-    ULaurent,
-    USeries,
     Weight,
     ZERO_WEIGHT,
     bernoulli_numbers,
     dual_specialized,
     elementary_symmetric,
-    exp_series,
+    exp_todd_series,
     series_exp,
     signed_chern_coefficients,
     todd_log_coefficients,
@@ -38,24 +37,41 @@ def test_bernoulli_known_values():
     assert bernoulli_numbers(12) == KNOWN_BERNOULLI
 
 
+def _mul(a, b):
+    """Product of two truncated series of equal length."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def _exp(a, order):
+    """exp(a*u) truncated, in closed form: a^n / n!."""
+    return [F(a) ** n / factorial(n) for n in range(order + 1)]
+
+
 def test_todd_series_defining_identity():
     # todd(a) * (1 - exp(-a u)) == a*u as truncated series
     order = 12
     for a in (1, 2, -3, F(5, 2)):
-        lhs = todd_series(a, order) * (USeries.one(order) - exp_series(-a, order))
+        one_minus_exp = [-c for c in _exp(-a, order)]
+        one_minus_exp[0] += 1
+        lhs = _mul(todd_series(a, order), one_minus_exp)
         expected = [F(0)] * (order + 1)
         expected[1] = F(a)
-        assert lhs == USeries(expected)
+        assert lhs == expected
 
 
 def test_todd_series_at_zero_is_one():
-    assert todd_series(0, 6) == USeries.one(6)
+    assert todd_series(0, 6) == [1, 0, 0, 0, 0, 0, 0]
 
 
-@given(st.integers(-6, 6), st.integers(-6, 6))
-def test_exp_series_multiplicative(a, b):
-    order = 8
-    assert exp_series(a, order) * exp_series(b, order) == exp_series(a + b, order)
+@given(
+    st.lists(st.fractions(min_value=-6, max_value=6), min_size=8, max_size=8),
+    st.lists(st.fractions(min_value=-6, max_value=6), min_size=8, max_size=8),
+)
+def test_exp_series_multiplicative(f, g):
+    # exp(f) * exp(g) == exp(f + g) for series without constant term
+    f, g = [F(0)] + f, [F(0)] + g
+    fg = [x + y for x, y in zip(f, g)]
+    assert _mul(series_exp(f), series_exp(g)) == series_exp(fg)
 
 
 def test_series_exp_matches_exp_series():
@@ -63,7 +79,7 @@ def test_series_exp_matches_exp_series():
     for c in (1, -2, F(3, 4)):
         coeffs = [F(0)] * (order + 1)
         coeffs[1] = F(c)
-        assert series_exp(coeffs) == list(exp_series(c, order).coeffs)
+        assert series_exp(coeffs) == _exp(c, order)
 
 
 def test_todd_log_coefficients_exponentiate_to_todd():
@@ -71,16 +87,17 @@ def test_todd_log_coefficients_exponentiate_to_todd():
     logs = todd_log_coefficients(order)
     for a in (1, 2, -3):
         coeffs = [logs[n] * a**n for n in range(order + 1)]
-        assert series_exp(coeffs) == list(todd_series(a, order).coeffs)
+        assert series_exp(coeffs) == todd_series(a, order)
 
 
-def test_ulaurent_pole_bookkeeping():
-    s = USeries([F(3), F(0), F(5), F(7)])
-    lau = ULaurent.from_series(s, 2)
-    assert lau.negative_part() == {-2: F(3)}
-    assert lau.u0() == F(5)
-    cancel = lau + ULaurent(-2, [F(-3)])
-    assert cancel.negative_part() == {}
+def test_exp_todd_series_is_the_product():
+    # exp(-theta u) * todd(v1 u) * todd(v2 u), multiplied out by hand
+    order = 6
+    for theta, weights in ((3, (1, -2)), (0, (5, 7, -1)), (-2, ())):
+        want = _exp(-theta, order)
+        for v in weights:
+            want = _mul(want, todd_series(v, order))
+        assert exp_todd_series(theta, weights, order) == want
 
 
 def test_elementary_symmetric_fixture():

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hilbloc.errors import RealizationError, UsageError
+from hilbloc.errors import ComputationError, RealizationError, UsageError
 from hilbloc.symbolic import Weight, ZERO_WEIGHT
 from hilbloc.toric import (
     ChernData,
+    EquivariantLineBundle,
     SplitBundle,
     bundle_from_json,
     bundle_to_json,
@@ -153,6 +154,16 @@ def test_chi_matches_riemann_roch_formula(surface):
         assert chi_surface(surface, line) == chi_from_chern(
             surface, SplitBundle(surface, (line,)).chern_data()
         )
+
+
+def test_chi_surface_rejects_edge_incompatible_weights():
+    # (0, t1, 0) is no line bundle on P2: the edge (1,2) check fails, and
+    # the localization sum keeps its poles
+    weights = (ZERO_WEIGHT, Weight(1, 0), ZERO_WEIGHT)
+    assert validate_compatibility(P2, weights)
+    line = EquivariantLineBundle(P2, weights)
+    with pytest.raises(ComputationError, match="poles fail to cancel"):
+        chi_surface(P2, line)
 
 
 def test_chi_split_additivity_with_minus_lines():
