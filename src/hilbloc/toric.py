@@ -305,26 +305,39 @@ class SplitBundle:
         """Rank, c1 and c2 by the Whitney formula; needs known degrees."""
         if not self.has_degrees():
             raise UsageError("Chern data undefined for weight-only bundles")
-        zero = (0,) * self.surface.divisor_rank
-        e1p, e1m = list(zero), list(zero)
-        for l in self.plus:
-            e1p = [x + y for x, y in zip(e1p, l.degrees)]
-        for l in self.minus:
-            e1m = [x + y for x, y in zip(e1m, l.degrees)]
-        inter = self.surface.intersect
-        e2p = sum(
-            inter(self.plus[i].degrees, self.plus[j].degrees)
-            for i in range(len(self.plus))
-            for j in range(i + 1, len(self.plus))
+        c1, c2 = _whitney(
+            self.surface,
+            [l.degrees for l in self.plus],
+            [l.degrees for l in self.minus],
         )
-        e2m = sum(
-            inter(self.minus[i].degrees, self.minus[j].degrees)
-            for i in range(len(self.minus))
-            for j in range(i + 1, len(self.minus))
-        )
-        c1 = tuple(x - y for x, y in zip(e1p, e1m))
-        c2 = e2p - inter(e1p, e1m) + inter(e1m, e1m) - e2m
         return ChernData(self.rank, c1, c2)
+
+
+def _whitney(
+    surface: ToricSurfaceModel,
+    plus: Sequence[Sequence[int]],
+    minus: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], int]:
+    """(c1, c2) of the sum of O(d) over ``plus`` minus that over ``minus``.
+
+    With e1, e2 the elementary symmetric classes of each side, c(plus) /
+    c(minus) gives c1 = e1p - e1m and c2 = e2p - e1p.e1m + e1m.e1m - e2m.
+    """
+    inter = surface.intersect
+
+    def e1(degs) -> tuple[int, ...]:
+        return tuple(sum(d[i] for d in degs) for i in range(surface.divisor_rank))
+
+    def e2(degs) -> int:
+        return sum(
+            inter(degs[i], degs[j])
+            for i in range(len(degs))
+            for j in range(i + 1, len(degs))
+        )
+
+    e1p, e1m = e1(plus), e1(minus)
+    c1 = tuple(x - y for x, y in zip(e1p, e1m))
+    return c1, e2(plus) - inter(e1p, e1m) + inter(e1m, e1m) - e2(minus)
 
 
 def split_bundle(
@@ -445,24 +458,51 @@ def _nondecreasing_tuples(atoms: Sequence, length: int):
             yield (atoms[i],) + rest
 
 
-def _sum_tuples(atoms: Sequence[tuple[int, ...]], length: int,
-                want: tuple[int, ...], bound: int):
-    """Non-decreasing atom tuples with a prescribed component-wise sum."""
+def _plus_search(surface: ToricSurfaceModel, atoms: Sequence[tuple[int, ...]],
+                 bound: int):
+    """Lexicographic search for non-decreasing atom tuples by two sums.
 
-    def rec(start: int, length: int, want: tuple[int, ...]):
-        if length == 0:
-            if not any(want):
-                yield ()
+    ``atoms`` are the sorted degree tuples within ``bound``.  The returned
+    function yields, for a start index, a length n, a component-wise sum R
+    and a self-intersection sum Q, the non-decreasing n-tuples of
+    ``atoms[start:]`` with sum R and sum of d.d equal to Q, in
+    lexicographic order.  A branch is cut when R is out of reach, when Q
+    leaves n times the range of d.d over the atoms still allowed, when R's
+    first coordinate falls below n times the current atom's (the atoms are
+    sorted, so every later one fails too), and on P2, whose form is
+    definite, when n Q < R^2 (Cauchy-Schwarz).  The last element must equal
+    R, so it is looked up, not searched.  Every cut branch holds no such
+    tuple, so the order of the survivors is that of the plain enumeration.
+    """
+    squares = [surface.intersect(a, a) for a in atoms]
+    lo, hi = squares[:], squares[:]
+    for i in range(len(atoms) - 2, -1, -1):
+        lo[i], hi[i] = min(lo[i], lo[i + 1]), max(hi[i], hi[i + 1])
+    index = {a: i for i, a in enumerate(atoms)}
+    definite = surface.divisor_rank == 1
+
+    def rec(start: int, n: int, rest: tuple[int, ...], q: int):
+        if n == 1:
+            i = index.get(rest)
+            if i is not None and i >= start and squares[i] == q:
+                yield (rest,)
             return
         for i in range(start, len(atoms)):
             a = atoms[i]
-            rem = tuple(w - x for w, x in zip(want, a))
-            if any(abs(r) > (length - 1) * bound for r in rem):
+            if rest[0] < n * a[0]:
+                break
+            r = tuple(x - y for x, y in zip(rest, a))
+            if any(abs(x) > (n - 1) * bound for x in r):
                 continue
-            for rest in rec(i, length - 1, rem):
-                yield (a,) + rest
+            left = q - squares[i]
+            if not (n - 1) * lo[i] <= left <= (n - 1) * hi[i]:
+                continue
+            if definite and (n - 1) * left < r[0] * r[0]:
+                continue
+            for tail in rec(i, n - 1, r, left):
+                yield (a,) + tail
 
-    yield from rec(0, length, want)
+    return rec
 
 
 @functools.lru_cache(maxsize=None)
@@ -471,27 +511,7 @@ def _realize_cached(
     box: int, max_minus: int,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     surface = make_surface(surface_name, a if surface_name == "Hirzebruch" else None)
-    target = ChernData(rank, c1, c2)
-
-    def matches(plus_degs, minus_degs) -> bool:
-        zero = (0,) * surface.divisor_rank
-        e1p = tuple(sum(d[i] for d in plus_degs) for i in range(len(zero)))
-        e1m = tuple(sum(d[i] for d in minus_degs) for i in range(len(zero)))
-        if tuple(x - y for x, y in zip(e1p, e1m)) != target.c1:
-            return False
-        inter = surface.intersect
-        e2p = sum(
-            inter(plus_degs[i], plus_degs[j])
-            for i in range(len(plus_degs))
-            for j in range(i + 1, len(plus_degs))
-        )
-        e2m = sum(
-            inter(minus_degs[i], minus_degs[j])
-            for i in range(len(minus_degs))
-            for j in range(i + 1, len(minus_degs))
-        )
-        got = e2p - inter(e1p, e1m) + inter(e1m, e1m) - e2m
-        return got == target.c2
+    inter = surface.intersect
 
     def max_abs(tuples) -> int:
         return max((abs(x) for t in tuples for x in t), default=0)
@@ -499,20 +519,25 @@ def _realize_cached(
     for m in range(0, max_minus + 1):
         p = rank + m
         for bound in range(0, box + 1):
-            if surface.divisor_rank == 1:
-                atoms = [(x,) for x in range(-bound, bound + 1)]
-            else:
-                atoms = sorted(iproduct(range(-bound, bound + 1), repeat=2))
+            span = range(-bound, bound + 1)
+            atoms = sorted(iproduct(span, repeat=surface.divisor_rank))
+            plus_tuples = _plus_search(surface, atoms, bound)
             for minus in _nondecreasing_tuples(atoms, m):
-                want = tuple(
-                    c + sum(d[i] for d in minus) for i, c in enumerate(target.c1)
+                # the plus lines sum to s = c1 + e1m, and Whitney's c2 =
+                # e2p - s.e1m + e1m.e1m - e2m with 2 e2p = s.s - sum d.d
+                # fixes the sum of their self-intersections; the minus
+                # lines alone have (c1, c2) = (e1m, e2m)
+                e1m, e2m = _whitney(surface, minus, ())
+                s = tuple(x + y for x, y in zip(c1, e1m))
+                squares = inter(s, s) - 2 * (
+                    c2 + inter(s, e1m) - inter(e1m, e1m) + e2m
                 )
-                for plus in _sum_tuples(atoms, p, want, bound):
+                for plus in plus_tuples(0, p, s, squares):
                     # solutions hugging a smaller box were found in an
                     # earlier bound pass; skip them to keep the order stable
                     if max(max_abs(plus), max_abs(minus)) != bound:
                         continue
-                    if matches(plus, minus):
+                    if _whitney(surface, plus, minus) == (c1, c2):
                         return plus, minus
     raise RealizationError(
         f"no split model for rank={rank}, c1={c1}, c2={c2} on {surface.name} "
@@ -533,9 +558,19 @@ def realize_split_model(
     degree tuples, both lists kept non-decreasing.  Minus lines make every
     integral Chern datum reachable; the tradeoff is that the model is only a
     K-theory stand-in, which is all the localized integrals depend on.
+
+    Branches that the Whitney formula rules out (the plus lines' degree sum
+    and self-intersection sum are fixed once the minus lines are chosen)
+    are cut without being walked, so the first model of this order is
+    found, and returned, as by a plain enumeration.
     """
     if target.rank < 1:
         raise UsageError("realize_split_model needs rank >= 1")
+    if len(target.c1) != surface.divisor_rank:
+        raise UsageError(
+            f"{surface.name} wants {surface.divisor_rank} divisor degree(s) "
+            f"in c1, got {len(target.c1)}"
+        )
     if box is None:
         box = 16 if surface.divisor_rank == 1 else 4
     plus, minus = _realize_cached(
@@ -563,7 +598,7 @@ def surface_to_json(surface: ToricSurfaceModel) -> dict:
 
 
 def surface_from_json(data: dict) -> ToricSurfaceModel:
-    return make_surface(data["family"], data.get("a") or None) \
+    return make_surface(data["family"], data.get("a")) \
         if data["family"] == "Hirzebruch" else make_surface(data["family"])
 
 

@@ -6,13 +6,17 @@ instead of Hilbert-scheme machinery, and a sum over whole fixed-point
 tuples (reading only ``hilb``'s per-fixed-point weights) instead of the
 factorized localization core.  The ambient oracle keeps the (h, u)
 bigraded class of P x X^[k] at each fixed point instead of integrating h
-out in closed form.  The tests compare the engine against
+out in closed form.  The split-model oracle walks every non-decreasing
+degree tuple with the right sum, with no Whitney pruning.  The tests compare the engine against
 these implementations, so they must not import from the modules they check
 beyond plain data access.
 """
 
 from fractions import Fraction
+from itertools import product as iproduct
 from math import comb, factorial, prod
+
+from hilbloc.errors import RealizationError
 
 from hilbloc.hilb import (
     enumerate_fixed_points,
@@ -191,3 +195,66 @@ def brute_virtual_integral(surface, v, lam, k, expr, z=BRUTE_POINT):
         total = [a + b / euler for a, b in zip(total, ulist)]
     assert not any(total[:umax]), total[:umax]
     return total[umax], reached
+
+
+def _nondecreasing_tuples(atoms, length):
+    """All non-decreasing sequences of the given atoms, lexicographic."""
+    if length == 0:
+        yield ()
+        return
+    for i in range(len(atoms)):
+        for rest in _nondecreasing_tuples(atoms[i:], length - 1):
+            yield (atoms[i],) + rest
+
+
+def _sum_tuples(atoms, length, want, bound):
+    """Non-decreasing atom tuples with a prescribed component-wise sum."""
+    if length == 0:
+        if not any(want):
+            yield ()
+        return
+    for i, a in enumerate(atoms):
+        rem = tuple(w - x for w, x in zip(want, a))
+        if any(abs(r) > (length - 1) * bound for r in rem):
+            continue
+        for rest in _sum_tuples(atoms[i:], length - 1, rem, bound):
+            yield (a,) + rest
+
+
+def brute_realize_split_model(surface, target, box, max_minus):
+    """The (plus, minus) degree tuples of the first split model by plain search.
+
+    Same order as the engine: fewest minus lines, then smallest box, then
+    lexicographically first non-decreasing tuples.  Every plus tuple with
+    the right degree sum is tested against the Whitney c2 written out here.
+    Raises ``RealizationError`` when the box holds no model.
+    """
+    inter = surface.intersect
+
+    def whitney_c2(plus, minus):
+        def e2(degs):
+            return sum(
+                inter(degs[i], degs[j])
+                for i in range(len(degs))
+                for j in range(i + 1, len(degs))
+            )
+
+        e1p = [sum(col) for col in zip(*plus)] or [0] * len(target.c1)
+        e1m = [sum(col) for col in zip(*minus)] or [0] * len(target.c1)
+        return e2(plus) - inter(e1p, e1m) + inter(e1m, e1m) - e2(minus)
+
+    for m in range(max_minus + 1):
+        for bound in range(box + 1):
+            atoms = sorted(iproduct(range(-bound, bound + 1), repeat=len(target.c1)))
+            for minus in _nondecreasing_tuples(atoms, m):
+                want = tuple(
+                    c + sum(d[i] for d in minus) for i, c in enumerate(target.c1)
+                )
+                for plus in _sum_tuples(atoms, target.rank + m, want, bound):
+                    hug = max((abs(x) for t in plus + minus for x in t), default=0)
+                    if hug == bound and whitney_c2(plus, minus) == target.c2:
+                        return plus, minus
+    raise RealizationError(
+        f"no split model for rank={target.rank}, c1={target.c1}, c2={target.c2} "
+        f"on {surface.name} within box {box} and up to {max_minus} minus lines"
+    )

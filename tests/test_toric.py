@@ -1,9 +1,10 @@
 """Surface models, bundles and surface-level Riemann-Roch."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hilbloc.errors import ComputationError, RealizationError, UsageError
 from hilbloc.symbolic import Weight, ZERO_WEIGHT
@@ -24,11 +25,16 @@ from hilbloc.toric import (
     surface_from_json,
     surface_to_json,
     validate_compatibility,
+    _plus_search,
 )
+
+from oracles import brute_realize_split_model
 
 P2 = make_surface("P2")
 QUADRIC = make_surface("P1xP1")
+F0 = make_surface("Hirzebruch", 0)
 F1 = make_surface("Hirzebruch", 1)
+F2 = make_surface("Hirzebruch", 2)
 F3 = make_surface("Hirzebruch", 3)
 ALL_SURFACES = (P2, QUADRIC, F1, F3)
 
@@ -243,13 +249,78 @@ def test_realize_failure_reports():
         realize_split_model(P2, ChernData(1, (0,), 50), box=2, max_minus=1)
     with pytest.raises(UsageError):
         realize_split_model(P2, ChernData(0, (0,), 0))
+    # c1 in the wrong divisor basis: rejected before any search
+    with pytest.raises(UsageError, match="divisor degree"):
+        realize_split_model(P2, ChernData(2, (1, 2), 0))
+    with pytest.raises(UsageError, match="divisor degree"):
+        realize_split_model(QUADRIC, ChernData(2, (1,), 0))
+
+
+@st.composite
+def realize_cases(draw):
+    """(surface, target, box, max_minus): Chern data of a random split
+    bundle, which a box of 3 and one minus line always reach, or raw
+    (c1, c2) in a small box, which often has no model."""
+    surface = draw(st.sampled_from((P2, QUADRIC, F0, F1, F2)))
+    degree = st.tuples(*[st.integers(-3, 3)] * surface.divisor_rank)
+    if draw(st.booleans()):
+        nminus = draw(st.integers(0, 1))
+        plus = draw(st.lists(degree, min_size=nminus + 1, max_size=nminus + 3))
+        minus = draw(st.lists(degree, min_size=nminus, max_size=nminus))
+        return surface, split_bundle(surface, plus, minus).chern_data(), 3, 2
+    target = ChernData(draw(st.integers(1, 3)), draw(degree), draw(st.integers(-12, 12)))
+    box = draw(st.integers(0, 4 if surface.divisor_rank == 1 else 2))
+    return surface, target, box, draw(st.integers(0, 2))
+
+
+@given(realize_cases())
+@example((P2, e_from_v(ChernData(3, (-7,), 33), 4), 16, 2))  # sweep e, k=4
+@example((P2, ChernData(4, (4,), 15), 16, 2))  # criterion-5 grid, r=4 d=4 k=3
+@settings(max_examples=60)
+def test_realize_matches_brute_search(case):
+    surface, target, box, max_minus = case
+    try:
+        expected = brute_realize_split_model(surface, target, box, max_minus)
+    except RealizationError as exc:
+        with pytest.raises(RealizationError) as got:
+            realize_split_model(surface, target, box, max_minus)
+        assert str(got.value) == str(exc)
+        return
+    model = realize_split_model(surface, target, box, max_minus)
+    assert (
+        tuple(l.degrees for l in model.plus),
+        tuple(l.degrees for l in model.minus),
+    ) == expected
+    assert model.chern_data() == target
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_plus_search_yields_every_tuple(data):
+    # every branch the search cuts is empty: it yields exactly the
+    # non-decreasing tuples with the two sums, in lexicographic order
+    surface = data.draw(st.sampled_from((P2, QUADRIC, F1)))
+    bound = data.draw(st.integers(0, 3 if surface.divisor_rank == 1 else 2))
+    atoms = sorted(product(range(-bound, bound + 1), repeat=surface.divisor_rank))
+    n = data.draw(st.integers(1, 4))
+    degs = data.draw(st.lists(st.sampled_from(atoms), min_size=n, max_size=n))
+
+    def sums(t):
+        return tuple(map(sum, zip(*t))), sum(surface.intersect(d, d) for d in t)
+
+    want, q = sums(degs)
+    q += data.draw(st.sampled_from((0, 0, 1, -2)))
+    expected = [
+        t for t in combinations_with_replacement(atoms, n) if sums(t) == (want, q)
+    ]
+    assert list(_plus_search(surface, atoms, bound)(0, n, want, q)) == expected
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-@pytest.mark.parametrize("surface", ALL_SURFACES, ids=lambda s: s.name)
+@pytest.mark.parametrize("surface", ALL_SURFACES + (F0,), ids=lambda s: s.name)
 def test_surface_json_roundtrip(surface):
     data = surface_to_json(surface)
     back = surface_from_json(data)
@@ -257,13 +328,14 @@ def test_surface_json_roundtrip(surface):
 
 
 def test_bundle_json_roundtrip():
-    v = split_bundle(QUADRIC, [(1, 2), (0, 1)], [(1, 0)])
-    back = bundle_from_json(bundle_to_json(v))
-    assert back == v
-    shifted = v.shifted(Weight(2, -1))
-    back2 = bundle_from_json(bundle_to_json(shifted))
-    assert back2 == shifted
-    assert back2.plus[0].degrees is None
+    for surface in (QUADRIC, F0):
+        v = split_bundle(surface, [(1, 2), (0, 1)], [(1, 0)])
+        back = bundle_from_json(bundle_to_json(v))
+        assert back == v
+        shifted = v.shifted(Weight(2, -1))
+        back2 = bundle_from_json(bundle_to_json(shifted))
+        assert back2 == shifted
+        assert back2.plus[0].degrees is None
 
 
 def test_bundle_json_rejects_incompatible_weights():
