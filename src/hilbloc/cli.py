@@ -137,7 +137,7 @@ def _cmd_chi(args):
     surface = _surface_from_args(args)
     seed = _resolve_seed(args.seed)
     bundle = _split_from_args(surface, args.bundle, args.minus)
-    value = chi_surface(surface, bundle, seed=seed)
+    value = chi_surface(surface, bundle)
     return _report(args, seed, {"value": str(value)}), 0
 
 
@@ -198,7 +198,6 @@ def _cmd_chi_theta(args):
         seed=seed,
         threads=args.threads,
         cache=default_cache(enabled=not args.no_cache),
-        order=args.order,
     )
     return _report(args, seed, {"value": str(value)}), 0
 
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", default="", help="degrees of e (empty for O)")
     p.add_argument("--e-minus", default="")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--order", type=int, default=None,
-                   help="truncation override (>= 2k)")
     _add_compute(p)
 
     p = cmd("verify-conjecture", _cmd_verify_conjecture,

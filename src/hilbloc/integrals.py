@@ -483,31 +483,27 @@ def chi_theta(
     seed: int = DEFAULT_SEED,
     threads: int = 1,
     cache: ResultCache | None = None,
-    order: int | None = None,
 ) -> int:
     """chi of the determinant line bundle induced by e on X^[k].
 
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
     the strictly negative u-powers must cancel across fixed points and the
     u^0 coefficient is the (integer) answer.  A truncated product is exact
-    up to its order, so the default order 2k suffices.  A non-orthogonal e
-    (chi_pair nonzero) only warns: the line bundle exists, it is just not
-    the canonical pairing class.  ``threads`` is accepted and unused.
+    up to its order, so order 2k suffices.  A non-orthogonal e (chi_pair
+    nonzero) only warns: the line bundle exists, it is just not the
+    canonical pairing class.  ``threads`` is accepted and unused.
     """
     e = as_split(e)
     if k < 0:
         raise UsageError("negative k")
-    if e.has_degrees() and chi_pair(surface, e.chern_data(), k) != 0:
+    if chi_pair(surface, e.chern_data(), k) != 0:
         warnings.warn(
             f"chi_pair(e, k={k}) != 0: theta class is not orthogonal",
             stacklevel=2,
         )
     if k == 0:
         return 1
-    if order is None:
-        order = 2 * k
-    if order < 2 * k:
-        raise UsageError(f"order {order} cannot resolve u^0 at k={k}")
+    order = 2 * k
 
     def at(z: tuple[int, int]) -> Fraction:
         lines = _spec_lines(e, z)

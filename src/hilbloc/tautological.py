@@ -192,8 +192,6 @@ class ITClass:
 def _require_ambient(surface: ToricSurfaceModel, v: SplitBundle) -> None:
     if not v.is_honest():
         raise UsageError("ambient space needs an honest (minus-free) V")
-    if not v.has_degrees():
-        raise UsageError("ambient space needs divisor degrees to certify V")
     for line in v.plus:
         if not surface.is_nef(tuple(-d for d in line.degrees)):
             raise UsageError(

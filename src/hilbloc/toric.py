@@ -11,24 +11,25 @@ invariant-curve (edge) data and intersection theory hard-coded from the fan:
   positive section s) with f.f = 0, f.s = 1, s.s = a, K = (a-2, -2).
   Hirzebruch(0) is P1xP1 in a different basis.
 
-Line bundles carry one weight per fixed point, normalized so the first fixed
-point has weight zero.  The weight data follows the section convention: on P2
-the bundle O(d) gets weights (0, d*t1, d*t2).  Euler characteristics pair
-these weights with exp(-w*u) against Todd factors of the stored tangent
-weights; that pairing is fixed once here and reused by every Riemann-Roch
-style sum in the package.
+Line bundles carry one weight per fixed point; ``line_bundle`` normalizes
+the first fixed point to weight zero.  The weight data follows the section
+convention: on P2 the bundle O(d) gets weights (0, d*t1, d*t2).  On these
+smooth complete surfaces an edge-compatible weight assignment is exactly an
+equivariant line bundle, and the weights fix its divisor class (the degrees)
+up to a global shift of the linearization, so a bundle is its weights and
+its degrees are read off them.  The Euler characteristic over the surface
+is then closed-form Riemann-Roch on the Whitney Chern data.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
-from .errors import ComputationError, PoleError, RealizationError, UsageError
-from .symbolic import DEFAULT_SEED, Weight, dual_specialized, exp_todd_series
+from .errors import ComputationError, RealizationError, UsageError
+from .symbolic import Weight
 
 __all__ = [
     "ChernData",
@@ -110,6 +111,20 @@ class ToricSurfaceModel:
             Weight(0, b),
         )
 
+    def degrees_of(self, weights: Sequence[Weight]) -> tuple[int, ...]:
+        """The divisor degrees of the line bundle with these fixed-point
+        weights: ``line_weights`` inverted after subtracting ``weights[0]``.
+        """
+        bad = validate_compatibility(self, weights)
+        if bad:
+            raise UsageError(f"weights are no line bundle on {self.name}: {bad}")
+        w = [x - weights[0] for x in weights]
+        if self.family == "P2":
+            return (w[1].a,)
+        if self.family == "P1xP1":
+            return (w[2].a, w[1].b)
+        return (w[1].a, w[3].b)
+
 
 def _p2_model() -> ToricSurfaceModel:
     t1, t2 = Weight(1, 0), Weight(0, 1)
@@ -186,48 +201,38 @@ def make_surface(name: str, a: int | None = None) -> ToricSurfaceModel:
 class EquivariantLineBundle:
     """A line bundle given by one weight per fixed point.
 
-    ``degrees`` records the divisor class when known; weight-only bundles
-    (for instance after a linearization shift) carry ``degrees=None`` and
-    stay usable by every purely localized computation.
+    The weights are checked for edge compatibility once, here, and the
+    divisor ``degrees`` are derived from them; a shift of the linearization
+    changes the weights but not the degrees.
     """
 
     surface: ToricSurfaceModel
     weights: tuple[Weight, ...]
-    degrees: tuple[int, ...] | None = None
+    degrees: tuple[int, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "degrees", self.surface.degrees_of(self.weights))
 
     def dual(self) -> "EquivariantLineBundle":
-        degs = None if self.degrees is None else tuple(-d for d in self.degrees)
-        return EquivariantLineBundle(
-            self.surface, tuple(-1 * w for w in self.weights), degs
-        )
+        return EquivariantLineBundle(self.surface, tuple(-1 * w for w in self.weights))
 
     def shifted(self, s: Weight) -> "EquivariantLineBundle":
         """Shift the linearization; the underlying bundle does not change."""
-        return EquivariantLineBundle(
-            self.surface, tuple(w + s for w in self.weights), None
-        )
+        return EquivariantLineBundle(self.surface, tuple(w + s for w in self.weights))
 
     def tensor(self, other: "EquivariantLineBundle") -> "EquivariantLineBundle":
         if self.surface.name != other.surface.name:
             raise UsageError("tensor product across different surfaces")
-        degs = None
-        if self.degrees is not None and other.degrees is not None:
-            degs = tuple(x + y for x, y in zip(self.degrees, other.degrees))
         return EquivariantLineBundle(
-            self.surface,
-            tuple(x + y for x, y in zip(self.weights, other.weights)),
-            degs,
+            self.surface, tuple(x + y for x, y in zip(self.weights, other.weights))
         )
 
 
 def line_bundle(surface: ToricSurfaceModel, degrees: Sequence[int]) -> EquivariantLineBundle:
     """O(degrees) with its canonical linearization (weight zero first)."""
-    degrees = tuple(int(d) for d in degrees)
-    weights = surface.line_weights(degrees)
-    bad = validate_compatibility(surface, weights)
-    if bad:
-        raise ComputationError(f"internal weight table broken: {bad}")
-    return EquivariantLineBundle(surface, weights, degrees)
+    return EquivariantLineBundle(
+        surface, surface.line_weights(tuple(int(d) for d in degrees))
+    )
 
 
 def validate_compatibility(
@@ -270,9 +275,6 @@ class SplitBundle:
     def is_honest(self) -> bool:
         return not self.minus
 
-    def has_degrees(self) -> bool:
-        return all(l.degrees is not None for l in self.plus + self.minus)
-
     def dual(self) -> "SplitBundle":
         return SplitBundle(
             self.surface,
@@ -302,9 +304,7 @@ class SplitBundle:
         }
 
     def chern_data(self) -> ChernData:
-        """Rank, c1 and c2 by the Whitney formula; needs known degrees."""
-        if not self.has_degrees():
-            raise UsageError("Chern data undefined for weight-only bundles")
+        """Rank, c1 and c2 by the Whitney formula."""
         c1, c2 = _whitney(
             self.surface,
             [l.degrees for l in self.plus],
@@ -380,45 +380,12 @@ def as_split(bundle: SplitBundle | EquivariantLineBundle) -> SplitBundle:
     return bundle
 
 
-def _chi_surface_at(
-    surface: ToricSurfaceModel,
-    bundle: SplitBundle,
-    z: tuple[int, int],
-) -> Fraction:
-    """One specialization of the fixed-point Euler characteristic sum.
-
-    Each line contributes exp(-w u) * todd(v1 u) * todd(v2 u) / (v1 v2 u^2)
-    at each point, with sign -1 for minus lines; the poles must cancel in
-    the total and the u^0 coefficient is chi.  Order 2 reaches u^0 exactly.
-    """
-    total = [Fraction(0)] * 3
-    for p, (v1, v2) in enumerate(surface.points):
-        s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
-        if s1 == 0 or s2 == 0:
-            raise PoleError(f"tangent weight vanished at point {p} under z={z}")
-        num = [0] * 3
-        for lines, sign in ((bundle.plus, 1), (bundle.minus, -1)):
-            for line in lines:
-                series = exp_todd_series(line.weights[p].spec_int(*z), (s1, s2), 2)
-                num = [a + sign * c for a, c in zip(num, series)]
-        total = [t + Fraction(c, s1 * s2) for t, c in zip(total, num)]
-    leftover = {n - 2: c for n, c in enumerate(total[:2]) if c != 0}
-    if leftover:
-        raise ComputationError(f"surface HRR poles fail to cancel: {leftover}")
-    return total[2]
-
-
 def chi_surface(
     surface: ToricSurfaceModel,
     bundle: SplitBundle | EquivariantLineBundle,
-    seed: int = DEFAULT_SEED,
 ) -> int:
-    """Equivariant Hirzebruch-Riemann-Roch over the surface, exact integer."""
-    bundle = as_split(bundle)
-    value = dual_specialized(lambda z: _chi_surface_at(surface, bundle, z), seed)
-    if value.denominator != 1:
-        raise ComputationError(f"chi came out non-integral: {value}")
-    return int(value)
+    """Hirzebruch-Riemann-Roch over the surface, exact integer."""
+    return chi_from_chern(surface, as_split(bundle).chern_data())
 
 
 def chi_pair(
@@ -607,7 +574,7 @@ def bundle_to_json(bundle: SplitBundle | EquivariantLineBundle) -> dict:
 
     def line(l: EquivariantLineBundle) -> dict:
         return {
-            "degrees": None if l.degrees is None else list(l.degrees),
+            "degrees": list(l.degrees),
             "weights": [w.to_json() for w in l.weights],
         }
 
@@ -623,13 +590,14 @@ def bundle_from_json(data: dict) -> SplitBundle:
 
     def line(entry: dict) -> EquivariantLineBundle:
         weights = tuple(Weight.from_json(w) for w in entry["weights"])
-        bad = validate_compatibility(surface, weights)
-        if bad:
-            raise UsageError(f"incompatible weights in serialized bundle: {bad}")
+        l = EquivariantLineBundle(surface, weights)
         degs = entry.get("degrees")
-        return EquivariantLineBundle(
-            surface, weights, None if degs is None else tuple(degs)
-        )
+        if degs is not None and degs != list(l.degrees):
+            raise UsageError(
+                f"serialized degrees {degs} disagree with the weights, "
+                f"which give {list(l.degrees)}"
+            )
+        return l
 
     return SplitBundle(
         surface,

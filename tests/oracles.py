@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive and self-contained: series
 convolution instead of partition enumeration, direct surface localization
-instead of Hilbert-scheme machinery, and a sum over whole fixed-point
-tuples (reading only ``hilb``'s per-fixed-point weights) instead of the
-factorized localization core.  The ambient oracle keeps the (h, u)
-bigraded class of P x X^[k] at each fixed point instead of integrating h
-out in closed form.  The split-model oracle walks every non-decreasing
+instead of Hilbert-scheme machinery or closed-form Riemann-Roch, and a sum
+over whole fixed-point tuples (reading only ``hilb``'s per-fixed-point
+weights) instead of the factorized localization core.  The ambient oracle
+keeps the (h, u) bigraded class of P x X^[k] at each fixed point instead of
+integrating h out in closed form.  The split-model oracle walks every non-decreasing
 degree tuple with the right sum, with no Whitney pruning.  The tests compare the engine against
 these implementations, so they must not import from the modules they check
 beyond plain data access.
@@ -25,7 +25,6 @@ from hilbloc.hilb import (
     theta_weight,
 )
 from hilbloc.tautological import AmbientClass
-from hilbloc.toric import chi_surface
 
 # Two primes large enough that no weight of a k <= 4 fixed point (integer
 # coefficients far below 101) can specialize to zero.
@@ -130,6 +129,31 @@ def _todd_coefficients(order):
     return inv
 
 
+def brute_chi_surface(surface, bundle, z=BRUTE_POINT):
+    """chi of a split bundle over the surface by localized Riemann-Roch.
+
+    Each line contributes exp(-w u) todd(v1 u) todd(v2 u) / (v1 v2 u^2) at
+    each fixed point (tangent weights v1, v2), with sign -1 for minus lines;
+    the u^-2 and u^-1 coefficients must cancel in the sum, and the u^0
+    coefficient is chi.
+    """
+    todd = _todd_coefficients(2)
+    total = [Fraction(0)] * 3
+    for p, tangents in enumerate(surface.points):
+        tangents = [v.spec_int(*z) for v in tangents]
+        for lines, sign in ((bundle.plus, 1), (bundle.minus, -1)):
+            for line in lines:
+                w = line.weights[p].spec_int(*z)
+                series = [Fraction(-w) ** n / factorial(n) for n in range(3)]
+                for v in tangents:
+                    factor = [t * v**n for n, t in enumerate(todd)]
+                    series = _truncated_mul(series, factor, 2)
+                total = [a + sign * b / prod(tangents) for a, b in zip(total, series)]
+    assert not any(total[:2]), total[:2]
+    assert total[2].denominator == 1, total[2]
+    return int(total[2])
+
+
 def brute_chi_theta(surface, e, k, z=BRUTE_POINT):
     """chi of the determinant line bundle of e on X^[k], one tuple at a time.
 
@@ -174,8 +198,8 @@ def brute_virtual_integral(surface, v, lam, k, expr, z=BRUTE_POINT):
     any h^Dp slice was nonzero.
     """
     vdual = v.dual()
-    dp = chi_surface(surface, vdual) - 1
-    chi_lam = chi_surface(surface, lam) if lam.plus or lam.minus else 0
+    dp = brute_chi_surface(surface, vdual, z) - 1
+    chi_lam = brute_chi_surface(surface, lam, z)
     umax = 2 * k
     total = [Fraction(0)] * (umax + 1)
     reached = False

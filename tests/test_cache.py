@@ -122,10 +122,8 @@ def test_disabled_cache_never_touches_disk(tmp_path):
             "ef8e0086e3ae22d520dd10671c42e5b5fc705e9ce7f37026bc77d4d3a01b7c53",
         ),
         (
-            lambda c: chi_theta(
-                P2, split_bundle(P2, [1, 1], [2]), 2, cache=c, order=6
-            ),
-            "847c187de91afc89a35b70535d699f6eea45bf42b30a3689604a489ec3f9f928",
+            lambda c: chi_theta(P2, split_bundle(P2, [1, 1], [2]), 2, cache=c),
+            "9c051c303eb27a52a3884de62726f2b26ca46cc7d08ee6c09612bbf23661eb56",
         ),
         (
             lambda c: virtual_integral(

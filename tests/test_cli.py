@@ -171,6 +171,65 @@ def test_byte_identical_reports(capsys):
     assert first == second
 
 
+# full stdout for a fixed (command, seed, engine version): these bytes may
+# only change together with ENGINE_VERSION
+GOLDEN_REPORTS = [
+    (
+        ("chi", "--surface", "Hirzebruch", "--a", "2", "--bundle", "1:1,0:-1",
+         "--minus", "2:0"),
+        (
+            '{\n'
+            '  "command": "chi",\n'
+            '  "engine_version": "0.1.0",\n'
+            '  "seed": 20717,\n'
+            '  "inputs": {\n'
+            '    "surface": "Hirzebruch",\n'
+            '    "a": 2,\n'
+            '    "bundle": "1:1,0:-1",\n'
+            '    "minus": "2:0",\n'
+            '    "seed": "20717",\n'
+            '    "threads": 1,\n'
+            '    "no_cache": false\n'
+            '  },\n'
+            '  "value": "3"\n'
+            '}\n'
+        ),
+    ),
+    (
+        ("taut-integral", "--surface", "P2", "--vstar", "0,0", "--lambda", "1",
+         "--k", "1", "--expr", "c1(IT)"),
+        (
+            '{\n'
+            '  "command": "taut-integral",\n'
+            '  "engine_version": "0.1.0",\n'
+            '  "seed": 20717,\n'
+            '  "inputs": {\n'
+            '    "surface": "P2",\n'
+            '    "a": null,\n'
+            '    "vstar": "0,0",\n'
+            '    "vstar_minus": "",\n'
+            '    "lam": "1",\n'
+            '    "lam_minus": "",\n'
+            '    "k": 1,\n'
+            '    "expr": "c1(IT)",\n'
+            '    "seed": "20717",\n'
+            '    "threads": 1,\n'
+            '    "no_cache": false\n'
+            '  },\n'
+            '  "value": "0"\n'
+            '}\n'
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN_REPORTS, ids=["chi", "taut-integral"])
+def test_golden_report_bytes(capsys, argv, stdout):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == stdout
+
+
 def test_default_seed_is_fixed(capsys):
     report = run_json(capsys, "chi", "--surface", "P2", "--bundle", "2")
     assert report["seed"] == DEFAULT_SEED
@@ -205,7 +264,7 @@ def test_threads_do_not_change_values(capsys):
         ("chi", "--surface", "P2", "--bundle", "oops"),
         ("chi", "--surface", "P2", "--bundle", "1:2"),
         ("chi", "--surface", "P2", "--bundle", "2", "--seed", "sometimes"),
-        ("chi-theta", "--surface", "P2", "--k", "2", "--order", "1"),
+        ("chi-theta", "--surface", "P2", "--k", "-1"),
         ("taut-integral", "--surface", "P2", "--vstar", "2,3", "--k", "1",
          "--expr", "c1("),
         ("expected-dim", "--surface", "P2", "--k", "1"),
@@ -267,14 +326,6 @@ def test_expected_dim_routes_agree(capsys):
         "--r", "2", "--c1", "-5", "--c2", "6", "--k", "1",
     )
     assert via_vstar["value"] == via_chern["value"]
-
-
-def test_chi_theta_order_override(capsys):
-    base = run_json(capsys, "chi-theta", "--surface", "P1xP1", "--k", "2")
-    more = run_json(
-        capsys, "chi-theta", "--surface", "P1xP1", "--k", "2", "--order", "8"
-    )
-    assert base["value"] == more["value"] == "1"
 
 
 def test_taut_integral_truncation_invariance(capsys):

@@ -214,20 +214,13 @@ def test_chi_theta_warns_when_not_orthogonal():
         chi_theta(P2, line_bundle(P2, (1,)), 1)
 
 
-def test_chi_theta_order_control():
-    k = 2
-    with pytest.raises(UsageError):
-        chi_theta(P2, SplitBundle(P2), k, order=2 * k - 1)
-    base = chi_theta(P2, SplitBundle(P2), k, order=2 * k)
-    assert base == chi_theta(P2, SplitBundle(P2), k, order=2 * k + 4) == 1
-
-
 def test_chi_theta_shift_invariance():
     e = split_bundle(P2, [4, 5])
     shifted = e.shifted(Weight(-3, 2))
     with pytest.warns(UserWarning):
         base = chi_theta(P2, e, 2)
-    assert chi_theta(P2, shifted, 2) == base
+    with pytest.warns(UserWarning):
+        assert chi_theta(P2, shifted, 2) == base
 
 
 # ---------------------------------------------------------------------------

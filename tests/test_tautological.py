@@ -102,9 +102,10 @@ def test_it_class_requires_honest_nef_dual():
         it_class(P2, split_bundle(P2, [1, -3]), None, 1)  # dual has O(-1)
     from hilbloc.symbolic import Weight
 
-    shifted = split_bundle(P2, [-2, -3]).shifted(Weight(1, 0))
-    with pytest.raises(UsageError):
-        it_class(P2, shifted, None, 1)
+    # a shifted linearization is the same bundle, with the same transform
+    v = split_bundle(P2, [-2, -3])
+    lam = split_bundle(P2, [1])
+    assert it_class(P2, v.shifted(Weight(1, 0)), lam, 1) == it_class(P2, v, lam, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hilbloc.errors import ComputationError, RealizationError, UsageError
+from hilbloc.errors import RealizationError, UsageError
 from hilbloc.symbolic import Weight, ZERO_WEIGHT
 from hilbloc.toric import (
     ChernData,
     EquivariantLineBundle,
-    SplitBundle,
     bundle_from_json,
     bundle_to_json,
     chi_from_chern,
@@ -28,7 +27,7 @@ from hilbloc.toric import (
     _plus_search,
 )
 
-from oracles import brute_realize_split_model
+from oracles import brute_chi_surface, brute_realize_split_model
 
 P2 = make_surface("P2")
 QUADRIC = make_surface("P1xP1")
@@ -127,8 +126,28 @@ def test_edge_compatibility_flags_bad_weights():
 def test_line_bundle_shift_changes_weights_not_chi():
     line = line_bundle(P2, (2,))
     shifted = line.shifted(Weight(5, -4))
-    assert shifted.degrees is None
+    assert shifted.weights != line.weights
+    assert shifted.degrees == line.degrees == (2,)
     assert chi_surface(P2, shifted) == chi_surface(P2, line) == 6
+
+
+shifts = st.builds(Weight, st.integers(-9, 9), st.integers(-9, 9))
+surfaces = st.sampled_from((P2, QUADRIC, F0, F1, F2))
+
+
+def degrees_on(surface, bound):
+    return st.tuples(*[st.integers(-bound, bound)] * surface.divisor_rank)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_degrees_are_read_off_the_weights(data):
+    surface = data.draw(surfaces)
+    degrees = data.draw(degrees_on(surface, 6))
+    shift = data.draw(shifts)
+    line = line_bundle(surface, degrees)
+    assert line.shifted(shift).degrees == degrees
+    assert line.dual().shifted(shift).degrees == tuple(-d for d in degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +175,31 @@ def test_chi_matches_riemann_roch_formula(surface):
         else [(a, b) for a in span for b in span]
     )
     for degs in degree_menu:
-        line = line_bundle(surface, degs)
-        assert chi_surface(surface, line) == chi_from_chern(
-            surface, SplitBundle(surface, (line,)).chern_data()
+        bundle = split_bundle(surface, [degs])
+        assert brute_chi_surface(surface, bundle) == chi_from_chern(
+            surface, bundle.chern_data()
         )
 
 
+@given(st.data())
+@settings(max_examples=60)
+def test_chi_surface_matches_localized_riemann_roch(data):
+    surface = data.draw(surfaces)
+    plus = data.draw(st.lists(degrees_on(surface, 4), max_size=3))
+    minus = data.draw(st.lists(degrees_on(surface, 4), max_size=2))
+    bundle = split_bundle(surface, plus, minus).shifted(data.draw(shifts))
+    assert chi_surface(surface, bundle) == brute_chi_surface(surface, bundle)
+
+
 def test_chi_surface_rejects_edge_incompatible_weights():
-    # (0, t1, 0) is no line bundle on P2: the edge (1,2) check fails, and
-    # the localization sum keeps its poles
+    # (0, t1, 0) is no line bundle on P2: the edge (1,2) check fails when
+    # the bundle is built, before any sum can run
     weights = (ZERO_WEIGHT, Weight(1, 0), ZERO_WEIGHT)
     assert validate_compatibility(P2, weights)
-    line = EquivariantLineBundle(P2, weights)
-    with pytest.raises(ComputationError, match="poles fail to cancel"):
-        chi_surface(P2, line)
+    with pytest.raises(UsageError, match="no line bundle"):
+        EquivariantLineBundle(P2, weights)
+    with pytest.raises(UsageError, match="expected 3 weights"):
+        EquivariantLineBundle(P2, weights[:2])
 
 
 def test_chi_split_additivity_with_minus_lines():
@@ -187,10 +217,9 @@ def test_whitney_chern_data():
     assert honest.chern_data() == ChernData(2, (5,), 6)
 
 
-def test_chern_data_requires_degrees():
-    shifted = split_bundle(P2, [2]).shifted(Weight(1, 1))
-    with pytest.raises(UsageError):
-        shifted.chern_data()
+def test_chern_data_ignores_shift():
+    v = split_bundle(P2, [2, 3], [1])
+    assert v.shifted(Weight(1, 1)).chern_data() == v.chern_data()
 
 
 def test_chi_pair_and_e_from_v():
@@ -333,13 +362,25 @@ def test_bundle_json_roundtrip():
         back = bundle_from_json(bundle_to_json(v))
         assert back == v
         shifted = v.shifted(Weight(2, -1))
-        back2 = bundle_from_json(bundle_to_json(shifted))
+        data = bundle_to_json(shifted)
+        back2 = bundle_from_json(data)
         assert back2 == shifted
-        assert back2.plus[0].degrees is None
+        assert back2.plus[0].degrees == (1, 2)
+        # files that stored no degrees still load
+        for entry in data["plus"] + data["minus"]:
+            entry["degrees"] = None
+        assert bundle_from_json(data) == shifted
 
 
 def test_bundle_json_rejects_incompatible_weights():
     data = bundle_to_json(split_bundle(P2, [2]))
     data["plus"][0]["weights"][1] = [1, 1]  # breaks an edge relation
     with pytest.raises(UsageError):
+        bundle_from_json(data)
+
+
+def test_bundle_json_rejects_disagreeing_degrees():
+    data = bundle_to_json(split_bundle(P2, [1]))
+    data["plus"][0]["degrees"] = [5]
+    with pytest.raises(UsageError, match="disagree"):
         bundle_from_json(data)
