@@ -9,11 +9,14 @@ coefficient of prod_p sum_lambda q^|lambda| f_p(lambda) (the
 Ellingsrud-Goettsche-Lehn factorization).  ``localize`` evaluates it by
 walking the partitions of n <= k at each point, not the tuples.
 
-Every sum is evaluated under two independent integer specializations of
-(t1, t2) and the results asserted equal, so a silently bad specialization
-cannot leak into output.  Values are exact rationals throughout.  The
-module also holds the Chern-expression grammar and the count-matching
-verification loop (verify_conjecture).
+Each sum is evaluated in Z/p for primes p just below 2^61, and the exact
+rational is rebuilt from the residues by the Chinese remainder theorem and
+rational reconstruction (``symbolic.reconstruct``).  That is done under two
+independent integer specializations of (t1, t2) and the results asserted
+equal, so neither a silently bad specialization nor an unlucky
+reconstruction can leak into output.  The module also holds the
+Chern-expression grammar and the count-matching verification loop
+(verify_conjecture).
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
     exp_todd_series,
+    reconstruct,
+    residue,
     signed_chern_coefficients,
 )
 from .toric import (
@@ -311,8 +316,8 @@ def _fitting(width: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _q_coefficient(a: list, b: list, n: int, fitting) -> list:
-    """[q^n] of the product of two q-series of truncated series."""
+def _q_coefficient(a: list, b: list, n: int, fitting, prime: int) -> list:
+    """[q^n] of the product of two q-series of truncated series, mod prime."""
     out = [0] * len(fitting)
     for m in range(n + 1):
         left, right = a[m], b[n - m]
@@ -322,7 +327,7 @@ def _q_coefficient(a: list, b: list, n: int, fitting) -> list:
                     y = right[j]
                     if y:
                         out[i + j] += x * y
-    return out
+    return [x % prime for x in out]
 
 
 def localize(
@@ -331,8 +336,10 @@ def localize(
     point_factor: Callable[[int, list[int], list[int]], Sequence],
     z: tuple[int, int],
     width: tuple[int, ...],
+    prime: int,
 ) -> list:
-    """[q^k] of prod_p sum_lambda q^|lambda| point_factor(p, lambda) / e_p(lambda).
+    """[q^k] of prod_p sum_lambda q^|lambda| point_factor(p, lambda) / e_p(lambda),
+    mod prime.
 
     ``point_factor(p, shifts, tangents)`` gets the specialized cell shifts
     i*v1 + j*v2 and the 2|lambda| specialized tangent weights of the
@@ -340,8 +347,9 @@ def localize(
     a truncated series: a flat row-major list over one formal variable per
     entry of ``width``, each kept below its entry.  The q^k coefficient, a
     series of the same width, is the fixed-point sum over X^[k] of the
-    product of the local integrands.  A tangent weight that specializes to
-    zero raises PoleError.
+    product of the local integrands, reduced mod prime.  A tangent weight
+    that specializes to zero raises PoleError; every other tangent weight
+    is a nonzero integer far below prime, so it is invertible mod prime.
     """
     fitting = _fitting(width)
     table = [list(partitions(n)) for n in range(k + 1)]
@@ -358,18 +366,20 @@ def localize(
                 if den == 0:
                     raise PoleError(f"tangent weight vanished at point {p} under z={z}")
                 shifts = [i * s1 + j * s2 for i, j in part.cells()]
-                inv = Fraction(1, den)
+                inv = pow(den % prime, -1, prime)
                 for i, c in enumerate(point_factor(p, shifts, tangents)):
                     if c:
                         acc[i] += c * inv
-            out.append(acc)
+            out.append([x % prime for x in acc])
         return out
 
     *head, last = [point_series(p) for p in range(len(surface.points))]
     total = [[1] + [0] * (len(fitting) - 1)] + [[0] * len(fitting)] * k
     for local in head:
-        total = [_q_coefficient(total, local, n, fitting) for n in range(k + 1)]
-    return _q_coefficient(total, last, k, fitting)
+        total = [
+            _q_coefficient(total, local, n, fitting, prime) for n in range(k + 1)
+        ]
+    return _q_coefficient(total, last, k, fitting, prime)
 
 
 def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
@@ -388,14 +398,15 @@ def localize_chern(
     k: int,
     factors: Sequence[tuple[SplitBundle, int]],
     z: tuple[int, int],
+    prime: int,
 ) -> list:
     """Fixed-point sums of products of Chern classes of tautological bundles.
 
     ``factors`` lists pairs (B_j, top_j).  The result is the flat row-major
     series, one formal variable t_j per factor kept below t_j^(top_j + 1),
     whose entry at (d_1, ..., d_m) is the localization sum over X^[k] of
-    prod_j c_{d_j}(B_j^[k]).  The local factor is the product of the signed
-    Chern polynomials of the cell-shifted line weights of each B_j.
+    prod_j c_{d_j}(B_j^[k]), mod prime.  The local factor is the product of
+    the signed Chern polynomials of the cell-shifted line weights of each B_j.
     """
     lines = [_spec_lines(bundle, z) for bundle, _ in factors]
 
@@ -408,11 +419,11 @@ def localize_chern(
                 [w + s for w in minus for s in shifts],
                 top,
             )
-            flat = [x * y for x in flat for y in chern]
+            flat = [x * y % prime for x in flat for y in chern]
         return flat
 
     width = tuple(top + 1 for _, top in factors)
-    return localize(surface, k, factor, z, width)
+    return localize(surface, k, factor, z, width, prime)
 
 
 def integrate(
@@ -429,13 +440,20 @@ def integrate(
     accepted and unused.
     """
 
+    terms = [
+        (term.coefficient, [(req.bundles[bid], idx) for bid, idx in term.factors])
+        for term in req.expr.terms
+    ]
+
     def at(z: tuple[int, int]) -> Fraction:
-        total = Fraction(0)
-        for term in req.expr.terms:
-            factors = [(req.bundles[bid], idx) for bid, idx in term.factors]
-            series = localize_chern(req.surface, req.k, factors, z)
-            total += term.coefficient * series[-1]  # each t_j at its index
-        return total
+        def at_prime(prime: int) -> int:
+            return sum(
+                # each t_j at its index
+                residue(c, prime) * localize_chern(req.surface, req.k, f, z, prime)[-1]
+                for c, f in terms
+            ) % prime
+
+        return reconstruct(at_prime)
 
     request = {
         "op": "integrate",
@@ -487,11 +505,12 @@ def chi_theta(
     """chi of the determinant line bundle induced by e on X^[k].
 
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
-    the strictly negative u-powers must cancel across fixed points and the
-    u^0 coefficient is the (integer) answer.  A truncated product is exact
-    up to its order, so order 2k suffices.  A non-orthogonal e (chi_pair
-    nonzero) only warns: the line bundle exists, it is just not the
-    canonical pairing class.  ``threads`` is accepted and unused.
+    the strictly negative u-powers must cancel across fixed points (their
+    residues must vanish mod every prime used) and the u^0 coefficient is
+    the (integer) answer.  A truncated product is exact up to its order, so
+    order 2k suffices.  A non-orthogonal e (chi_pair nonzero) only warns:
+    the line bundle exists, it is just not the canonical pairing class.
+    ``threads`` is accepted and unused.
     """
     e = as_split(e)
     if k < 0:
@@ -508,17 +527,22 @@ def chi_theta(
     def at(z: tuple[int, int]) -> Fraction:
         lines = _spec_lines(e, z)
 
-        def factor(p, shifts, tangents):
-            plus, minus = lines[p]
-            theta = len(shifts) * (sum(plus) - sum(minus))
-            theta += (len(plus) - len(minus)) * sum(shifts)
-            return exp_todd_series(theta, tangents, order)
+        def at_prime(prime: int) -> int:
+            def factor(p, shifts, tangents):
+                plus, minus = lines[p]
+                theta = len(shifts) * (sum(plus) - sum(minus))
+                theta += (len(plus) - len(minus)) * sum(shifts)
+                return exp_todd_series(theta, tangents, order, prime)
 
-        total = localize(surface, k, factor, z, (order + 1,))
-        bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
-        if bad:
-            raise ComputationError(f"negative u-powers survive the theta sum: {bad}")
-        return total[2 * k]
+            total = localize(surface, k, factor, z, (order + 1,), prime)
+            bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
+            if bad:
+                raise ComputationError(
+                    f"negative u-powers survive the theta sum: {bad}"
+                )
+            return total[2 * k]
+
+        return reconstruct(at_prime)
 
     request = {
         "op": "chi_theta",

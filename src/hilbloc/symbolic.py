@@ -7,8 +7,13 @@ Conventions used throughout the engine:
 * Mixed-degree bookkeeping happens in a single grading variable u.  A weight
   w enters series formulas as its integer specialization times u
   (``Weight.spec_int``).
-* All coefficients are ``fractions.Fraction`` or ``int``; no floats appear
-  anywhere in the numeric core.
+* Localization sums are evaluated in Z/p, for p in ``WORD_PRIMES`` (primes
+  just below 2^61): series coefficients are residues mod p and every
+  division is by an integer far below p.  ``reconstruct`` rebuilds the
+  exact rational from the residues by the Chinese remainder theorem and
+  rational reconstruction, adding primes until two successive
+  reconstructions agree.  Outside the sums, coefficients are
+  ``fractions.Fraction`` or ``int``; no floats appear anywhere.
 * Bernoulli numbers follow the convention B1 = -1/2, so the Todd series of a
   weight a is 1 + (a/2)u + (a^2/12)u^2 + 0*u^3 - (a^4/720)u^4 + ...
 * Specialization points are pairs of distinct primes drawn from a fixed pool
@@ -23,10 +28,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, isqrt
+from operator import mul
 from typing import Callable, Sequence
 
-from .errors import ComputationError, PoleError
+from .errors import ComputationError, PoleError, UsageError
 
 __all__ = [
     "Weight",
@@ -35,8 +41,10 @@ __all__ = [
     "todd_log_coefficients",
     "series_exp",
     "exp_todd_series",
-    "elementary_symmetric",
     "signed_chern_coefficients",
+    "WORD_PRIMES",
+    "residue",
+    "reconstruct",
     "PRIME_POOL",
     "DEFAULT_SEED",
     "SpecializationDraw",
@@ -94,7 +102,11 @@ class Weight:
 
     @staticmethod
     def from_json(data: Sequence[int]) -> "Weight":
-        return Weight(int(data[0]), int(data[1]))
+        try:
+            a, b = (int(x) for x in data)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"a weight is a pair of integers, not {data!r}") from exc
+        return Weight(a, b)
 
 
 ZERO_WEIGHT = Weight(0, 0)
@@ -149,67 +161,120 @@ def todd_log_coefficients(order: int) -> tuple[Fraction, ...]:
     return tuple(log)
 
 
-def series_exp(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """exp of a truncated series with zero constant term (plain list form)."""
-    if coeffs[0] != 0:
+@lru_cache(maxsize=None)
+def _inverses(order: int, p: int) -> tuple[int, ...]:
+    """1/n mod p for n = 0..order (entry 0 unused)."""
+    return (0,) + tuple(pow(n, -1, p) for n in range(1, order + 1))
+
+
+@lru_cache(maxsize=None)
+def _todd_log_residues(order: int, p: int) -> tuple[int, ...]:
+    return tuple(residue(c, p) for c in todd_log_coefficients(order))
+
+
+def series_exp(coeffs: Sequence[int], p: int) -> list[int]:
+    """exp of a truncated series with zero constant term, mod the prime p."""
+    if coeffs[0] % p:
         raise ComputationError("series_exp expects zero constant term")
     order = len(coeffs) - 1
-    out = [_ONE] + [_ZERO] * order
+    inverses = _inverses(order, p)
+    scaled = [j * c % p for j, c in enumerate(coeffs)]
+    out = [1]
     for n in range(1, order + 1):
-        acc = _ZERO
-        for j in range(1, n + 1):
-            if coeffs[j] != 0:
-                acc += j * coeffs[j] * out[n - j]
-        out[n] = acc / n
+        # n * out[n] = sum_j j * coeffs[j] * out[n - j]
+        out.append(sum(map(mul, scaled[n:0:-1], out)) * inverses[n] % p)
     return out
 
 
-def exp_todd_series(theta, weights: Sequence, order: int) -> list[Fraction]:
-    """exp(-theta u) * prod_v todd(v u), truncated at u^order (order >= 1).
+def exp_todd_series(theta: int, weights: Sequence[int], order: int, p: int) -> list[int]:
+    """exp(-theta u) * prod_v todd(v u) mod p, truncated at u^order (order >= 1).
 
     The local integrand of every Riemann-Roch sum: one series exponential
     of -theta u + sum_n L_n p_n u^n, with p_n the power sums of the weights.
+    Since log todd(x) - x/2 is even, only p_1 and the even p_n enter.
     """
-    logtodd = todd_log_coefficients(order)
-    log, pows = [0], [1] * len(weights)
-    for n in range(1, order + 1):
-        pows = [a * v for a, v in zip(pows, weights)]
-        log.append(logtodd[n] * sum(pows))
-    log[1] -= theta
-    return series_exp(log)
+    logtodd = _todd_log_residues(order, p)
+    log = [0] * (order + 1)
+    log[1] = logtodd[1] * sum(weights) - theta
+    squares = [v * v % p for v in weights]
+    pows = squares
+    for n in range(2, order + 1, 2):
+        log[n] = logtodd[n] * sum(pows) % p
+        pows = [a * b % p for a, b in zip(pows, squares)]
+    return series_exp(log, p)
 
 
 # ---------------------------------------------------------------------------
 # symmetric functions
 
 
-def elementary_symmetric(values: Sequence, j: int):
-    """e_j of a multiset, exact, by the triangular recurrence."""
-    if j < 0:
-        raise ComputationError("negative symmetric degree")
-    row = [1] + [0] * j
-    for v in values:
-        for n in range(min(j, len(row) - 1), 0, -1):
-            row[n] = row[n] + row[n - 1] * v
-    return row[j]
-
-
 def signed_chern_coefficients(plus: Sequence, minus: Sequence, maxdeg: int) -> list:
     """c_0..c_maxdeg of prod(1 + w t) over plus divided by the same over minus.
 
-    Works over ints or Fractions.  This is the total Chern class of a virtual
-    sum of lines with the given (specialized) first Chern classes.
+    Works over ints.  This is the total Chern class of a virtual sum of lines
+    with the given (specialized) first Chern classes.
     """
     c = [1] + [0] * maxdeg
-    for w in plus:
-        for n in range(maxdeg, 0, -1):
-            c[n] = c[n] + c[n - 1] * w
+    for i, w in enumerate(plus, 1):
+        for n in range(min(i, maxdeg), 0, -1):  # c[n] = 0 for n > i - 1 so far
+            c[n] += c[n - 1] * w
     for w in minus:
-        out = [c[0]] + [0] * maxdeg
-        for n in range(1, maxdeg + 1):
-            out[n] = c[n] - w * out[n - 1]
-        c = out
+        for n in range(1, maxdeg + 1):  # divide by (1 + w t) in place
+            c[n] -= w * c[n - 1]
     return c
+
+
+# ---------------------------------------------------------------------------
+# residues and their reconstruction
+
+# The sixteen largest primes below 2^61.
+WORD_PRIMES: tuple[int, ...] = (
+    2305843009213693951, 2305843009213693921, 2305843009213693907,
+    2305843009213693723, 2305843009213693693, 2305843009213693669,
+    2305843009213693613, 2305843009213693561, 2305843009213693549,
+    2305843009213693487, 2305843009213693421, 2305843009213693373,
+    2305843009213693277, 2305843009213693193, 2305843009213693153,
+    2305843009213693133,
+)
+
+
+def residue(q: Fraction | int, p: int) -> int:
+    """The image of a rational in Z/p."""
+    if q.denominator % p == 0:
+        raise ComputationError(f"denominator of {q} vanishes mod {p}")
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def _rational(x: int, m: int) -> Fraction | None:
+    """The n/d with |n|, d <= sqrt(m/2) and n = d*x mod m, if any (Wang)."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def reconstruct(residue_at: Callable[[int], int]) -> Fraction:
+    """The rational whose images in Z/p are ``residue_at(p)``.
+
+    Primes of ``WORD_PRIMES`` are added one at a time and the residues
+    combined by the Chinese remainder theorem; the value is returned once
+    two successive rational reconstructions agree.
+    """
+    x, m, last = 0, 1, None
+    for p in WORD_PRIMES:
+        x += m * ((residue_at(p) - x) * pow(m, -1, p) % p)
+        m *= p
+        value = _rational(x, m)
+        if value is not None and value == last:
+            return value
+        last = value
+    raise ComputationError(
+        f"rational reconstruction did not settle within {len(WORD_PRIMES)} primes"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from math import factorial
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
 from .integrals import ChernExpr, localize_chern
-from .symbolic import DEFAULT_SEED, dual_specialized
+from .symbolic import DEFAULT_SEED, dual_specialized, reconstruct, residue
 from .toric import (
     ChernData,
     EquivariantLineBundle,
@@ -300,16 +300,19 @@ def virtual_integral(
         plans.append((factors, low, top))
 
     def at(z: tuple[int, int]) -> Fraction:
-        total = Fraction(0)
-        for factors, low, top in plans:
-            series = localize_chern(surface, k, factors, z)
-            bad = {exps: series[flat] for flat, exps in low if series[flat]}
-            if bad:
-                raise ComputationError(
-                    f"negative u-powers survive the ambient sum: {bad}"
-                )
-            total += sum(w * series[flat] for flat, w in top)
-        return total
+        def at_prime(prime: int) -> int:
+            total = 0
+            for factors, low, top in plans:
+                series = localize_chern(surface, k, factors, z, prime)
+                bad = {exps: series[flat] for flat, exps in low if series[flat]}
+                if bad:
+                    raise ComputationError(
+                        f"negative u-powers survive the ambient sum: {bad}"
+                    )
+                total += sum(residue(w, prime) * series[flat] for flat, w in top)
+            return total % prime
+
+        return reconstruct(at_prime)
 
     def compute() -> Fraction:
         value = dual_specialized(at, seed)

@@ -586,6 +586,13 @@ def bundle_to_json(bundle: SplitBundle | EquivariantLineBundle) -> dict:
 
 
 def bundle_from_json(data: dict) -> SplitBundle:
+    try:
+        return _bundle_from_json(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise UsageError(f"malformed bundle record: {exc!r}") from exc
+
+
+def _bundle_from_json(data: dict) -> SplitBundle:
     surface = surface_from_json(data["surface"])
 
     def line(entry: dict) -> EquivariantLineBundle:

@@ -52,6 +52,15 @@ def euler_product_coefficients(chi_top: int, k_max: int) -> list[int]:
     return coeffs
 
 
+def elementary_symmetric(values, j: int):
+    """e_j of a multiset, exact, by the triangular recurrence."""
+    row = [1] + [0] * j
+    for v in values:
+        for n in range(j, 0, -1):
+            row[n] = row[n] + row[n - 1] * v
+    return row[j]
+
+
 def c2_by_surface_localization(surface, bundle) -> int:
     """Integrate c2 of an honest split bundle over the surface directly.
 

@@ -22,7 +22,7 @@ from hilbloc.integrals import (
     validate_construction,
     verify_conjecture,
 )
-from hilbloc.symbolic import Weight
+from hilbloc.symbolic import WORD_PRIMES, Weight
 from hilbloc.toric import (
     ChernData,
     SplitBundle,
@@ -94,6 +94,14 @@ def test_integrate_composite_expression():
     assert direct == parts[0] - parts[1]
 
 
+def test_integrate_rejects_a_coefficient_over_a_word_prime():
+    # a coefficient with no image in Z/p is refused, not silently wrong
+    expr = ChernExpr.chern(2, "A", Fraction(1, WORD_PRIMES[0]))
+    req = IntegralRequest(P2, 1, {"A": split_bundle(P2, [1, 2])}, expr)
+    with pytest.raises(ComputationError, match="vanishes mod"):
+        integrate(req)
+
+
 @settings(max_examples=25)
 @given(st.data())
 def test_integrate_matches_brute_tuple_sum(data):
@@ -124,14 +132,15 @@ def test_chi_theta_matches_brute_tuple_sum(data):
 def test_localize_raises_pole_error_on_vanishing_tangent_weight():
     # z = (1, 1) kills t2 - t1, a chart weight at the second point of P2
     with pytest.raises(PoleError):
-        localize(P2, 1, lambda p, shifts, tangents: [1], (1, 1), (1,))
+        localize(P2, 1, lambda p, shifts, tangents: [1], (1, 1), (1,), WORD_PRIMES[0])
 
 
 def test_localize_counts_fixed_points():
     # a local factor of prod(tangents) makes every fixed point count once
     for k in range(5):
-        got = localize(F1, k, lambda p, s, t: [prod(t)], (53, 59), (1,))
-        assert got == [count_fixed_points(F1, k)]
+        for prime in WORD_PRIMES[:2]:
+            got = localize(F1, k, lambda p, s, t: [prod(t)], (53, 59), (1,), prime)
+            assert got == [count_fixed_points(F1, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +172,12 @@ def test_quot_count_rank_one_vanishes():
     v = split_bundle(P2, [-2])
     for k in range(1, 6):
         assert quot_count(P2, v, k) == 0
+
+
+def test_quot_count_beyond_two_primes():
+    # a 64-bit count: rebuilding it takes the residues of at least 3 primes
+    v = split_bundle(P2, [-40] * 3)
+    assert quot_count(P2, v, 6) == 16674716984097321750
 
 
 def test_quot_count_trivial_cases():

@@ -1,28 +1,40 @@
-"""Series and specialization primitives, checked against closed forms."""
+"""Series, residue and specialization primitives, checked against closed forms."""
 
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from hilbloc import symbolic
+from hilbloc.cli import main
 from hilbloc.errors import ComputationError, PoleError
 from hilbloc.symbolic import (
     DEFAULT_SEED,
     PRIME_POOL,
+    WORD_PRIMES,
     Weight,
     ZERO_WEIGHT,
     bernoulli_numbers,
     dual_specialized,
-    elementary_symmetric,
     exp_todd_series,
+    reconstruct,
+    residue,
     series_exp,
     signed_chern_coefficients,
     todd_log_coefficients,
     todd_series,
 )
 
+from oracles import elementary_symmetric
+
 F = Fraction
+P = WORD_PRIMES[0]
+
+
+def _mod(series):
+    """Residues mod P of a series of rationals."""
+    return [residue(c, P) for c in series]
 
 # B_0 .. B_12 with the B_1 = -1/2 convention
 KNOWN_BERNOULLI = [
@@ -64,14 +76,15 @@ def test_todd_series_at_zero_is_one():
 
 
 @given(
-    st.lists(st.fractions(min_value=-6, max_value=6), min_size=8, max_size=8),
-    st.lists(st.fractions(min_value=-6, max_value=6), min_size=8, max_size=8),
+    st.lists(st.integers(0, P - 1), min_size=8, max_size=8),
+    st.lists(st.integers(0, P - 1), min_size=8, max_size=8),
 )
 def test_exp_series_multiplicative(f, g):
     # exp(f) * exp(g) == exp(f + g) for series without constant term
-    f, g = [F(0)] + f, [F(0)] + g
+    f, g = [0] + f, [0] + g
     fg = [x + y for x, y in zip(f, g)]
-    assert _mul(series_exp(f), series_exp(g)) == series_exp(fg)
+    product = [c % P for c in _mul(series_exp(f, P), series_exp(g, P))]
+    assert product == series_exp(fg, P)
 
 
 def test_series_exp_matches_exp_series():
@@ -79,7 +92,12 @@ def test_series_exp_matches_exp_series():
     for c in (1, -2, F(3, 4)):
         coeffs = [F(0)] * (order + 1)
         coeffs[1] = F(c)
-        assert series_exp(coeffs) == _exp(c, order)
+        assert series_exp(_mod(coeffs), P) == _mod(_exp(c, order))
+
+
+def test_series_exp_rejects_constant_term():
+    with pytest.raises(ComputationError):
+        series_exp([1, 0, 0], P)
 
 
 def test_todd_log_coefficients_exponentiate_to_todd():
@@ -87,7 +105,7 @@ def test_todd_log_coefficients_exponentiate_to_todd():
     logs = todd_log_coefficients(order)
     for a in (1, 2, -3):
         coeffs = [logs[n] * a**n for n in range(order + 1)]
-        assert series_exp(coeffs) == todd_series(a, order)
+        assert series_exp(_mod(coeffs), P) == _mod(todd_series(a, order))
 
 
 def test_exp_todd_series_is_the_product():
@@ -97,7 +115,7 @@ def test_exp_todd_series_is_the_product():
         want = _exp(-theta, order)
         for v in weights:
             want = _mul(want, todd_series(v, order))
-        assert exp_todd_series(theta, weights, order) == want
+        assert exp_todd_series(theta, weights, order, P) == _mod(want)
 
 
 def test_elementary_symmetric_fixture():
@@ -188,3 +206,52 @@ def test_dual_specialized_exhausts_retries():
 
     with pytest.raises(PoleError):
         dual_specialized(always_pole, DEFAULT_SEED)
+
+
+@given(st.integers(-(2**450), 2**450), st.integers(1, 2**450))
+def test_reconstruction_round_trip(num, den):
+    # the first 15 of the 16 primes bound |n|, d by sqrt(M/2) > 2^456
+    assume(all(den % p for p in WORD_PRIMES))
+    q = F(num, den)
+    assert reconstruct(lambda p: residue(q, p)) == q
+
+
+def test_reconstruction_needs_two_primes(monkeypatch, capsys):
+    monkeypatch.setattr(symbolic, "WORD_PRIMES", WORD_PRIMES[:1])
+    with pytest.raises(ComputationError, match="did not settle"):
+        reconstruct(lambda p: 1)
+    code = main(["quot-count", "--surface", "P2", "--vstar", "2,3", "--k", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "did not settle" in err and "Traceback" not in err
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: these witnesses decide every n < 3.3e24."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for a in witnesses:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_word_primes_are_distinct_61_bit_primes():
+    assert len(set(WORD_PRIMES)) == len(WORD_PRIMES) >= 2
+    for p in WORD_PRIMES:
+        assert 2**60 < p < 2**61 and _is_prime(p), p
+    assert not _is_prime(2**61 - 3) and not _is_prime(3215031751)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hilbloc.errors import UsageError
-from hilbloc.integrals import ChernExpr, c2_for_expected_dim_zero, quot_count
+from hilbloc.integrals import (
+    ChernExpr,
+    c2_for_expected_dim_zero,
+    parse_chern_expr,
+    quot_count,
+)
 from hilbloc.tautological import (
     AmbientClass,
     SYMBOL_NAMES,
@@ -210,6 +215,24 @@ def test_virtual_integral_with_nontrivial_shape():
         warnings.simplefilter("ignore")
         base = virtual_integral(P2, v, lam, 1, expr)
         assert virtual_integral(P2, v, lam, 1, expr, seed=99) == base
+
+
+@pytest.mark.parametrize(
+    "minus_v, k, value",
+    [([1], 1, Fraction(25, 3)), ([], 2, Fraction(-483, 5))],
+)
+def test_virtual_integral_rebuilds_a_fraction(minus_v, k, value):
+    # minus lines in Lambda (and in V* for k = 1), rational coefficients
+    vstar = split_bundle(P2, [1, 1], minus_v)
+    lam = split_bundle(P2, [2], [1])
+    expr = parse_chern_expr(
+        f"2/3*c1(IT)*c{2 * k}(IT) - 1/5*c{2 * k + 1}(IT)"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = virtual_integral(P2, vstar.dual(), lam, k, expr)
+    assert got == value
+    assert brute_virtual_integral(P2, vstar.dual(), lam, k, expr) == (value, True)
 
 
 @st.composite

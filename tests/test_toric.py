@@ -384,3 +384,20 @@ def test_bundle_json_rejects_disagreeing_degrees():
     data["plus"][0]["degrees"] = [5]
     with pytest.raises(UsageError, match="disagree"):
         bundle_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda line: line["weights"].__setitem__(0, "x"),
+        lambda line: line["weights"].__setitem__(0, [1]),
+        lambda line: line["weights"].__setitem__(0, None),
+        lambda line: line.pop("weights"),
+    ],
+    ids=["string", "short", "null", "no-weights"],
+)
+def test_bundle_json_malformed_is_a_usage_error(edit):
+    data = bundle_to_json(split_bundle(P2, [1]))
+    edit(data["plus"][0])
+    with pytest.raises(UsageError):
+        bundle_from_json(data)
