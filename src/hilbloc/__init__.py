@@ -19,7 +19,6 @@ from .hilb import (
     Partition,
     count_fixed_points,
     enumerate_fixed_points,
-    fixed_point_list,
     tangent_weights,
     taut_weights,
     theta_weight,
@@ -99,7 +98,6 @@ __all__ = [
     "Partition",
     "HilbFixedPoint",
     "enumerate_fixed_points",
-    "fixed_point_list",
     "count_fixed_points",
     "tangent_weights",
     "taut_weights",

@@ -181,7 +181,6 @@ def _cmd_quot_count(args):
         vstar.dual(),
         args.k,
         seed=seed,
-        threads=args.threads,
         cache=default_cache(enabled=not args.no_cache),
     )
     return _report(args, seed, {"value": str(value)}), 0
@@ -196,7 +195,6 @@ def _cmd_chi_theta(args):
         e,
         args.k,
         seed=seed,
-        threads=args.threads,
         cache=default_cache(enabled=not args.no_cache),
     )
     return _report(args, seed, {"value": str(value)}), 0
@@ -211,7 +209,6 @@ def _cmd_verify_conjecture(args):
         args.d,
         args.kmax,
         seed=seed,
-        threads=args.threads,
         cache=default_cache(enabled=not args.no_cache),
     )
     ok = all(row.equal is True for row in rows)
@@ -234,7 +231,6 @@ def _cmd_taut_integral(args):
         args.k,
         expr,
         seed=seed,
-        threads=args.threads,
         cache=default_cache(enabled=not args.no_cache),
     )
     return _report(args, seed, {"value": str(value)}), 0
@@ -254,7 +250,6 @@ def _cmd_universal_poly(args):
         expected_dim=args.expected_dim,
         seed=seed,
         cache=default_cache(enabled=not args.no_cache),
-        threads=args.threads,
     )
     return _report(args, seed, {"polynomial": poly.to_json()}), 0
 

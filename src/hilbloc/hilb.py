@@ -31,7 +31,6 @@ __all__ = [
     "partitions",
     "compositions",
     "enumerate_fixed_points",
-    "fixed_point_list",
     "count_fixed_points",
     "tangent_weights",
     "cell_tangent_weights",
@@ -152,11 +151,6 @@ def enumerate_fixed_points(
     for sizes in compositions(k, npts):
         for tup in rec(0, sizes):
             yield HilbFixedPoint(tup)
-
-
-def fixed_point_list(surface: ToricSurfaceModel, k: int) -> list[HilbFixedPoint]:
-    """Materialized enumeration; fine for small k, prefer the iterator in sums."""
-    return list(enumerate_fixed_points(surface, k))
 
 
 def count_fixed_points(surface: ToricSurfaceModel, k: int) -> int:

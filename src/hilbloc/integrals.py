@@ -9,11 +9,11 @@ coefficient of prod_p sum_lambda q^|lambda| f_p(lambda) (the
 Ellingsrud-Goettsche-Lehn factorization).  ``localize`` evaluates it by
 walking the partitions of n <= k at each point, not the tuples.
 
-Each sum is evaluated in Z/p for primes p just below 2^61, and the exact
-rational is rebuilt from the residues by the Chinese remainder theorem and
-rational reconstruction (``symbolic.reconstruct``).  That is done under two
-independent integer specializations of (t1, t2) and the results asserted
-equal, so neither a silently bad specialization nor an unlucky
+Each sum is evaluated mod m, a product of word primes, one pass per
+specialization, and the exact rational is rebuilt from the residue by
+rational reconstruction (``symbolic.reconstruct``).  ``exact`` does that
+under two independent integer specializations of (t1, t2) and asserts the
+results equal, so neither a silently bad specialization nor an unlucky
 reconstruction can leak into output.  The module also holds the
 Chern-expression grammar and the count-matching verification loop
 (verify_conjecture).
@@ -65,6 +65,7 @@ __all__ = [
     "IntegralRequest",
     "localize",
     "localize_chern",
+    "exact",
     "integrate",
     "quot_count",
     "chi_theta",
@@ -316,18 +317,18 @@ def _fitting(width: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _q_coefficient(a: list, b: list, n: int, fitting, prime: int) -> list:
-    """[q^n] of the product of two q-series of truncated series, mod prime."""
+def _q_coefficient(a: list, b: list, n: int, fitting, m: int) -> list:
+    """[q^n] of the product of two q-series of truncated series, mod m."""
     out = [0] * len(fitting)
-    for m in range(n + 1):
-        left, right = a[m], b[n - m]
+    for h in range(n + 1):
+        left, right = a[h], b[n - h]
         for i, x in enumerate(left):
             if x:
                 for j in fitting[i]:
                     y = right[j]
                     if y:
                         out[i + j] += x * y
-    return [x % prime for x in out]
+    return [x % m for x in out]
 
 
 def localize(
@@ -336,10 +337,10 @@ def localize(
     point_factor: Callable[[int, list[int], list[int]], Sequence],
     z: tuple[int, int],
     width: tuple[int, ...],
-    prime: int,
+    m: int,
 ) -> list:
     """[q^k] of prod_p sum_lambda q^|lambda| point_factor(p, lambda) / e_p(lambda),
-    mod prime.
+    mod m, a product of word primes: one pass per specialization z.
 
     ``point_factor(p, shifts, tangents)`` gets the specialized cell shifts
     i*v1 + j*v2 and the 2|lambda| specialized tangent weights of the
@@ -347,9 +348,9 @@ def localize(
     a truncated series: a flat row-major list over one formal variable per
     entry of ``width``, each kept below its entry.  The q^k coefficient, a
     series of the same width, is the fixed-point sum over X^[k] of the
-    product of the local integrands, reduced mod prime.  A tangent weight
-    that specializes to zero raises PoleError; every other tangent weight
-    is a nonzero integer far below prime, so it is invertible mod prime.
+    product of the local integrands, reduced mod m.  A tangent weight that
+    specializes to zero raises PoleError; every other tangent weight is a
+    nonzero integer far below each word prime, so it is invertible mod m.
     """
     fitting = _fitting(width)
     table = [list(partitions(n)) for n in range(k + 1)]
@@ -366,20 +367,20 @@ def localize(
                 if den == 0:
                     raise PoleError(f"tangent weight vanished at point {p} under z={z}")
                 shifts = [i * s1 + j * s2 for i, j in part.cells()]
-                inv = pow(den % prime, -1, prime)
+                inv = pow(den % m, -1, m)
                 for i, c in enumerate(point_factor(p, shifts, tangents)):
                     if c:
                         acc[i] += c * inv
-            out.append([x % prime for x in acc])
+            out.append([x % m for x in acc])
         return out
 
     *head, last = [point_series(p) for p in range(len(surface.points))]
     total = [[1] + [0] * (len(fitting) - 1)] + [[0] * len(fitting)] * k
     for local in head:
         total = [
-            _q_coefficient(total, local, n, fitting, prime) for n in range(k + 1)
+            _q_coefficient(total, local, n, fitting, m) for n in range(k + 1)
         ]
-    return _q_coefficient(total, last, k, fitting, prime)
+    return _q_coefficient(total, last, k, fitting, m)
 
 
 def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
@@ -398,14 +399,14 @@ def localize_chern(
     k: int,
     factors: Sequence[tuple[SplitBundle, int]],
     z: tuple[int, int],
-    prime: int,
+    m: int,
 ) -> list:
     """Fixed-point sums of products of Chern classes of tautological bundles.
 
     ``factors`` lists pairs (B_j, top_j).  The result is the flat row-major
     series, one formal variable t_j per factor kept below t_j^(top_j + 1),
-    whose entry at (d_1, ..., d_m) is the localization sum over X^[k] of
-    prod_j c_{d_j}(B_j^[k]), mod prime.  The local factor is the product of
+    whose entry at (d_1, ..., d_r) is the localization sum over X^[k] of
+    prod_j c_{d_j}(B_j^[k]), mod m.  The local factor is the product of
     the signed Chern polynomials of the cell-shifted line weights of each B_j.
     """
     lines = [_spec_lines(bundle, z) for bundle, _ in factors]
@@ -419,25 +420,36 @@ def localize_chern(
                 [w + s for w in minus for s in shifts],
                 top,
             )
-            flat = [x * y % prime for x in flat for y in chern]
+            flat = [x * y % m for x in flat for y in chern]
         return flat
 
     width = tuple(top + 1 for _, top in factors)
-    return localize(surface, k, factor, z, width, prime)
+    return localize(surface, k, factor, z, width, m)
+
+
+def exact(
+    residue_at: Callable[[tuple[int, int], int], int], seed: int = DEFAULT_SEED
+) -> Fraction:
+    """The exact value of a localization sum from its residues.
+
+    ``residue_at(z, m)`` is the sum under the specialization z, mod m, a
+    product of word primes.  Each specialization is rebuilt by
+    ``reconstruct`` and two of them are cross-checked by
+    ``dual_specialized``.
+    """
+    return dual_specialized(lambda z: reconstruct(partial(residue_at, z)), seed)
 
 
 def integrate(
     req: IntegralRequest,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     cache: ResultCache | None = None,
 ) -> Fraction:
     """Atiyah-Bott evaluation of a Chern-class integral over X^[k].
 
     Each term c_{i1}(B1)...c_{im}(Bm) is the t1^i1...tm^im coefficient of
     the product of total Chern classes c_{t1}(B1^[k])...c_{tm}(Bm^[k]),
-    which is multiplicative over the surface points.  ``threads`` is
-    accepted and unused.
+    which is multiplicative over the surface points.
     """
 
     terms = [
@@ -445,15 +457,12 @@ def integrate(
         for term in req.expr.terms
     ]
 
-    def at(z: tuple[int, int]) -> Fraction:
-        def at_prime(prime: int) -> int:
-            return sum(
-                # each t_j at its index
-                residue(c, prime) * localize_chern(req.surface, req.k, f, z, prime)[-1]
-                for c, f in terms
-            ) % prime
-
-        return reconstruct(at_prime)
+    def residue_at(z: tuple[int, int], m: int) -> int:
+        return sum(
+            # each t_j at its index
+            residue(c, m) * localize_chern(req.surface, req.k, f, z, m)[-1]
+            for c, f in terms
+        ) % m
 
     request = {
         "op": "integrate",
@@ -462,7 +471,7 @@ def integrate(
         "bundles": {bid: b.weight_key() for bid, b in sorted(req.bundles.items())},
         "expr": str(req.expr),
     }
-    compute = partial(dual_specialized, at, seed)
+    compute = partial(exact, residue_at, seed)
     return compute() if cache is None else cache.fetch(request, compute)
 
 
@@ -471,7 +480,6 @@ def quot_count(
     v: SplitBundle | EquivariantLineBundle,
     k: int,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     cache: ResultCache | None = None,
 ) -> Fraction:
     """The quotient count: integral of c_{2k} of the taut bundle of V*.
@@ -488,7 +496,7 @@ def quot_count(
     req = IntegralRequest(
         surface, k, {"Vdual_k": vd}, ChernExpr.chern(2 * k, "Vdual_k")
     )
-    value = integrate(req, seed=seed, threads=threads, cache=cache)
+    value = integrate(req, seed=seed, cache=cache)
     if v.is_honest() and value.denominator != 1:
         raise ComputationError(f"honest quot count came out non-integral: {value}")
     return value
@@ -499,18 +507,16 @@ def chi_theta(
     e: SplitBundle | EquivariantLineBundle,
     k: int,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     cache: ResultCache | None = None,
 ) -> int:
     """chi of the determinant line bundle induced by e on X^[k].
 
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
     the strictly negative u-powers must cancel across fixed points (their
-    residues must vanish mod every prime used) and the u^0 coefficient is
+    residues must vanish mod every modulus used) and the u^0 coefficient is
     the (integer) answer.  A truncated product is exact up to its order, so
     order 2k suffices.  A non-orthogonal e (chi_pair nonzero) only warns:
     the line bundle exists, it is just not the canonical pairing class.
-    ``threads`` is accepted and unused.
     """
     e = as_split(e)
     if k < 0:
@@ -524,25 +530,20 @@ def chi_theta(
         return 1
     order = 2 * k
 
-    def at(z: tuple[int, int]) -> Fraction:
+    def residue_at(z: tuple[int, int], m: int) -> int:
         lines = _spec_lines(e, z)
 
-        def at_prime(prime: int) -> int:
-            def factor(p, shifts, tangents):
-                plus, minus = lines[p]
-                theta = len(shifts) * (sum(plus) - sum(minus))
-                theta += (len(plus) - len(minus)) * sum(shifts)
-                return exp_todd_series(theta, tangents, order, prime)
+        def factor(p, shifts, tangents):
+            plus, minus = lines[p]
+            theta = len(shifts) * (sum(plus) - sum(minus))
+            theta += (len(plus) - len(minus)) * sum(shifts)
+            return exp_todd_series(theta, tangents, order, m)
 
-            total = localize(surface, k, factor, z, (order + 1,), prime)
-            bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
-            if bad:
-                raise ComputationError(
-                    f"negative u-powers survive the theta sum: {bad}"
-                )
-            return total[2 * k]
-
-        return reconstruct(at_prime)
+        total = localize(surface, k, factor, z, (order + 1,), m)
+        bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
+        if bad:
+            raise ComputationError(f"negative u-powers survive the theta sum: {bad}")
+        return total[2 * k]
 
     request = {
         "op": "chi_theta",
@@ -551,7 +552,7 @@ def chi_theta(
         "bundle": e.weight_key(),
         "order": order,
     }
-    compute = partial(dual_specialized, at, seed)
+    compute = partial(exact, residue_at, seed)
     value = compute() if cache is None else cache.fetch(request, compute)
     if value.denominator != 1:
         raise ComputationError(f"chi_theta came out non-integral: {value}")
@@ -568,6 +569,8 @@ def expected_dim_pairs(
     k: int,
 ) -> int:
     """chi(V*) - 1 - (rank V - 2) k, the expected dimension of the pair space."""
+    if k < 0:
+        raise UsageError("negative k")
     if isinstance(v, SplitBundle):
         v = v.chern_data()
     return chi_from_chern(surface, v.dual()) - 1 - (v.rank - 2) * k
@@ -577,6 +580,8 @@ def c2_for_expected_dim_zero(r: int, d: int, k: int) -> int:
     """c2(V*) forcing expected dimension zero for degree-(-d) rank-r V on P2."""
     if r < 2:
         raise UsageError("need rank r >= 2")
+    if d < 1:
+        raise UsageError("need degree d >= 1")
     if k < 1:
         raise UsageError("need k >= 1")
     return comb(d + 2, 2) - (k - 1) * (r - 2)
@@ -657,6 +662,7 @@ def verify_conjecture(
     The count interpretation assumes Quot(V, k) finite and reduced and the
     vanishing of higher cohomology of the determinant line bundle, which
     hold for large d; the integrals themselves are unconditional.
+    ``threads`` is accepted and unused.
     """
     if surface.family != "P2":
         raise UsageError("the expected-dimension-zero family is built on P2")
@@ -664,6 +670,8 @@ def verify_conjecture(
         raise UsageError("need rank r >= 3")
     if d < 1:
         raise UsageError("need degree d >= 1")
+    if k_max < 1:
+        raise UsageError("need k_max >= 1")
     rows: list[ConjectureRow] = []
     for k in range(1, k_max + 1):
         c2s = c2_for_expected_dim_zero(r, d, k)
@@ -679,7 +687,7 @@ def verify_conjecture(
         except RealizationError as exc:
             rows.append(ConjectureRow(k, c2s, None, None, None, str(exc)))
             continue
-        quot = quot_count(surface, v_model, k, seed=seed, threads=threads, cache=cache)
-        chi = chi_theta(surface, e_model, k, seed=seed, threads=threads, cache=cache)
+        quot = quot_count(surface, v_model, k, seed=seed, cache=cache)
+        chi = chi_theta(surface, e_model, k, seed=seed, cache=cache)
         rows.append(ConjectureRow(k, c2s, int(quot), chi, quot == chi))
     return rows

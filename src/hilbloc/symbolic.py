@@ -7,13 +7,14 @@ Conventions used throughout the engine:
 * Mixed-degree bookkeeping happens in a single grading variable u.  A weight
   w enters series formulas as its integer specialization times u
   (``Weight.spec_int``).
-* Localization sums are evaluated in Z/p, for p in ``WORD_PRIMES`` (primes
-  just below 2^61): series coefficients are residues mod p and every
-  division is by an integer far below p.  ``reconstruct`` rebuilds the
-  exact rational from the residues by the Chinese remainder theorem and
-  rational reconstruction, adding primes until two successive
-  reconstructions agree.  Outside the sums, coefficients are
-  ``fractions.Fraction`` or ``int``; no floats appear anywhere.
+* Localization sums are evaluated mod m, a product of word primes (the
+  first j >= 2 of ``WORD_PRIMES``, primes just below 2^61), one pass per
+  specialization: series coefficients are residues mod m and every
+  division is by an integer prime to every word prime.  ``reconstruct``
+  rebuilds the exact rational by rational reconstruction, taking one more
+  prime into m until the reconstructions mod m and mod m without its last
+  prime agree.  Outside the sums, coefficients are ``fractions.Fraction``
+  or ``int``; no floats appear anywhere.
 * Bernoulli numbers follow the convention B1 = -1/2, so the Todd series of a
   weight a is 1 + (a/2)u + (a^2/12)u^2 + 0*u^3 - (a^4/720)u^4 + ...
 * Specialization points are pairs of distinct primes drawn from a fixed pool
@@ -28,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -47,7 +48,6 @@ __all__ = [
     "reconstruct",
     "PRIME_POOL",
     "DEFAULT_SEED",
-    "SpecializationDraw",
     "dual_specialized",
 ]
 
@@ -162,46 +162,46 @@ def todd_log_coefficients(order: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _inverses(order: int, p: int) -> tuple[int, ...]:
-    """1/n mod p for n = 0..order (entry 0 unused)."""
-    return (0,) + tuple(pow(n, -1, p) for n in range(1, order + 1))
+def _inverses(order: int, m: int) -> tuple[int, ...]:
+    """1/n mod m for n = 0..order (entry 0 unused)."""
+    return (0,) + tuple(pow(n, -1, m) for n in range(1, order + 1))
 
 
 @lru_cache(maxsize=None)
-def _todd_log_residues(order: int, p: int) -> tuple[int, ...]:
-    return tuple(residue(c, p) for c in todd_log_coefficients(order))
+def _todd_log_residues(order: int, m: int) -> tuple[int, ...]:
+    return tuple(residue(c, m) for c in todd_log_coefficients(order))
 
 
-def series_exp(coeffs: Sequence[int], p: int) -> list[int]:
-    """exp of a truncated series with zero constant term, mod the prime p."""
-    if coeffs[0] % p:
+def series_exp(coeffs: Sequence[int], m: int) -> list[int]:
+    """exp of a truncated series with zero constant term, mod m."""
+    if coeffs[0] % m:
         raise ComputationError("series_exp expects zero constant term")
     order = len(coeffs) - 1
-    inverses = _inverses(order, p)
-    scaled = [j * c % p for j, c in enumerate(coeffs)]
+    inverses = _inverses(order, m)
+    scaled = [j * c % m for j, c in enumerate(coeffs)]
     out = [1]
     for n in range(1, order + 1):
         # n * out[n] = sum_j j * coeffs[j] * out[n - j]
-        out.append(sum(map(mul, scaled[n:0:-1], out)) * inverses[n] % p)
+        out.append(sum(map(mul, scaled[n:0:-1], out)) * inverses[n] % m)
     return out
 
 
-def exp_todd_series(theta: int, weights: Sequence[int], order: int, p: int) -> list[int]:
-    """exp(-theta u) * prod_v todd(v u) mod p, truncated at u^order (order >= 1).
+def exp_todd_series(theta: int, weights: Sequence[int], order: int, m: int) -> list[int]:
+    """exp(-theta u) * prod_v todd(v u) mod m, truncated at u^order (order >= 1).
 
     The local integrand of every Riemann-Roch sum: one series exponential
     of -theta u + sum_n L_n p_n u^n, with p_n the power sums of the weights.
     Since log todd(x) - x/2 is even, only p_1 and the even p_n enter.
     """
-    logtodd = _todd_log_residues(order, p)
+    logtodd = _todd_log_residues(order, m)
     log = [0] * (order + 1)
     log[1] = logtodd[1] * sum(weights) - theta
-    squares = [v * v % p for v in weights]
+    squares = [v * v % m for v in weights]
     pows = squares
     for n in range(2, order + 1, 2):
-        log[n] = logtodd[n] * sum(pows) % p
-        pows = [a * b % p for a, b in zip(pows, squares)]
-    return series_exp(log, p)
+        log[n] = logtodd[n] * sum(pows) % m
+        pows = [a * b % m for a, b in zip(pows, squares)]
+    return series_exp(log, m)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +238,12 @@ WORD_PRIMES: tuple[int, ...] = (
 )
 
 
-def residue(q: Fraction | int, p: int) -> int:
-    """The image of a rational in Z/p."""
-    if q.denominator % p == 0:
-        raise ComputationError(f"denominator of {q} vanishes mod {p}")
-    return q.numerator * pow(q.denominator, -1, p) % p
+def residue(q: Fraction | int, m: int) -> int:
+    """The image of a rational in Z/m."""
+    common = gcd(q.denominator, m)
+    if common != 1:
+        raise ComputationError(f"denominator of {q} vanishes mod {common}")
+    return q.numerator * pow(q.denominator, -1, m) % m
 
 
 def _rational(x: int, m: int) -> Fraction | None:
@@ -257,21 +258,21 @@ def _rational(x: int, m: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def reconstruct(residue_at: Callable[[int], int]) -> Fraction:
-    """The rational whose images in Z/p are ``residue_at(p)``.
+def reconstruct(residue_mod: Callable[[int], int]) -> Fraction:
+    """The rational whose image in Z/m is ``residue_mod(m)``.
 
-    Primes of ``WORD_PRIMES`` are added one at a time and the residues
-    combined by the Chinese remainder theorem; the value is returned once
-    two successive rational reconstructions agree.
+    m is a product of word primes, the first j of ``WORD_PRIMES`` from
+    j = 2 on, so each call is one pass of the sum.  The value is returned
+    once the reconstruction mod m agrees with the one mod m without its
+    last prime, read off the same residue.
     """
-    x, m, last = 0, 1, None
-    for p in WORD_PRIMES:
-        x += m * ((residue_at(p) - x) * pow(m, -1, p) % p)
-        m *= p
+    for j in range(2, len(WORD_PRIMES) + 1):
+        short = prod(WORD_PRIMES[: j - 1])
+        m = short * WORD_PRIMES[j - 1]
+        x = residue_mod(m)
         value = _rational(x, m)
-        if value is not None and value == last:
+        if value is not None and value == _rational(x % short, short):
             return value
-        last = value
     raise ComputationError(
         f"rational reconstruction did not settle within {len(WORD_PRIMES)} primes"
     )
@@ -295,18 +296,6 @@ PRIME_POOL: tuple[int, ...] = _prime_pool()
 DEFAULT_SEED = 20717
 
 
-class SpecializationDraw:
-    """Deterministic stream of distinct-prime pairs for a given seed."""
-
-    def __init__(self, seed: int = DEFAULT_SEED):
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def pair(self) -> tuple[int, int]:
-        p, q = self._rng.sample(PRIME_POOL, 2)
-        return (p, q)
-
-
 def dual_specialized(
     compute: Callable[[tuple[int, int]], Fraction],
     seed: int = DEFAULT_SEED,
@@ -318,12 +307,12 @@ def dual_specialized(
     a denominator vanishes; each pole burns one retry.  The two results must
     agree exactly, otherwise the computation itself is unsound.
     """
-    draw = SpecializationDraw(seed)
+    rng = random.Random(seed)
     seen: list[tuple[int, int]] = []
     values: list[Fraction] = []
     budget = retries
     while len(values) < 2:
-        z = draw.pair()
+        z = tuple(rng.sample(PRIME_POOL, 2))
         if z in seen:
             continue
         try:

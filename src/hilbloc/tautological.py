@@ -36,8 +36,8 @@ from math import factorial
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
-from .integrals import ChernExpr, localize_chern
-from .symbolic import DEFAULT_SEED, dual_specialized, reconstruct, residue
+from .integrals import ChernExpr, exact, localize_chern
+from .symbolic import DEFAULT_SEED, residue
 from .toric import (
     ChernData,
     EquivariantLineBundle,
@@ -227,7 +227,6 @@ def virtual_integral(
     k: int,
     p_expr: ChernExpr | None = None,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     cache: ResultCache | None = None,
 ) -> Fraction:
     """Integral of P (in Chern classes of the transform) against the
@@ -237,7 +236,6 @@ def virtual_integral(
     itself (the count shape).  The expression may mix degrees.  Minus lines
     in V or Lambda are accepted, with a warning that the ambient dimension
     is then read off Chern data rather than certified by section counts.
-    ``threads`` is accepted and unused.
     """
     v = as_split(v)
     lam = SplitBundle(surface) if lam is None else as_split(lam)
@@ -299,23 +297,20 @@ def virtual_integral(
                 top.append((flat, weight))
         plans.append((factors, low, top))
 
-    def at(z: tuple[int, int]) -> Fraction:
-        def at_prime(prime: int) -> int:
-            total = 0
-            for factors, low, top in plans:
-                series = localize_chern(surface, k, factors, z, prime)
-                bad = {exps: series[flat] for flat, exps in low if series[flat]}
-                if bad:
-                    raise ComputationError(
-                        f"negative u-powers survive the ambient sum: {bad}"
-                    )
-                total += sum(residue(w, prime) * series[flat] for flat, w in top)
-            return total % prime
-
-        return reconstruct(at_prime)
+    def residue_at(z: tuple[int, int], m: int) -> int:
+        total = 0
+        for factors, low, top in plans:
+            series = localize_chern(surface, k, factors, z, m)
+            bad = {exps: series[flat] for flat, exps in low if series[flat]}
+            if bad:
+                raise ComputationError(
+                    f"negative u-powers survive the ambient sum: {bad}"
+                )
+            total += sum(residue(w, m) * series[flat] for flat, w in top)
+        return total % m
 
     def compute() -> Fraction:
-        value = dual_specialized(at, seed)
+        value = exact(residue_at, seed)
         if not reached:
             warnings.warn(
                 f"h^{dp} is never reached by the integrand; "
@@ -509,7 +504,6 @@ def universal_poly(
     expected_dim: int = 0,
     seed: int = DEFAULT_SEED,
     cache: ResultCache | None = None,
-    threads: int = 1,
 ) -> UniversalPolynomial:
     """Interpolate the integral shape as a polynomial in intersection numbers.
 
@@ -564,7 +558,7 @@ def universal_poly(
             warnings.simplefilter("ignore")
             value = virtual_integral(
                 surf, v_model, lam_model, k, p_expr,
-                seed=seed, threads=threads, cache=cache,
+                seed=seed, cache=cache,
             )
         return row, value
 

@@ -24,3 +24,25 @@ def test_bench_tracer_installs():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_counts_specializations():
+    # the tracer replaces symbolic.dual_specialized where the engine looks
+    # it up; a driver that captured the original would show no marks
+    src = str(Path(hilbloc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {str(BENCH)!r}); import spans; "
+        "tracer = spans.Tracer(); spans.install(tracer); "
+        "from hilbloc import make_surface, quot_count, split_bundle; "
+        "P2 = make_surface('P2'); "
+        "assert quot_count(P2, split_bundle(P2, [-2, -3]), 1) == 6; "
+        "print(tracer.counts['symbolic.dual_specialized'], "
+        "tracer.counts['symbolic.specialization'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "2"]

@@ -13,7 +13,6 @@ from hilbloc.hilb import (
     compositions,
     count_fixed_points,
     enumerate_fixed_points,
-    fixed_point_list,
     partitions,
     tangent_weights,
     taut_weights,
@@ -35,7 +34,7 @@ def test_census_against_convolution_oracle(surface):
         assert count_fixed_points(surface, k) == expected[k]
     # the enumeration agrees with the counting formula
     for k in range(9):
-        assert len(fixed_point_list(surface, k)) == expected[k]
+        assert len(list(enumerate_fixed_points(surface, k))) == expected[k]
 
 
 def test_small_counts():
@@ -171,7 +170,7 @@ def test_taut_weights_signed_for_virtual_splits():
 
 
 def test_fixed_point_json_roundtrip():
-    for fp in fixed_point_list(QUADRIC, 4):
+    for fp in enumerate_fixed_points(QUADRIC, 4):
         assert HilbFixedPoint.from_json(fp.to_json()) == fp
 
 

@@ -8,6 +8,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hilbloc import integrals
 from hilbloc.errors import ComputationError, PoleError, UsageError
 from hilbloc.hilb import count_fixed_points
 from hilbloc.integrals import (
@@ -22,7 +23,7 @@ from hilbloc.integrals import (
     validate_construction,
     verify_conjecture,
 )
-from hilbloc.symbolic import WORD_PRIMES, Weight
+from hilbloc.symbolic import WORD_PRIMES, Weight, reconstruct
 from hilbloc.toric import (
     ChernData,
     SplitBundle,
@@ -138,9 +139,32 @@ def test_localize_raises_pole_error_on_vanishing_tangent_weight():
 def test_localize_counts_fixed_points():
     # a local factor of prod(tangents) makes every fixed point count once
     for k in range(5):
-        for prime in WORD_PRIMES[:2]:
-            got = localize(F1, k, lambda p, s, t: [prod(t)], (53, 59), (1,), prime)
+        for m in (*WORD_PRIMES[:2], WORD_PRIMES[0] * WORD_PRIMES[1]):
+            got = localize(F1, k, lambda p, s, t: [prod(t)], (53, 59), (1,), m)
             assert got == [count_fixed_points(F1, k)]
+
+
+def _spy_on_reconstruct(monkeypatch) -> list[list[int]]:
+    """Per reconstruct call (one per specialization), the moduli it asked for."""
+    calls = []
+
+    def spy(residue_mod):
+        calls.append([])
+
+        def recorded(m):
+            calls[-1].append(m)
+            return residue_mod(m)
+
+        return reconstruct(recorded)
+
+    monkeypatch.setattr(integrals, "reconstruct", spy)
+    return calls
+
+
+def test_two_prime_value_takes_one_pass_per_specialization(monkeypatch):
+    calls = _spy_on_reconstruct(monkeypatch)
+    assert quot_count(P2, split_bundle(P2, [-2, -3]), 3) == 20
+    assert calls == [[WORD_PRIMES[0] * WORD_PRIMES[1]]] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +198,14 @@ def test_quot_count_rank_one_vanishes():
         assert quot_count(P2, v, k) == 0
 
 
-def test_quot_count_beyond_two_primes():
-    # a 64-bit count: rebuilding it takes the residues of at least 3 primes
+def test_quot_count_beyond_two_primes(monkeypatch):
+    # a 64-bit count: rebuilding it takes the residues of at least 3 primes,
+    # and settling takes one more
+    calls = _spy_on_reconstruct(monkeypatch)
     v = split_bundle(P2, [-40] * 3)
     assert quot_count(P2, v, 6) == 16674716984097321750
+    moduli = [prod(WORD_PRIMES[:j]) for j in (2, 3, 4)]
+    assert calls == [moduli] * 2
 
 
 def test_quot_count_trivial_cases():
@@ -197,11 +225,6 @@ def test_quot_count_shift_invariance():
     shifted = v.shifted(Weight(4, -7))
     for k in (1, 2):
         assert quot_count(P2, v, k) == quot_count(P2, shifted, k)
-
-
-def test_quot_count_parallel_matches_serial():
-    v = split_bundle(P2, [-2, -3])
-    assert quot_count(P2, v, 4, threads=2) == quot_count(P2, v, 4)
 
 
 def test_quot_count_uses_cache(tmp_path):

@@ -216,6 +216,12 @@ def test_reconstruction_round_trip(num, den):
     assert reconstruct(lambda p: residue(q, p)) == q
 
 
+def test_residue_refuses_a_denominator_sharing_one_word_prime():
+    # 1/p has no image mod p*q even though p*q does not divide p
+    with pytest.raises(ComputationError, match="vanishes mod"):
+        residue(F(1, WORD_PRIMES[0]), WORD_PRIMES[0] * WORD_PRIMES[1])
+
+
 def test_reconstruction_needs_two_primes(monkeypatch, capsys):
     monkeypatch.setattr(symbolic, "WORD_PRIMES", WORD_PRIMES[:1])
     with pytest.raises(ComputationError, match="did not settle"):
