@@ -9,6 +9,15 @@ coefficient of prod_p sum_lambda q^|lambda| f_p(lambda) (the
 Ellingsrud-Goettsche-Lehn factorization).  ``localize`` evaluates it by
 walking the partitions of n <= k at each point, not the tuples.
 
+What a partition contributes apart from the bundle (its cell shifts, its
+tangent weights, the inverse of their product mod m, and its parent, the
+partition one cell smaller) depends only on the specialized chart weights
+at the point, n and m.  ``partition_table`` builds it once per process for
+each of them, so every bundle, k and side of a sum under the same z shares
+it.  Chern-class integrands are built cell by cell: ``chern_rows`` grows
+each partition's row of Chern classes from its parent's by the lines of its
+last cell, instead of from all of its cells.
+
 Each sum is evaluated mod m, a product of word primes, one pass per
 specialization, and the exact rational is rebuilt from the residue by
 rational reconstruction (``symbolic.reconstruct``).  ``exact`` does that
@@ -27,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import comb, prod
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import ResultCache
 from .errors import (
@@ -37,7 +46,7 @@ from .errors import (
     RealizationError,
     UsageError,
 )
-from .hilb import cell_tangent_weights, partitions
+from .hilb import Partition, cell_tangent_weights, partitions
 from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
@@ -63,7 +72,10 @@ __all__ = [
     "ChernExpr",
     "parse_chern_expr",
     "IntegralRequest",
+    "LocalPartition",
+    "partition_table",
     "localize",
+    "chern_rows",
     "localize_chern",
     "exact",
     "integrate",
@@ -331,10 +343,54 @@ def _q_coefficient(a: list, b: list, n: int, fitting, m: int) -> list:
     return [x % m for x in out]
 
 
+class LocalPartition(NamedTuple):
+    """One partition of n at a chart with specialized weights (s1, s2), mod m."""
+
+    partition: Partition
+    parent: int  # its index less the last cell of its last row, among n - 1
+    shift: int  # the specialized shift i*s1 + j*s2 of that cell
+    shift_sum: int  # the sum of the shifts of every cell
+    tangents: tuple[int, ...]  # the 2n specialized tangent weights
+    inverse: int | None  # 1 / prod(tangents) mod m; None for a pole
+
+
+@lru_cache(maxsize=1024)
+def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, ...]:
+    """The bundle-free data of every partition of n, in ``partitions`` order.
+
+    It depends only on the chart's specialized weights and the modulus, so
+    a process builds it once and every bundle, k and side of a sum under
+    the same z reuses it.  A tangent product that specializes to zero is
+    kept as a pole (``inverse`` None), which ``localize`` raises on each
+    time it meets it.
+    """
+    parents = {} if n == 0 else {
+        part.parts: i for i, part in enumerate(partitions(n - 1))
+    }
+    table = []
+    for part in partitions(n):
+        parent = shift = 0  # the empty partition has neither
+        if part.parts:
+            i, j = len(part.parts) - 1, part.parts[-1] - 1
+            parent = parents[part.parts[:-1] + ((j,) if j else ())]
+            shift = i * s1 + j * s2
+        tangents = tuple(cell_tangent_weights(s1, s2, part))
+        den = prod(tangents)
+        table.append(LocalPartition(
+            part,
+            parent,
+            shift,
+            sum(i * s1 + j * s2 for i, j in part.cells()),
+            tangents,
+            pow(den % m, -1, m) if den else None,
+        ))
+    return tuple(table)
+
+
 def localize(
     surface: ToricSurfaceModel,
     k: int,
-    point_factor: Callable[[int, list[int], list[int]], Sequence],
+    point_factor: Callable[[int, list], Iterable[Sequence[Sequence]]],
     z: tuple[int, int],
     width: tuple[int, ...],
     m: int,
@@ -342,33 +398,35 @@ def localize(
     """[q^k] of prod_p sum_lambda q^|lambda| point_factor(p, lambda) / e_p(lambda),
     mod m, a product of word primes: one pass per specialization z.
 
-    ``point_factor(p, shifts, tangents)`` gets the specialized cell shifts
-    i*v1 + j*v2 and the 2|lambda| specialized tangent weights of the
-    partition lambda at surface point p.  It returns the local integrand as
-    a truncated series: a flat row-major list over one formal variable per
-    entry of ``width``, each kept below its entry.  The q^k coefficient, a
-    series of the same width, is the fixed-point sum over X^[k] of the
-    product of the local integrands, reduced mod m.  A tangent weight that
-    specializes to zero raises PoleError; every other tangent weight is a
-    nonzero integer far below each word prime, so it is invertible mod m.
+    ``point_factor(p, table)`` gets the shared ``partition_table`` of each
+    n = 0..k at surface point p, which holds per partition lambda its
+    2|lambda| specialized tangent weights, the sum of its cell shifts, and
+    its parent (lambda less its last cell, among the partitions of n - 1)
+    with the shift of that cell.  It yields, per n, the local integrands of
+    those partitions in table order, each a truncated series: a flat
+    row-major list over one formal variable per entry of ``width``, each
+    kept below its entry.  The q^k coefficient, a series of the same width,
+    is the fixed-point sum over X^[k] of the product of the local
+    integrands, reduced mod m.  A tangent weight that specializes to zero
+    raises PoleError; every other tangent weight is a nonzero integer far
+    below each word prime, so it is invertible mod m.
     """
     fitting = _fitting(width)
-    table = [list(partitions(n)) for n in range(k + 1)]
 
     def point_series(p: int) -> list[list]:
         v1, v2 = surface.points[p]
         s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
+        table = [partition_table(s1, s2, n, m) for n in range(k + 1)]
         out = []
-        for parts in table:
+        for level, values in zip(table, point_factor(p, table)):
             acc = [0] * len(fitting)
-            for part in parts:
-                tangents = cell_tangent_weights(s1, s2, part)
-                den = prod(tangents)
-                if den == 0:
-                    raise PoleError(f"tangent weight vanished at point {p} under z={z}")
-                shifts = [i * s1 + j * s2 for i, j in part.cells()]
-                inv = pow(den % m, -1, m)
-                for i, c in enumerate(point_factor(p, shifts, tangents)):
+            for part, series in zip(level, values):
+                inv = part.inverse
+                if inv is None:
+                    raise PoleError(
+                        f"tangent weight vanished at point {p} under z={z}"
+                    )
+                for i, c in enumerate(series):
                     if c:
                         acc[i] += c * inv
             out.append([x % m for x in acc])
@@ -394,6 +452,36 @@ def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
     ]
 
 
+def chern_rows(
+    table: Sequence[Sequence[LocalPartition]],
+    plus: Sequence[int],
+    minus: Sequence[int],
+    top: int,
+    m: int,
+) -> Iterator[list[list[int]]]:
+    """Per level of ``table``, the rows c_0..c_top of the signed Chern class
+    of the plus lines less the minus lines, each shifted by every cell of the
+    partition, mod m.
+
+    A partition's row is its parent's row times the lines shifted by its
+    last cell, so each row costs one cell, and only the rows of two
+    consecutive sizes are kept.
+    """
+    rows = [[1] + [0] * top]
+    for n, level in enumerate(table):
+        if n:
+            rows = [
+                signed_chern_coefficients(
+                    [w + part.shift for w in plus],
+                    [w + part.shift for w in minus],
+                    rows[part.parent],
+                    m,
+                )
+                for part in level
+            ]
+        yield rows
+
+
 def localize_chern(
     surface: ToricSurfaceModel,
     k: int,
@@ -407,21 +495,24 @@ def localize_chern(
     series, one formal variable t_j per factor kept below t_j^(top_j + 1),
     whose entry at (d_1, ..., d_r) is the localization sum over X^[k] of
     prod_j c_{d_j}(B_j^[k]), mod m.  The local factor is the product of
-    the signed Chern polynomials of the cell-shifted line weights of each B_j.
+    the signed Chern polynomials of the cell-shifted line weights of each
+    B_j, grown partition by partition from the parent's by ``chern_rows``.
     """
     lines = [_spec_lines(bundle, z) for bundle, _ in factors]
 
-    def factor(p, shifts, tangents):
-        flat = [1]
-        for (_, top), spec in zip(factors, lines):
-            plus, minus = spec[p]
-            chern = signed_chern_coefficients(
-                [w + s for w in plus for s in shifts],
-                [w + s for w in minus for s in shifts],
-                top,
-            )
-            flat = [x * y % m for x in flat for y in chern]
-        return flat
+    def factor(p, table):
+        grown = [
+            chern_rows(table, *spec[p], top, m)
+            for (_, top), spec in zip(factors, lines)
+        ]
+        for level in table:
+            flats = [[1]] * len(level)
+            for rows in map(next, grown):
+                flats = [
+                    [x * y % m for x in flat for y in row]
+                    for flat, row in zip(flats, rows)
+                ]
+            yield flats
 
     width = tuple(top + 1 for _, top in factors)
     return localize(surface, k, factor, z, width, m)
@@ -533,11 +624,16 @@ def chi_theta(
     def residue_at(z: tuple[int, int], m: int) -> int:
         lines = _spec_lines(e, z)
 
-        def factor(p, shifts, tangents):
+        def factor(p, table):
             plus, minus = lines[p]
-            theta = len(shifts) * (sum(plus) - sum(minus))
-            theta += (len(plus) - len(minus)) * sum(shifts)
-            return exp_todd_series(theta, tangents, order, m)
+            det, rank = sum(plus) - sum(minus), len(plus) - len(minus)
+            for n, level in enumerate(table):
+                yield [
+                    exp_todd_series(
+                        n * det + rank * part.shift_sum, part.tangents, order, m
+                    )
+                    for part in level
+                ]
 
         total = localize(surface, k, factor, z, (order + 1,), m)
         bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
@@ -573,6 +669,8 @@ def expected_dim_pairs(
         raise UsageError("negative k")
     if isinstance(v, SplitBundle):
         v = v.chern_data()
+    if v.rank < 1:
+        raise UsageError("expected_dim_pairs needs rank V >= 1")
     return chi_from_chern(surface, v.dual()) - 1 - (v.rank - 2) * k
 
 

@@ -208,20 +208,25 @@ def exp_todd_series(theta: int, weights: Sequence[int], order: int, m: int) -> l
 # symmetric functions
 
 
-def signed_chern_coefficients(plus: Sequence, minus: Sequence, maxdeg: int) -> list:
-    """c_0..c_maxdeg of prod(1 + w t) over plus divided by the same over minus.
+def signed_chern_coefficients(
+    plus: Sequence[int], minus: Sequence[int], start: Sequence[int], m: int
+) -> list[int]:
+    """c_0..c_d of start(t) * prod(1 + w t) over plus / the same over minus, mod m.
 
-    Works over ints.  This is the total Chern class of a virtual sum of lines
-    with the given (specialized) first Chern classes.
+    ``start`` is a row c_0..c_d (d = len(start) - 1); [1, 0, ..., 0] gives
+    the total Chern class of a virtual sum of lines with the given
+    (specialized) first Chern classes, and any other row extends that
+    class by the lines.
     """
-    c = [1] + [0] * maxdeg
-    for i, w in enumerate(plus, 1):
-        for n in range(min(i, maxdeg), 0, -1):  # c[n] = 0 for n > i - 1 so far
+    c = list(start)
+    maxdeg = len(c) - 1
+    for w in plus:  # multiply by (1 + w t) in place
+        for n in range(maxdeg, 0, -1):
             c[n] += c[n - 1] * w
-    for w in minus:
-        for n in range(1, maxdeg + 1):  # divide by (1 + w t) in place
+    for w in minus:  # divide by (1 + w t) in place
+        for n in range(1, maxdeg + 1):
             c[n] -= w * c[n - 1]
-    return c
+    return [x % m for x in c]
 
 
 # ---------------------------------------------------------------------------

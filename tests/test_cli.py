@@ -274,6 +274,10 @@ def test_threads_do_not_change_values(capsys):
         ("c2-for-zero", "--r", "3", "--d", "-3", "--k", "1"),
         ("verify-conjecture", "--surface", "P2", "--r", "3", "--d", "7", "--kmax", "0"),
         ("expected-dim", "--surface", "P2", "--vstar", "2,3", "--k", "-1"),
+        ("expected-dim", "--surface", "P2", "--r", "-2", "--c1", "1", "--c2", "0",
+         "--k", "1"),
+        ("expected-dim", "--surface", "P2", "--r", "0", "--c1", "1", "--c2", "0",
+         "--k", "1"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

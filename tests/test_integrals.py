@@ -10,20 +10,28 @@ from hypothesis import given, settings, strategies as st
 
 from hilbloc import integrals
 from hilbloc.errors import ComputationError, PoleError, UsageError
-from hilbloc.hilb import count_fixed_points
+from hilbloc.hilb import count_fixed_points, partitions
 from hilbloc.integrals import (
     ChernExpr,
     IntegralRequest,
     c2_for_expected_dim_zero,
+    chern_rows,
     chi_theta,
     expected_dim_pairs,
     integrate,
     localize,
+    partition_table,
     quot_count,
     validate_construction,
     verify_conjecture,
 )
-from hilbloc.symbolic import WORD_PRIMES, Weight, reconstruct
+from hilbloc.symbolic import (
+    PRIME_POOL,
+    WORD_PRIMES,
+    Weight,
+    reconstruct,
+    signed_chern_coefficients,
+)
 from hilbloc.toric import (
     ChernData,
     SplitBundle,
@@ -44,11 +52,11 @@ F1 = make_surface("Hirzebruch", 1)
 
 
 @st.composite
-def split_bundles(draw, surface):
-    """Split bundles with small degrees, with or without minus lines."""
+def split_bundles(draw, surface, min_minus=0):
+    """Split bundles with small degrees, with at least min_minus minus lines."""
     degree = st.tuples(*[st.integers(-2, 3)] * surface.divisor_rank)
     plus = draw(st.lists(degree, min_size=1, max_size=3))
-    minus = draw(st.lists(degree, max_size=2))
+    minus = draw(st.lists(degree, min_size=min_minus, max_size=2))
     return split_bundle(surface, plus, minus)
 
 
@@ -130,17 +138,74 @@ def test_chi_theta_matches_brute_tuple_sum(data):
     assert value == brute_chi_theta(surface, e, k)
 
 
+def _ones(p, table):
+    return ([[1]] * len(level) for level in table)
+
+
 def test_localize_raises_pole_error_on_vanishing_tangent_weight():
     # z = (1, 1) kills t2 - t1, a chart weight at the second point of P2
     with pytest.raises(PoleError):
-        localize(P2, 1, lambda p, shifts, tangents: [1], (1, 1), (1,), WORD_PRIMES[0])
+        localize(P2, 1, _ones, (1, 1), (1,), WORD_PRIMES[0])
+    # the shared partition table keeps the pole: a second call raises again
+    with pytest.raises(PoleError):
+        localize(P2, 1, _ones, (1, 1), (1,), WORD_PRIMES[0])
+    assert quot_count(P2, split_bundle(P2, [-2, -3]), 2) == 15
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_partition_table_grows_chern_rows_from_parents(data):
+    surface = data.draw(st.sampled_from((P2, QUADRIC, F1)))
+    bundle = data.draw(split_bundles(surface, min_minus=1))
+    p = data.draw(st.integers(0, len(surface.points) - 1))
+    z = tuple(data.draw(st.lists(
+        st.sampled_from(PRIME_POOL), min_size=2, max_size=2, unique=True
+    )))
+    n_max = data.draw(st.integers(0, 7))
+    top = data.draw(st.integers(0, 2 * n_max))
+    m = WORD_PRIMES[0] * WORD_PRIMES[1]
+    v1, v2 = surface.points[p]
+    s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
+    plus = [line.weights[p].spec_int(*z) for line in bundle.plus]
+    minus = [line.weights[p].spec_int(*z) for line in bundle.minus]
+
+    table = [partition_table(s1, s2, n, m) for n in range(n_max + 1)]
+    grown = chern_rows(table, plus, minus, top, m)
+    for n, (level, rows) in enumerate(zip(table, grown)):
+        # every partition of n, once
+        assert sorted(e.partition.parts for e in level) == sorted(
+            lam.parts for lam in partitions(n)
+        )
+        assert len(rows) == len(level)
+        for entry, row in zip(level, rows):
+            cells = set(entry.partition.cells())
+            if n:
+                # the parent is the partition with one cell removed
+                parent = set(table[n - 1][entry.parent].partition.cells())
+                assert parent < cells and len(cells - parent) == 1
+                ((i, j),) = cells - parent
+                assert entry.shift == i * s1 + j * s2
+            shifts = [i * s1 + j * s2 for i, j in cells]
+            assert entry.shift_sum == sum(shifts)
+            assert entry.inverse * prod(entry.tangents) % m == 1
+            # the grown row is the row of all the cells, from scratch
+            assert row == signed_chern_coefficients(
+                [w + s for w in plus for s in shifts],
+                [w + s for w in minus for s in shifts],
+                [1] + [0] * top,
+                m,
+            )
+
+
+def _tangent_products(p, table):
+    return ([[prod(part.tangents)] for part in level] for level in table)
 
 
 def test_localize_counts_fixed_points():
     # a local factor of prod(tangents) makes every fixed point count once
     for k in range(5):
         for m in (*WORD_PRIMES[:2], WORD_PRIMES[0] * WORD_PRIMES[1]):
-            got = localize(F1, k, lambda p, s, t: [prod(t)], (53, 59), (1,), m)
+            got = localize(F1, k, _tangent_products, (53, 59), (1,), m)
             assert got == [count_fixed_points(F1, k)]
 
 
@@ -270,6 +335,9 @@ def test_expected_dim_pairs():
     assert expected_dim_pairs(P2, vstar.dual(), 1) == 15
     v3 = ChernData(3, (-4,), c2_for_expected_dim_zero(3, 4, 2))
     assert expected_dim_pairs(P2, v3, 2) == 0
+    for rank in (0, -2):
+        with pytest.raises(UsageError):
+            expected_dim_pairs(P2, ChernData(rank, (1,), 0), 1)
 
 
 def test_c2_for_expected_dim_zero_values():
