@@ -102,7 +102,7 @@ class HilbFixedPoint:
         return "[" + ", ".join(str(p) for p in self.parts) + "]"
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, largest-first lexicographic order."""
     if n < 0:
         raise UsageError("partitions of a negative integer")
@@ -115,8 +115,7 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
             for rest in rec(n - first, first):
                 yield (first,) + rest
 
-    cap = n if max_part is None else min(n, max_part)
-    for parts in rec(n, cap):
+    for parts in rec(n, n):
         yield Partition(parts)
 
 

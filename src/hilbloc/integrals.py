@@ -9,6 +9,10 @@ coefficient of prod_p sum_lambda q^|lambda| f_p(lambda) (the
 Ellingsrud-Goettsche-Lehn factorization).  ``localize`` evaluates it by
 walking the partitions of n <= k at each point, not the tuples.
 
+Every sum keeps one contract: the integrand is a mixed-degree class, and
+``localize`` returns the integrals of its parts of degree 2k = dim X^[k],
+drops the parts above it, and checks that those below it integrate to zero.
+
 What a partition contributes apart from the bundle (its cell shifts, its
 tangent weights, the inverse of their product mod m, and its parent, the
 partition one cell smaller) depends only on the specialized chart weights
@@ -23,9 +27,9 @@ specialization, and the exact rational is rebuilt from the residue by
 rational reconstruction (``symbolic.reconstruct``).  ``exact`` does that
 under two independent integer specializations of (t1, t2) and asserts the
 results equal, so neither a silently bad specialization nor an unlucky
-reconstruction can leak into output.  The module also holds the
-Chern-expression grammar and the count-matching verification loop
-(verify_conjecture).
+reconstruction can leak into output; it alone reads and writes the cache.
+The module also holds the Chern-expression grammar and the count-matching
+verification loop (verify_conjecture).
 """
 
 from __future__ import annotations
@@ -146,11 +150,6 @@ class ChernExpr:
                     )
                 )
         return ChernExpr(tuple(out)).collect()
-
-    def scale(self, q) -> "ChernExpr":
-        return ChernExpr(
-            tuple(Term(t.coefficient * Fraction(q), t.factors) for t in self.terms)
-        )
 
     def collect(self) -> "ChernExpr":
         """Merge duplicate monomials and drop zero terms; canonical order."""
@@ -316,10 +315,16 @@ class IntegralRequest:
 
 
 @lru_cache(maxsize=None)
+def _exponents(width: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of a row-major series of this width, in flat order."""
+    return tuple(product(*(range(w) for w in width)))
+
+
+@lru_cache(maxsize=None)
 def _fitting(width: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Per flat index i of a row-major series of this width, the flat j
     whose exponents add to i's within the truncation; a[i]*b[j] lands at i+j."""
-    exps = list(product(*(range(w) for w in width)))
+    exps = _exponents(width)
     return tuple(
         tuple(
             j for j, ej in enumerate(exps)
@@ -394,7 +399,7 @@ def localize(
     z: tuple[int, int],
     width: tuple[int, ...],
     m: int,
-) -> list:
+) -> dict[tuple[int, ...], int]:
     """[q^k] of prod_p sum_lambda q^|lambda| point_factor(p, lambda) / e_p(lambda),
     mod m, a product of word primes: one pass per specialization z.
 
@@ -405,11 +410,13 @@ def localize(
     with the shift of that cell.  It yields, per n, the local integrands of
     those partitions in table order, each a truncated series: a flat
     row-major list over one formal variable per entry of ``width``, each
-    kept below its entry.  The q^k coefficient, a series of the same width,
-    is the fixed-point sum over X^[k] of the product of the local
-    integrands, reduced mod m.  A tangent weight that specializes to zero
-    raises PoleError; every other tangent weight is a nonzero integer far
-    below each word prime, so it is invertible mod m.
+    kept below its entry.  The q^k coefficient is the sum over X^[k] of the
+    product of the local integrands, a class whose part at an exponent
+    tuple has the tuple's total degree.  It is returned keyed by exponent
+    tuple, for the tuples of total degree 2k; a part of lower degree must
+    integrate to zero, else ComputationError.  A tangent weight that
+    specializes to zero raises PoleError; every other tangent weight is a
+    nonzero integer far below each word prime, so it is invertible mod m.
     """
     fitting = _fitting(width)
 
@@ -438,7 +445,14 @@ def localize(
         total = [
             _q_coefficient(total, local, n, fitting, m) for n in range(k + 1)
         ]
-    return _q_coefficient(total, last, k, fitting, m)
+    total = _q_coefficient(total, last, k, fitting, m)
+    exps = _exponents(width)
+    low = {e: c for e, c in zip(exps, total) if c and sum(e) < 2 * k}
+    if low:
+        raise ComputationError(
+            f"classes below degree {2 * k} do not cancel over X^[{k}]: {low}"
+        )
+    return {e: c for e, c in zip(exps, total) if sum(e) == 2 * k}
 
 
 def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
@@ -488,12 +502,11 @@ def localize_chern(
     factors: Sequence[tuple[SplitBundle, int]],
     z: tuple[int, int],
     m: int,
-) -> list:
-    """Fixed-point sums of products of Chern classes of tautological bundles.
+) -> dict[tuple[int, ...], int]:
+    """Integrals of products of Chern classes of tautological bundles.
 
-    ``factors`` lists pairs (B_j, top_j).  The result is the flat row-major
-    series, one formal variable t_j per factor kept below t_j^(top_j + 1),
-    whose entry at (d_1, ..., d_r) is the localization sum over X^[k] of
+    ``factors`` lists pairs (B_j, top_j).  The result maps each (d_1, ...,
+    d_r) with d_j <= top_j and sum d_j = 2k to the integral over X^[k] of
     prod_j c_{d_j}(B_j^[k]), mod m.  The local factor is the product of
     the signed Chern polynomials of the cell-shifted line weights of each
     B_j, grown partition by partition from the parent's by ``chern_rows``.
@@ -519,16 +532,24 @@ def localize_chern(
 
 
 def exact(
-    residue_at: Callable[[tuple[int, int], int], int], seed: int = DEFAULT_SEED
+    residue_at: Callable[[tuple[int, int], int], int],
+    seed: int = DEFAULT_SEED,
+    cache: ResultCache | None = None,
+    request: dict | None = None,
 ) -> Fraction:
     """The exact value of a localization sum from its residues.
 
     ``residue_at(z, m)`` is the sum under the specialization z, mod m, a
     product of word primes.  Each specialization is rebuilt by
     ``reconstruct`` and two of them are cross-checked by
-    ``dual_specialized``.
+    ``dual_specialized``.  This is the one place that reads and writes
+    ``cache``, under ``request``.
     """
-    return dual_specialized(lambda z: reconstruct(partial(residue_at, z)), seed)
+
+    def compute() -> Fraction:
+        return dual_specialized(lambda z: reconstruct(partial(residue_at, z)), seed)
+
+    return compute() if cache is None else cache.fetch(request, compute)
 
 
 def integrate(
@@ -551,7 +572,8 @@ def integrate(
     def residue_at(z: tuple[int, int], m: int) -> int:
         return sum(
             # each t_j at its index
-            residue(c, m) * localize_chern(req.surface, req.k, f, z, m)[-1]
+            residue(c, m)
+            * localize_chern(req.surface, req.k, f, z, m)[tuple(i for _, i in f)]
             for c, f in terms
         ) % m
 
@@ -562,8 +584,7 @@ def integrate(
         "bundles": {bid: b.weight_key() for bid, b in sorted(req.bundles.items())},
         "expr": str(req.expr),
     }
-    compute = partial(exact, residue_at, seed)
-    return compute() if cache is None else cache.fetch(request, compute)
+    return exact(residue_at, seed, cache, request)
 
 
 def quot_count(
@@ -603,11 +624,11 @@ def chi_theta(
     """chi of the determinant line bundle induced by e on X^[k].
 
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
-    the strictly negative u-powers must cancel across fixed points (their
-    residues must vanish mod every modulus used) and the u^0 coefficient is
-    the (integer) answer.  A truncated product is exact up to its order, so
-    order 2k suffices.  A non-orthogonal e (chi_pair nonzero) only warns:
-    the line bundle exists, it is just not the canonical pairing class.
+    ``localize`` checks that the strictly negative u-powers cancel across
+    fixed points, and the u^0 coefficient is the (integer) answer.  A
+    truncated product is exact up to its order, so order 2k suffices.  A
+    non-orthogonal e (chi_pair nonzero) only warns: the line bundle exists,
+    it is just not the canonical pairing class.
     """
     e = as_split(e)
     if k < 0:
@@ -635,11 +656,7 @@ def chi_theta(
                     for part in level
                 ]
 
-        total = localize(surface, k, factor, z, (order + 1,), m)
-        bad = {n - 2 * k: c for n, c in enumerate(total[: 2 * k]) if c != 0}
-        if bad:
-            raise ComputationError(f"negative u-powers survive the theta sum: {bad}")
-        return total[2 * k]
+        return localize(surface, k, factor, z, (order + 1,), m)[(order,)]
 
     request = {
         "op": "chi_theta",
@@ -648,8 +665,7 @@ def chi_theta(
         "bundle": e.weight_key(),
         "order": order,
     }
-    compute = partial(exact, residue_at, seed)
-    value = compute() if cache is None else cache.fetch(request, compute)
+    value = exact(residue_at, seed, cache, request)
     if value.denominator != 1:
         raise ComputationError(f"chi_theta came out non-integral: {value}")
     return int(value)

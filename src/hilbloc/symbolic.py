@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, prod
+from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -38,7 +38,6 @@ from .errors import ComputationError, PoleError, UsageError
 __all__ = [
     "Weight",
     "bernoulli_numbers",
-    "todd_series",
     "todd_log_coefficients",
     "series_exp",
     "exp_todd_series",
@@ -127,38 +126,18 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     return out
 
 
-def todd_series(a: Fraction, order: int) -> list[Fraction]:
-    """(a*u) / (1 - exp(-a*u)) truncated; coefficient of u^n is (-1)^n B_n a^n / n!."""
-    a = Fraction(a)
-    bern = bernoulli_numbers(order)
-    coeffs = []
-    fact = 1
-    power = _ONE
-    for n in range(order + 1):
-        if n > 0:
-            fact *= n
-            power *= a
-        coeffs.append((-1) ** n * bern[n] * power / fact)
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def todd_log_coefficients(order: int) -> tuple[Fraction, ...]:
     """Coefficients L_n of log todd(u), so log todd(a*u) = sum L_n a^n u^n.
 
-    Lets a product of many Todd factors be assembled from power sums of the
+    d/du log todd(u) = 1/u - 1/(e^u - 1) = -sum_{n>=1} B_n u^(n-1) / n!, so
+    L_n = -B_n / (n * n!), which with B1 = -1/2 gives L_1 = 1/2.  Lets a
+    product of many Todd factors be assembled from power sums of the
     weights (one series exponential per fixed point) instead of repeated
     series multiplication.
     """
-    td = todd_series(1, order)
-    # series log: L' = td' / td, integrated termwise
-    log = [_ZERO] * (order + 1)
-    for n in range(1, order + 1):
-        acc = n * td[n]
-        for j in range(1, n):
-            acc -= j * log[j] * td[n - j]
-        log[n] = acc / n
-    return tuple(log)
+    bern = bernoulli_numbers(order)
+    return (_ZERO,) + tuple(-bern[n] / (n * factorial(n)) for n in range(1, order + 1))
 
 
 @lru_cache(maxsize=None)
@@ -299,23 +278,23 @@ def _prime_pool(lo: int = 53, hi: int = 499) -> tuple[int, ...]:
 PRIME_POOL: tuple[int, ...] = _prime_pool()
 
 DEFAULT_SEED = 20717
+_POLE_RETRIES = 8  # poles that dual_specialized tolerates before it gives up
 
 
 def dual_specialized(
     compute: Callable[[tuple[int, int]], Fraction],
     seed: int = DEFAULT_SEED,
-    retries: int = 8,
 ) -> Fraction:
     """Run ``compute`` under two independent specializations and cross-check.
 
     ``compute`` receives a pair of distinct primes and may raise PoleError if
-    a denominator vanishes; each pole burns one retry.  The two results must
-    agree exactly, otherwise the computation itself is unsound.
+    a denominator vanishes; each pole burns one of ``_POLE_RETRIES``.  The two
+    results must agree exactly, otherwise the computation itself is unsound.
     """
     rng = random.Random(seed)
     seen: list[tuple[int, int]] = []
     values: list[Fraction] = []
-    budget = retries
+    budget = _POLE_RETRIES
     while len(values) < 2:
         z = tuple(rng.sample(PRIME_POOL, 2))
         if z in seen:
@@ -327,7 +306,7 @@ def dual_specialized(
             budget -= 1
             if budget < 0:
                 raise PoleError(
-                    f"denominator vanished under {retries + 1} specializations"
+                    f"denominator vanished under {_POLE_RETRIES + 1} specializations"
                 )
     if values[0] != values[1]:
         raise ComputationError(

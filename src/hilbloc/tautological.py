@@ -11,9 +11,9 @@ c_b(V*^[k]) (1 + h)^(R - b), and likewise the transform's Chern classes
 expand in c_beta(Lambda^[k]) times powers of (1 + h).  Reading off h^Dp
 turns a term c_i1(IT)...c_im(IT) into a binomial-weighted sum of
 tautological integrals of c_b(V*^[k]) prod_j c_beta_j(Lambda^[k]) over
-X^[k], all of which one ``localize_chern`` call returns.  Those of degree
-below dim X^[k] must vanish, which is asserted; those above it do not
-contribute.  Minus lines in V or Lambda keep the same expansion with
+X^[k], all of which one ``localize_chern`` call returns; ``localize``
+checks that those of degree below dim X^[k] vanish, and those above it do
+not contribute.  Minus lines in V or Lambda keep the same expansion with
 generalized binomials.
 
 The module also extracts universal polynomials: the value of a fixed
@@ -210,9 +210,8 @@ def it_class(
     v = as_split(v)
     lam = SplitBundle(surface) if lam is None else as_split(lam)
     _require_ambient(surface, v)
-    chi_lam = chi_surface(surface, lam) if lam.plus or lam.minus else 0
-    tensor = lam.tensor(v)
-    chi_lam_v = chi_surface(surface, tensor) if tensor.plus or tensor.minus else 0
+    chi_lam = chi_surface(surface, lam)
+    chi_lam_v = chi_surface(surface, lam.tensor(v))
     return ITClass(chi_lam_v, -chi_lam, lam, k)
 
 
@@ -256,7 +255,7 @@ def virtual_integral(
     dp = chi_vdual - 1
     if dp < 0:
         raise UsageError(f"ambient projective space is empty: chi(V*) = {chi_vdual}")
-    chi_lam = chi_surface(surface, lam) if (lam.plus or lam.minus) else 0
+    chi_lam = chi_surface(surface, lam)
     vdim = dp + 2 * k - v.rank * k
     degs = p_expr.degrees()
     if vdim not in degs:
@@ -266,10 +265,10 @@ def virtual_integral(
             stacklevel=2,
         )
 
-    # Per term: the Chern factors (V*, top b) and (Lambda, top beta_j); the
-    # entries of u-degree b + sum(beta) below 2k, which must vanish; and the
-    # binomial weights of those of u-degree 2k.  Above the rank of an honest
-    # bundle its Chern classes vanish, so the tops stop there.
+    # Per term: the Chern factors (V*, top b) and (Lambda, top beta_j), and
+    # the binomial weights of the entries of u-degree b + sum(beta) = 2k.
+    # Above the rank of an honest bundle its Chern classes vanish, so the
+    # tops stop there.
     rank_v, rank_lam = vdual.rank * k, lam.rank * k
     m_lam = rank_lam - chi_lam
     b_top = min(2 * k, rank_v) if vdual.is_honest() else 2 * k
@@ -279,9 +278,9 @@ def virtual_integral(
         idxs = [idx for _, idx in term.factors]
         tops = [min(i, rank_lam) if lam.is_honest() else i for i in idxs]
         factors = [(vdual, b_top)] + [(lam, t) for t in tops]
-        low, top = [], []
+        top = []
         ranges = [range(b_top + 1)] + [range(t + 1) for t in tops]
-        for flat, (b, *betas) in enumerate(product(*ranges)):
+        for b, *betas in product(*ranges):
             udeg = b + sum(betas)
             if udeg > 2 * k:
                 continue
@@ -291,36 +290,17 @@ def virtual_integral(
             for i, beta in zip(idxs, betas):
                 weight *= _gen_binomial(m_lam - beta, i - beta)
             reached = reached or weight != 0
-            if udeg < 2 * k:
-                low.append((flat, (b, *betas)))
-            elif weight:
-                top.append((flat, weight))
-        plans.append((factors, low, top))
+            if udeg == 2 * k and weight:
+                top.append(((b, *betas), weight))
+        plans.append((factors, top))
 
     def residue_at(z: tuple[int, int], m: int) -> int:
         total = 0
-        for factors, low, top in plans:
+        for factors, top in plans:
             series = localize_chern(surface, k, factors, z, m)
-            bad = {exps: series[flat] for flat, exps in low if series[flat]}
-            if bad:
-                raise ComputationError(
-                    f"negative u-powers survive the ambient sum: {bad}"
-                )
-            total += sum(residue(w, m) * series[flat] for flat, w in top)
+            total += sum(residue(w, m) * series[exps] for exps, w in top)
         return total % m
 
-    def compute() -> Fraction:
-        value = exact(residue_at, seed)
-        if not reached:
-            warnings.warn(
-                f"h^{dp} is never reached by the integrand; "
-                "the ambient dimension exceeds the class degree",
-                stacklevel=3,
-            )
-        return value
-
-    if cache is None:
-        return compute()
     request = {
         "op": "virtual_integral",
         "surface": surface.name,
@@ -330,7 +310,14 @@ def virtual_integral(
         "expr": str(p_expr),
         "hmax": dp,
     }
-    return cache.fetch(request, compute)
+    value = exact(residue_at, seed, cache, request)
+    if not reached:
+        warnings.warn(
+            f"h^{dp} is never reached by the integrand; "
+            "the ambient dimension exceeds the class degree",
+            stacklevel=2,
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,11 @@ def _todd_coefficients(order):
     return inv
 
 
+def todd_series(a, order):
+    """(a*u) / (1 - exp(-a*u)) truncated at u^order."""
+    return [t * Fraction(a) ** n for n, t in enumerate(_todd_coefficients(order))]
+
+
 def brute_chi_surface(surface, bundle, z=BRUTE_POINT):
     """chi of a split bundle over the surface by localized Riemann-Roch.
 

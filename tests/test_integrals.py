@@ -32,6 +32,7 @@ from hilbloc.symbolic import (
     reconstruct,
     signed_chern_coefficients,
 )
+from hilbloc.tautological import virtual_integral
 from hilbloc.toric import (
     ChernData,
     SplitBundle,
@@ -197,16 +198,67 @@ def test_partition_table_grows_chern_rows_from_parents(data):
             )
 
 
-def _tangent_products(p, table):
-    return ([[prod(part.tangents)] for part in level] for level in table)
+def _tangent_products(k):
+    """prod(tangents) at u^(2n) for a partition of n: a class of degree 2k."""
+
+    def factor(p, table):
+        for n, level in enumerate(table):
+            pad = [0] * (2 * n), [0] * (2 * (k - n))
+            yield [pad[0] + [prod(part.tangents)] + pad[1] for part in level]
+
+    return factor
 
 
 def test_localize_counts_fixed_points():
     # a local factor of prod(tangents) makes every fixed point count once
     for k in range(5):
         for m in (*WORD_PRIMES[:2], WORD_PRIMES[0] * WORD_PRIMES[1]):
-            got = localize(F1, k, _tangent_products, (53, 59), (1,), m)
-            assert got == [count_fixed_points(F1, k)]
+            got = localize(F1, k, _tangent_products(k), (53, 59), (2 * k + 1,), m)
+            assert got == {(2 * k,): count_fixed_points(F1, k)}
+
+
+def _one_at_first_point(p, table):
+    # 1 at u^0 for each partition of n >= 1 at point 0 only: not a class
+    for n, level in enumerate(table):
+        yield [[1 if n == 0 or p == 0 else 0, 0, 0]] * len(level)
+
+
+def test_localize_rejects_a_class_whose_lower_degrees_do_not_cancel():
+    with pytest.raises(ComputationError, match="below degree 2 do not cancel"):
+        localize(P2, 1, _one_at_first_point, (53, 59), (3,), WORD_PRIMES[0])
+
+
+@pytest.fixture
+def tampered_lines(monkeypatch):
+    """Shift every line weight at the first surface point by one.
+
+    The local integrands then no longer come from one equivariant bundle,
+    so their classes of degree below 2k stop cancelling."""
+    spec_lines = integrals._spec_lines
+
+    def tampered(bundle, z):
+        (plus, minus), *rest = spec_lines(bundle, z)
+        return [([w + 1 for w in plus], [w + 1 for w in minus]), *rest]
+
+    monkeypatch.setattr(integrals, "_spec_lines", tampered)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate(IntegralRequest(
+            P2, 1, {"A": split_bundle(P2, [1, 2])}, ChernExpr.chern(2, "A")
+        )),
+        lambda: chi_theta(P2, split_bundle(P2, [1, 1], [2]), 1),
+        lambda: virtual_integral(P2, split_bundle(P2, [-2, -3]), None, 1),
+    ],
+    ids=["integrate", "chi_theta", "virtual_integral"],
+)
+def test_every_sum_checks_that_lower_degrees_cancel(tampered_lines, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # off-dimension and orthogonality
+        with pytest.raises(ComputationError, match="below degree 2 do not cancel"):
+            call()
 
 
 def _spy_on_reconstruct(monkeypatch) -> list[list[int]]:

@@ -23,10 +23,9 @@ from hilbloc.symbolic import (
     series_exp,
     signed_chern_coefficients,
     todd_log_coefficients,
-    todd_series,
 )
 
-from oracles import elementary_symmetric
+from oracles import elementary_symmetric, todd_series
 
 F = Fraction
 P = WORD_PRIMES[0]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hilbloc.cache import ResultCache
 from hilbloc.errors import UsageError
 from hilbloc.integrals import (
     ChernExpr,
@@ -189,6 +190,24 @@ def test_virtual_integral_warns_off_dimension():
         assert any("virtual dimension" in m for m in messages)
         assert any("never reached" in m for m in messages)
         assert value == 0
+
+
+def test_virtual_integral_warns_the_same_from_the_cache(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    runs = []
+    for _ in range(2):  # a miss, then a hit through a fresh cache object
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            # V* = O(2): c_2(V*^[1]) = 0 reaches no h^Dp
+            value = virtual_integral(
+                P2, split_bundle(P2, [-2]), None, 1, cache=ResultCache(path)
+            )
+        runs.append((value, [(str(w.message), w.filename) for w in rec]))
+    assert len(path.read_text().splitlines()) == 1
+    assert runs[0] == runs[1]
+    assert any("never reached" in m for m, _ in runs[0][1])
+    # every warning points at the caller
+    assert {f for _, f in runs[0][1]} == {__file__}
 
 
 def test_virtual_integral_rejects_empty_ambient():
