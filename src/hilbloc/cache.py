@@ -111,5 +111,5 @@ class ResultCache:
         return value
 
 
-def default_cache(enabled: bool = True) -> ResultCache:
-    return ResultCache(None, enabled)
+def default_cache() -> ResultCache:
+    return ResultCache()

@@ -76,11 +76,11 @@ def _parse_degrees(text: str, surface) -> list[tuple[int, ...]]:
 
 
 def _split_from_args(surface, plus_text: str, minus_text: str) -> SplitBundle:
-    plus = _parse_degrees(plus_text, surface)
-    minus = _parse_degrees(minus_text or "", surface)
-    if not plus and not minus:
-        return SplitBundle(surface)
-    return split_bundle(surface, plus, minus)
+    return split_bundle(
+        surface,
+        _parse_degrees(plus_text, surface),
+        _parse_degrees(minus_text, surface),
+    )
 
 
 def _resolve_seed(raw: str) -> int:
@@ -113,15 +113,16 @@ def _report(args, seed: int | None, payload: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report dict, exit code)
+# subcommand handlers: each gets (args, resolved seed or None, cache or None)
+# and returns (payload, exit code)
 
 
-def _cmd_surface_info(args):
+def _cmd_surface_info(args, seed, cache):
     surface = _surface_from_args(args)
-    return _report(args, None, {"surface": surface_to_json(surface)}), 0
+    return {"surface": surface_to_json(surface)}, 0
 
 
-def _cmd_fixed_points(args):
+def _cmd_fixed_points(args, seed, cache):
     surface = _surface_from_args(args)
     if args.k < 0:
         raise UsageError("--k must be non-negative")
@@ -130,18 +131,16 @@ def _cmd_fixed_points(args):
         payload["points"] = [
             fp.to_json() for fp in enumerate_fixed_points(surface, args.k)
         ]
-    return _report(args, None, payload), 0
+    return payload, 0
 
 
-def _cmd_chi(args):
+def _cmd_chi(args, seed, cache):
     surface = _surface_from_args(args)
-    seed = _resolve_seed(args.seed)
     bundle = _split_from_args(surface, args.bundle, args.minus)
-    value = chi_surface(surface, bundle)
-    return _report(args, seed, {"value": str(value)}), 0
+    return {"value": str(chi_surface(surface, bundle))}, 0
 
 
-def _cmd_expected_dim(args):
+def _cmd_expected_dim(args, seed, cache):
     surface = _surface_from_args(args)
     if args.vstar is not None:
         v = _split_from_args(surface, args.vstar, args.vstar_minus).dual()
@@ -150,16 +149,14 @@ def _cmd_expected_dim(args):
         cd = ChernData(args.r, _c1_from_text(args.c1, surface), args.c2)
     else:
         raise UsageError("give either --vstar or all of --r, --c1, --c2 (for V)")
-    value = expected_dim_pairs(surface, cd, args.k)
-    return _report(args, None, {"value": str(value)}), 0
+    return {"value": str(expected_dim_pairs(surface, cd, args.k))}, 0
 
 
-def _cmd_c2_for_zero(args):
-    value = c2_for_expected_dim_zero(args.r, args.d, args.k)
-    return _report(args, None, {"value": str(value)}), 0
+def _cmd_c2_for_zero(args, seed, cache):
+    return {"value": str(c2_for_expected_dim_zero(args.r, args.d, args.k))}, 0
 
 
-def _cmd_validate_construction(args):
+def _cmd_validate_construction(args, seed, cache):
     rep = validate_construction(args.r, args.d, args.w)
     payload = {
         "ok": rep.ok,
@@ -167,77 +164,48 @@ def _cmd_validate_construction(args):
         "upper": rep.upper,
         "violations": list(rep.violations),
     }
-    return _report(args, None, payload), 0 if rep.ok else 1
+    return payload, 0 if rep.ok else 1
 
 
-def _cmd_quot_count(args):
+def _cmd_quot_count(args, seed, cache):
     surface = _surface_from_args(args)
-    seed = _resolve_seed(args.seed)
     vstar = _split_from_args(surface, args.vstar, args.vstar_minus)
     if vstar.rank < 1:
         raise UsageError("--vstar must describe a bundle of rank >= 1")
-    value = quot_count(
-        surface,
-        vstar.dual(),
-        args.k,
-        seed=seed,
-        cache=default_cache(enabled=not args.no_cache),
-    )
-    return _report(args, seed, {"value": str(value)}), 0
+    value = quot_count(surface, vstar.dual(), args.k, seed=seed, cache=cache)
+    return {"value": str(value)}, 0
 
 
-def _cmd_chi_theta(args):
+def _cmd_chi_theta(args, seed, cache):
     surface = _surface_from_args(args)
-    seed = _resolve_seed(args.seed)
     e = _split_from_args(surface, args.e, args.e_minus)
-    value = chi_theta(
-        surface,
-        e,
-        args.k,
-        seed=seed,
-        cache=default_cache(enabled=not args.no_cache),
-    )
-    return _report(args, seed, {"value": str(value)}), 0
+    value = chi_theta(surface, e, args.k, seed=seed, cache=cache)
+    return {"value": str(value)}, 0
 
 
-def _cmd_verify_conjecture(args):
+def _cmd_verify_conjecture(args, seed, cache):
     surface = _surface_from_args(args)
-    seed = _resolve_seed(args.seed)
     rows = verify_conjecture(
-        surface,
-        args.r,
-        args.d,
-        args.kmax,
-        seed=seed,
-        cache=default_cache(enabled=not args.no_cache),
+        surface, args.r, args.d, args.kmax, seed=seed, cache=cache
     )
     ok = all(row.equal is True for row in rows)
-    payload = {"rows": [row.to_json() for row in rows], "all_equal": ok}
-    return _report(args, seed, payload), 0 if ok else 1
+    return {"rows": [row.to_json() for row in rows], "all_equal": ok}, 0 if ok else 1
 
 
-def _cmd_taut_integral(args):
+def _cmd_taut_integral(args, seed, cache):
     surface = _surface_from_args(args)
-    seed = _resolve_seed(args.seed)
     vstar = _split_from_args(surface, args.vstar, args.vstar_minus)
     if vstar.rank < 1:
         raise UsageError("--vstar must describe a bundle of rank >= 1")
-    lam = _split_from_args(surface, args.lam or "", args.lam_minus)
+    lam = _split_from_args(surface, args.lam, args.lam_minus)
     expr = parse_chern_expr(args.expr) if args.expr else None
     value = virtual_integral(
-        surface,
-        vstar.dual(),
-        lam,
-        args.k,
-        expr,
-        seed=seed,
-        cache=default_cache(enabled=not args.no_cache),
+        surface, vstar.dual(), lam, args.k, expr, seed=seed, cache=cache
     )
-    return _report(args, seed, {"value": str(value)}), 0
+    return {"value": str(value)}, 0
 
 
-def _cmd_universal_poly(args):
-    seed = _resolve_seed(args.seed)
+def _cmd_universal_poly(args, seed, cache):
     if args.expr:
         shape = parse_chern_expr(args.expr)
     else:
@@ -249,9 +217,9 @@ def _cmd_universal_poly(args):
         rank_lam=args.rank_lam,
         expected_dim=args.expected_dim,
         seed=seed,
-        cache=default_cache(enabled=not args.no_cache),
+        cache=cache,
     )
-    return _report(args, seed, {"polynomial": poly.to_json()}), 0
+    return {"polynomial": poly.to_json()}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +390,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report, code = args.func(args)
+        computes = hasattr(args, "seed")  # the commands with --seed and --no-cache
+        seed = _resolve_seed(args.seed) if computes else None
+        cache = default_cache() if computes and not args.no_cache else None
+        payload, code = args.func(args, seed, cache)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ComputationError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.format)
+    _emit(_report(args, seed, payload), args.format)
     return code
 
 

@@ -2,14 +2,14 @@
 
 A torus fixed point of X^[k] is a tuple of partitions, one per surface fixed
 point, with total size k (each partition is the staircase of a monomial
-ideal in the local chart).  This module enumerates those tuples and computes
-the localized weight data attached to them:
-
-* tangent weights of X^[k], two per cell, via the arm/leg formula in the
-  chart coordinates (v1, v2);
-* weights of the fiber of a tautological bundle V^[k], one per cell per line
-  summand, cell (i, j) twisting the line weight by i*v1 + j*v2;
-* the determinant weight of such a fiber.
+ideal in the local chart).  This module enumerates partitions and those
+tuples, and gives the tangent weights of a partition's cells, two per cell,
+by the arm/leg formula in the chart coordinates (v1, v2); the localization
+core in ``integrals`` needs nothing else.  The per-fixed-point weights
+(``tangent_weights``, the tautological fiber weights ``taut_weights``, cell
+(i, j) twisting a line weight by i*v1 + j*v2, and their determinant
+``theta_weight``) stay only for ``tests/oracles.py`` and the benchmark
+tracer, which times them by name.
 
 Cells are indexed (i, j) with i the row (index into the partition) and j the
 column (0 <= j < lambda_i).

@@ -68,6 +68,7 @@ from .toric import (
     chi_from_chern,
     chi_pair,
     e_from_v,
+    make_surface,
     realize_split_model,
 )
 
@@ -552,6 +553,22 @@ def exact(
     return compute() if cache is None else cache.fetch(request, compute)
 
 
+def _chern_plans_at(
+    surface: ToricSurfaceModel,
+    k: int,
+    plans: Sequence[tuple[list, list]],
+    z: tuple[int, int],
+    m: int,
+) -> int:
+    """Sum over plans (factors, [(exponents, weight), ...]) of each weight
+    times that entry of ``localize_chern(surface, k, factors, z, m)``, mod m."""
+    total = 0
+    for factors, top in plans:
+        series = localize_chern(surface, k, factors, z, m)
+        total += sum(residue(w, m) * series[exps] for exps, w in top)
+    return total % m
+
+
 def integrate(
     req: IntegralRequest,
     seed: int = DEFAULT_SEED,
@@ -563,20 +580,13 @@ def integrate(
     the product of total Chern classes c_{t1}(B1^[k])...c_{tm}(Bm^[k]),
     which is multiplicative over the surface points.
     """
-
-    terms = [
-        (term.coefficient, [(req.bundles[bid], idx) for bid, idx in term.factors])
+    plans = [
+        (
+            [(req.bundles[bid], idx) for bid, idx in term.factors],
+            [(tuple(idx for _, idx in term.factors), term.coefficient)],
+        )
         for term in req.expr.terms
     ]
-
-    def residue_at(z: tuple[int, int], m: int) -> int:
-        return sum(
-            # each t_j at its index
-            residue(c, m)
-            * localize_chern(req.surface, req.k, f, z, m)[tuple(i for _, i in f)]
-            for c, f in terms
-        ) % m
-
     request = {
         "op": "integrate",
         "surface": req.surface.name,
@@ -584,7 +594,9 @@ def integrate(
         "bundles": {bid: b.weight_key() for bid, b in sorted(req.bundles.items())},
         "expr": str(req.expr),
     }
-    return exact(residue_at, seed, cache, request)
+    return exact(
+        partial(_chern_plans_at, req.surface, req.k, plans), seed, cache, request
+    )
 
 
 def quot_count(
@@ -600,6 +612,8 @@ def quot_count(
     count is asserted to be an integer (it is a signed count of points).
     """
     v = as_split(v)
+    if k < 0:
+        raise UsageError("negative k")
     if v.rank < 1:
         raise UsageError("quot_count needs rank V >= 1")
     if k == 0:
@@ -691,14 +705,15 @@ def expected_dim_pairs(
 
 
 def c2_for_expected_dim_zero(r: int, d: int, k: int) -> int:
-    """c2(V*) forcing expected dimension zero for degree-(-d) rank-r V on P2."""
+    """c2(V*) forcing expected dimension zero for degree-(-d) rank-r V on P2:
+    the expected dimension at c2 = 0, since each unit of c2 lowers it by one."""
     if r < 2:
         raise UsageError("need rank r >= 2")
     if d < 1:
         raise UsageError("need degree d >= 1")
     if k < 1:
         raise UsageError("need k >= 1")
-    return comb(d + 2, 2) - (k - 1) * (r - 2)
+    return expected_dim_pairs(make_surface("P2"), ChernData(r, (-d,), 0), k)
 
 
 @dataclass(frozen=True)
@@ -720,7 +735,7 @@ def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
     """
     eps = 1 if d in (1, 2) else 0
     lower = comb(d + 1, 2)
-    upper = comb(d + 2, 2) - 3 + eps
+    upper = lower + d - 2 + eps  # C(d+2,2) - 3 + eps, by Pascal's rule
     violations = []
     if r < 2:
         violations.append(f"rank bound violated: r = {r} < 2")

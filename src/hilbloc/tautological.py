@@ -31,13 +31,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
-from .integrals import ChernExpr, exact, localize_chern
-from .symbolic import DEFAULT_SEED, residue
+from .integrals import ChernExpr, _chern_plans_at, exact, expected_dim_pairs
+from .symbolic import DEFAULT_SEED
 from .toric import (
     ChernData,
     EquivariantLineBundle,
@@ -294,13 +295,6 @@ def virtual_integral(
                 top.append(((b, *betas), weight))
         plans.append((factors, top))
 
-    def residue_at(z: tuple[int, int], m: int) -> int:
-        total = 0
-        for factors, top in plans:
-            series = localize_chern(surface, k, factors, z, m)
-            total += sum(residue(w, m) * series[exps] for exps, w in top)
-        return total % m
-
     request = {
         "op": "virtual_integral",
         "surface": surface.name,
@@ -310,7 +304,7 @@ def virtual_integral(
         "expr": str(p_expr),
         "hmax": dp,
     }
-    value = exact(residue_at, seed, cache, request)
+    value = exact(partial(_chern_plans_at, surface, k, plans), seed, cache, request)
     if not reached:
         warnings.warn(
             f"h^{dp} is never reached by the integrand; "
@@ -371,6 +365,14 @@ def _monomials(max_degree: int) -> list[tuple[str, ...]]:
     return out
 
 
+def _monomial_values(
+    monomials: tuple[tuple[str, ...], ...], symbols: dict[str, int]
+) -> list[Fraction]:
+    """Each monomial's value at the given symbol values, as a Fraction so
+    that the Gauss-Jordan solve divides exactly."""
+    return [Fraction(prod(symbols[name] for name in mono)) for mono in monomials]
+
+
 @dataclass(frozen=True)
 class UniversalPolynomial:
     shape_id: str
@@ -382,15 +384,8 @@ class UniversalPolynomial:
     undetermined: tuple[str, ...]
 
     def evaluate(self, symbols: dict[str, int]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in zip(self.monomials, self.coefficients):
-            if coeff == 0:
-                continue
-            val = coeff
-            for name in mono:
-                val *= symbols[name]
-            total += val
-        return total
+        values = _monomial_values(self.monomials, symbols)
+        return sum((c * x for c, x in zip(self.coefficients, values)), Fraction(0))
 
     def nonzero_terms(self) -> list[tuple[str, Fraction]]:
         return [
@@ -422,15 +417,10 @@ def _config_menu(
         c1v_menu = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 1), (2, 1)]
         c1l_menu = [(0, 0), (1, 0), (0, 1), (1, 1)]
     c2l_menu = (0, 1, 2)
-    chi_target = 1 + (rank_v - 2) * k + expected_dim
     out = []
     for idx, c1v in enumerate(c1v_menu):
-        # chi(V*) = r + (c1(V)^2 - c1(X).c1(V))/2 - c2(V), solved for c2(V)
-        mk = tuple(-c for c in surface.canonical_degrees)
-        num = surface.intersect(c1v, c1v) - surface.intersect(mk, c1v)
-        if num % 2 != 0:
-            raise ComputationError("odd adjunction combination in config menu")
-        c2v = rank_v + num // 2 - chi_target
+        # the expected dimension falls by one for each unit of c2(V)
+        c2v = expected_dim_pairs(surface, ChernData(rank_v, c1v, 0), k) - expected_dim
         v = ChernData(rank_v, c1v, c2v)
         if rank_lam == 0:
             zero = (0,) * surface.divisor_rank
@@ -529,25 +519,18 @@ def universal_poly(
     if len(configs) < n_heldout + 6:
         raise ComputationError("config menu too small to train and hold out")
 
-    def data_point(surf, v, lam) -> tuple[list[Fraction], Fraction]:
+    def data_point(surf, v, lam) -> tuple[dict[str, int], Fraction]:
         v_model = realize_split_model(surf, v)
         lam_model = (
             SplitBundle(surf) if lam.rank == 0 else realize_split_model(surf, lam)
         )
-        syms = _symbol_values(surf, v, lam)
-        row = []
-        for mono in monomials:
-            val = Fraction(1)
-            for name in mono:
-                val *= syms[name]
-            row.append(val)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             value = virtual_integral(
                 surf, v_model, lam_model, k, p_expr,
                 seed=seed, cache=cache,
             )
-        return row, value
+        return _symbol_values(surf, v, lam), value
 
     # hold out every fourth configuration; the tail guarantees a Hirzebruch one
     heldout_idx = set(range(3, len(configs), 4))
@@ -556,15 +539,15 @@ def universal_poly(
     if not any(configs[i][0].family == "Hirzebruch" for i in heldout_idx):
         heldout_idx.add(len(configs) - 1)
 
-    rows, rhs = [], []
-    for i, (surf, v, lam) in enumerate(configs):
-        if i in heldout_idx:
-            continue
-        row, value = data_point(surf, v, lam)
-        rows.append(row)
-        rhs.append(value)
-
-    solution, free = _solve_exact(rows, rhs)
+    training = [
+        data_point(*config)
+        for i, config in enumerate(configs)
+        if i not in heldout_idx
+    ]
+    solution, free = _solve_exact(
+        [_monomial_values(monomials, syms) for syms, _ in training],
+        [value for _, value in training],
+    )
     undetermined = tuple(
         "*".join(monomials[c]) if monomials[c] else "1" for c in free
     )
@@ -573,15 +556,14 @@ def universal_poly(
     )
 
     # zero residual on training data (exact arithmetic, so exact equality)
-    for row, value in zip(rows, rhs):
-        got = sum((c * r for c, r in zip(solution, row)), Fraction(0))
-        if got != value:
+    for syms, value in training:
+        if poly.evaluate(syms) != value:
             raise ComputationError("training residual nonzero; solver bug")
 
     for i in sorted(heldout_idx):
         surf, v, lam = configs[i]
-        row, value = data_point(surf, v, lam)
-        got = sum((c * r for c, r in zip(solution, row)), Fraction(0))
+        syms, value = data_point(surf, v, lam)
+        got = poly.evaluate(syms)
         if got != value:
             raise ComputationError(
                 f"held-out mismatch on {surf.name}, V={v}, Lambda={lam}: "

@@ -92,7 +92,7 @@ def test_default_cache_honors_environment(tmp_path, monkeypatch):
     cache = default_cache()
     cache.put({"op": "env"}, Fraction(1))
     assert target.exists()
-    disabled = default_cache(enabled=False)
+    disabled = ResultCache(target, enabled=False)
     assert disabled.get({"op": "env"}) is None
     calls = []
 

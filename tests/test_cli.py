@@ -220,10 +220,212 @@ GOLDEN_REPORTS = [
             '}\n'
         ),
     ),
+    (
+        ("surface-info", "--surface", "P2"),
+        (
+            '{\n'
+            '  "command": "surface-info",\n'
+            '  "engine_version": "0.1.0",\n'
+            '  "seed": null,\n'
+            '  "inputs": {\n'
+            '    "surface": "P2",\n'
+            '    "a": null\n'
+            '  },\n'
+            '  "surface": {\n'
+            '    "name": "P2",\n'
+            '    "family": "P2",\n'
+            '    "a": 0,\n'
+            '    "points": [\n'
+            '      [\n'
+            '        [\n'
+            '          1,\n'
+            '          0\n'
+            '        ],\n'
+            '        [\n'
+            '          0,\n'
+            '          1\n'
+            '        ]\n'
+            '      ],\n'
+            '      [\n'
+            '        [\n'
+            '          -1,\n'
+            '          0\n'
+            '        ],\n'
+            '        [\n'
+            '          -1,\n'
+            '          1\n'
+            '        ]\n'
+            '      ],\n'
+            '      [\n'
+            '        [\n'
+            '          1,\n'
+            '          -1\n'
+            '        ],\n'
+            '        [\n'
+            '          0,\n'
+            '          -1\n'
+            '        ]\n'
+            '      ]\n'
+            '    ],\n'
+            '    "edges": [\n'
+            '      [\n'
+            '        0,\n'
+            '        1,\n'
+            '        [\n'
+            '          1,\n'
+            '          0\n'
+            '        ]\n'
+            '      ],\n'
+            '      [\n'
+            '        0,\n'
+            '        2,\n'
+            '        [\n'
+            '          0,\n'
+            '          1\n'
+            '        ]\n'
+            '      ],\n'
+            '      [\n'
+            '        1,\n'
+            '        2,\n'
+            '        [\n'
+            '          -1,\n'
+            '          1\n'
+            '        ]\n'
+            '      ]\n'
+            '    ],\n'
+            '    "chi_top": 3,\n'
+            '    "K2": 9,\n'
+            '    "canonical_degrees": [\n'
+            '      -3\n'
+            '    ]\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
+    (
+        ("quot-count", "--surface", "P2", "--vstar", "2,3", "--k", "1"),
+        (
+            '{\n'
+            '  "command": "quot-count",\n'
+            '  "engine_version": "0.1.0",\n'
+            '  "seed": 20717,\n'
+            '  "inputs": {\n'
+            '    "surface": "P2",\n'
+            '    "a": null,\n'
+            '    "vstar": "2,3",\n'
+            '    "vstar_minus": "",\n'
+            '    "k": 1,\n'
+            '    "seed": "20717",\n'
+            '    "threads": 1,\n'
+            '    "no_cache": false\n'
+            '  },\n'
+            '  "value": "6"\n'
+            '}\n'
+        ),
+    ),
+    (
+        ("verify-conjecture", "--r", "3", "--d", "7", "--kmax", "2"),
+        (
+            '{\n'
+            '  "command": "verify-conjecture",\n'
+            '  "engine_version": "0.1.0",\n'
+            '  "seed": 20717,\n'
+            '  "inputs": {\n'
+            '    "surface": "P2",\n'
+            '    "a": null,\n'
+            '    "r": 3,\n'
+            '    "d": 7,\n'
+            '    "kmax": 2,\n'
+            '    "seed": "20717",\n'
+            '    "threads": 1,\n'
+            '    "no_cache": false\n'
+            '  },\n'
+            '  "rows": [\n'
+            '    {\n'
+            '      "k": 1,\n'
+            '      "c2_vstar": 36,\n'
+            '      "quot_count": "36",\n'
+            '      "chi_theta": "36",\n'
+            '      "equal": true,\n'
+            '      "error": null\n'
+            '    },\n'
+            '    {\n'
+            '      "k": 2,\n'
+            '      "c2_vstar": 35,\n'
+            '      "quot_count": "546",\n'
+            '      "chi_theta": "546",\n'
+            '      "equal": true,\n'
+            '      "error": null\n'
+            '    }\n'
+            '  ],\n'
+            '  "all_equal": true\n'
+            '}\n'
+        ),
+    ),
+    (
+        ("universal-poly", "--k", "1"),
+        (
+            '{\n'
+            '  "command": "universal-poly",\n'
+            '  "engine_version": "0.1.0",\n'
+            '  "seed": 20717,\n'
+            '  "inputs": {\n'
+            '    "shape": "count",\n'
+            '    "expr": null,\n'
+            '    "k": 1,\n'
+            '    "rank_v": 2,\n'
+            '    "rank_lam": 0,\n'
+            '    "expected_dim": 0,\n'
+            '    "seed": "20717",\n'
+            '    "threads": 1,\n'
+            '    "no_cache": false\n'
+            '  },\n'
+            '  "polynomial": {\n'
+            '    "shape_id": "count",\n'
+            '    "k": 1,\n'
+            '    "ranks": {\n'
+            '      "V": 2,\n'
+            '      "Lambda": 0\n'
+            '    },\n'
+            '    "monomials": [\n'
+            '      "c2(V)",\n'
+            '      "c2(L)",\n'
+            '      "c1(V)^2",\n'
+            '      "c1(L)^2",\n'
+            '      "c1(V).c1(L)",\n'
+            '      "c1(X).c1(V)",\n'
+            '      "c1(X).c1(L)",\n'
+            '      "c1(X)^2",\n'
+            '      "1"\n'
+            '    ],\n'
+            '    "coefficients": [\n'
+            '      "1",\n'
+            '      "0",\n'
+            '      "0",\n'
+            '      "0",\n'
+            '      "0",\n'
+            '      "0",\n'
+            '      "0",\n'
+            '      "0",\n'
+            '      "0"\n'
+            '    ],\n'
+            '    "undetermined": [\n'
+            '      "c2(L)",\n'
+            '      "c1(L)^2",\n'
+            '      "c1(V).c1(L)",\n'
+            '      "c1(X).c1(L)",\n'
+            '      "1"\n'
+            '    ]\n'
+            '  }\n'
+            '}\n'
+        ),
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout", GOLDEN_REPORTS, ids=["chi", "taut-integral"])
+@pytest.mark.parametrize(
+    "argv, stdout", GOLDEN_REPORTS, ids=[argv[0] for argv, _ in GOLDEN_REPORTS]
+)
 def test_golden_report_bytes(capsys, argv, stdout):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -265,6 +467,7 @@ def test_threads_do_not_change_values(capsys):
         ("chi", "--surface", "P2", "--bundle", "1:2"),
         ("chi", "--surface", "P2", "--bundle", "2", "--seed", "sometimes"),
         ("chi-theta", "--surface", "P2", "--k", "-1"),
+        ("quot-count", "--surface", "P2", "--vstar", "2,3", "--k", "-1"),
         ("taut-integral", "--surface", "P2", "--vstar", "2,3", "--k", "1",
          "--expr", "c1("),
         ("expected-dim", "--surface", "P2", "--k", "1"),

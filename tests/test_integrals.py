@@ -329,6 +329,8 @@ def test_quot_count_trivial_cases():
     assert quot_count(P2, split_bundle(P2, [-1, -1]), 0) == 1
     with pytest.raises(UsageError):
         quot_count(P2, SplitBundle(P2), 1)
+    with pytest.raises(UsageError, match="negative k"):
+        quot_count(P2, split_bundle(P2, [-2, -3]), -1)
 
 
 def test_quot_count_seed_invariance():
@@ -400,6 +402,12 @@ def test_c2_for_expected_dim_zero_values():
         c2_for_expected_dim_zero(1, 3, 1)
     with pytest.raises(UsageError):
         c2_for_expected_dim_zero(3, 3, 0)
+
+
+@given(st.integers(2, 8), st.integers(1, 12), st.integers(1, 20))
+def test_c2_for_expected_dim_zero_zeroes_the_expected_dimension(r, d, k):
+    v = ChernData(r, (-d,), c2_for_expected_dim_zero(r, d, k))
+    assert expected_dim_pairs(P2, v, k) == 0
 
 
 def test_validate_construction_fixtures():

@@ -2,6 +2,7 @@
 
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,12 +12,14 @@ from hilbloc.errors import UsageError
 from hilbloc.integrals import (
     ChernExpr,
     c2_for_expected_dim_zero,
+    expected_dim_pairs,
     parse_chern_expr,
     quot_count,
 )
 from hilbloc.tautological import (
     AmbientClass,
     SYMBOL_NAMES,
+    _config_menu,
     _monomials,
     it_class,
     universal_poly,
@@ -315,6 +318,15 @@ def test_monomial_basis_order():
     assert monos[-1] == ()
     assert len(monos) == len(SYMBOL_NAMES) + 1
     assert len(_monomials(2)) == 1 + 8 + 36
+
+
+@pytest.mark.parametrize("surface", [P2, QUADRIC, F1], ids=lambda s: s.name)
+def test_config_menu_stays_on_the_expected_dimension_family(surface):
+    for rank_v, rank_lam, k, expected_dim in product(
+        (1, 2, 3), (0, 1, 2), (0, 1, 3), (-1, 0, 2)
+    ):
+        for v, _ in _config_menu(surface, rank_v, rank_lam, k, expected_dim):
+            assert expected_dim_pairs(surface, v, k) == expected_dim
 
 
 def test_universal_poly_count_k1_rank2():
