@@ -20,7 +20,16 @@ at the point, n and m.  ``partition_table`` builds it once per process for
 each of them, so every bundle, k and side of a sum under the same z shares
 it.  Chern-class integrands are built cell by cell: ``chern_rows`` grows
 each partition's row of Chern classes from its parent's by the lines of its
-last cell, instead of from all of its cells.
+last cell, instead of from all of its cells.  Each point factor hands
+``localize`` one series per level n, the sum over the partitions of n of
+their integrands over their tangent products (``level_sum``).
+
+For chi_theta that level sum is bundle-free up to one factor: at a chart
+it is exp(-n det u) times the sum over the partitions of n of their Todd
+series, twisted by the rank of the bundle (``theta_level``).  That sum is
+one table per chart, n, m and rank, kept at the highest order built so
+far, so every bundle of that rank and every k up to the highest one met
+share it; ``verify_conjecture`` runs from k_max down to build it once.
 
 Each sum is evaluated mod m, a product of word primes, one pass per
 specialization, and the exact rational is rebuilt from the residue by
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import comb, prod
+from math import prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import ResultCache
@@ -79,12 +88,14 @@ __all__ = [
     "IntegralRequest",
     "LocalPartition",
     "partition_table",
+    "level_sum",
     "localize",
     "chern_rows",
     "localize_chern",
     "exact",
     "integrate",
     "quot_count",
+    "theta_level",
     "chi_theta",
     "expected_dim_pairs",
     "c2_for_expected_dim_zero",
@@ -393,23 +404,41 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, .
     return tuple(table)
 
 
+def level_sum(
+    level: Sequence[LocalPartition], series: Sequence[Sequence[int]], m: int
+) -> list[int]:
+    """sum over the partitions of one level of each one's series divided by
+    its tangent product, mod m.
+
+    ``series`` holds a truncated series per partition of ``level``, in table
+    order.  A tangent product that specializes to zero raises PoleError.
+    """
+    acc = [0] * len(series[0])
+    for part, values in zip(level, series):
+        inv = part.inverse
+        if inv is None:
+            raise PoleError("tangent weight vanished")
+        for i, c in enumerate(values):
+            if c:
+                acc[i] += c * inv
+    return [x % m for x in acc]
+
+
 def localize(
     surface: ToricSurfaceModel,
     k: int,
-    point_factor: Callable[[int, list], Iterable[Sequence[Sequence]]],
+    point_factor: Callable[[int, int, int], Iterable[Sequence[int]]],
     z: tuple[int, int],
     width: tuple[int, ...],
     m: int,
 ) -> dict[tuple[int, ...], int]:
-    """[q^k] of prod_p sum_lambda q^|lambda| point_factor(p, lambda) / e_p(lambda),
-    mod m, a product of word primes: one pass per specialization z.
+    """[q^k] of prod_p sum_n q^n point_factor(p, s1, s2)[n], mod m, a product
+    of word primes: one pass per specialization z.
 
-    ``point_factor(p, table)`` gets the shared ``partition_table`` of each
-    n = 0..k at surface point p, which holds per partition lambda its
-    2|lambda| specialized tangent weights, the sum of its cell shifts, and
-    its parent (lambda less its last cell, among the partitions of n - 1)
-    with the shift of that cell.  It yields, per n, the local integrands of
-    those partitions in table order, each a truncated series: a flat
+    ``point_factor(p, s1, s2)`` gets surface point p and its specialized
+    chart weights, and yields for each n = 0..k the sum over the partitions
+    lambda of n of the local integrand at lambda over the tangent Euler
+    class e_p(lambda) (``level_sum``).  Each is a truncated series: a flat
     row-major list over one formal variable per entry of ``width``, each
     kept below its entry.  The q^k coefficient is the sum over X^[k] of the
     product of the local integrands, a class whose part at an exponent
@@ -423,22 +452,12 @@ def localize(
 
     def point_series(p: int) -> list[list]:
         v1, v2 = surface.points[p]
-        s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
-        table = [partition_table(s1, s2, n, m) for n in range(k + 1)]
-        out = []
-        for level, values in zip(table, point_factor(p, table)):
-            acc = [0] * len(fitting)
-            for part, series in zip(level, values):
-                inv = part.inverse
-                if inv is None:
-                    raise PoleError(
-                        f"tangent weight vanished at point {p} under z={z}"
-                    )
-                for i, c in enumerate(series):
-                    if c:
-                        acc[i] += c * inv
-            out.append([x % m for x in acc])
-        return out
+        try:
+            return list(point_factor(p, v1.spec_int(*z), v2.spec_int(*z)))
+        except PoleError:
+            raise PoleError(
+                f"tangent weight vanished at point {p} under z={z}"
+            ) from None
 
     *head, last = [point_series(p) for p in range(len(surface.points))]
     total = [[1] + [0] * (len(fitting) - 1)] + [[0] * len(fitting)] * k
@@ -514,7 +533,8 @@ def localize_chern(
     """
     lines = [_spec_lines(bundle, z) for bundle, _ in factors]
 
-    def factor(p, table):
+    def factor(p, s1, s2):
+        table = [partition_table(s1, s2, n, m) for n in range(k + 1)]
         grown = [
             chern_rows(table, *spec[p], top, m)
             for (_, top), spec in zip(factors, lines)
@@ -526,7 +546,7 @@ def localize_chern(
                     [x * y % m for x in flat for y in row]
                     for flat, row in zip(flats, rows)
                 ]
-            yield flats
+            yield level_sum(level, flats, m)
 
     width = tuple(top + 1 for _, top in factors)
     return localize(surface, k, factor, z, width, m)
@@ -628,6 +648,35 @@ def quot_count(
     return value
 
 
+@lru_cache(maxsize=1024)
+def _theta_table(s1: int, s2: int, n: int, m: int, rank: int) -> list[int]:
+    """``theta_level``'s series at the highest order built so far; empty
+    until the first build."""
+    return []
+
+
+def theta_level(s1: int, s2: int, n: int, m: int, rank: int, order: int) -> list[int]:
+    """H(u) = sum over the partitions lambda of n of exp(-rank S_lambda u)
+    todd_lambda(u) / e_lambda, mod m, truncated at u^order (order >= 1).
+
+    S_lambda is the sum of lambda's cell shifts and todd_lambda the product
+    of the Todd series of its tangent weights at the chart (s1, s2).  A
+    theta bundle of this rank whose lines have determinant det at the chart
+    adds exp(-n det u) H(u) at level n, so every such bundle shares H.
+    Truncated series arithmetic is exact up to its order, so the table
+    keeps the highest order it has built and serves a lower one by a
+    prefix.  A pole raises PoleError before the table is written.
+    """
+    built = _theta_table(s1, s2, n, m, rank)
+    if len(built) <= order:
+        level = partition_table(s1, s2, n, m)
+        built[:] = level_sum(level, [
+            exp_todd_series(rank * part.shift_sum, part.tangents, order, m)
+            for part in level
+        ], m)
+    return built[: order + 1]
+
+
 def chi_theta(
     surface: ToricSurfaceModel,
     e: SplitBundle | EquivariantLineBundle,
@@ -639,8 +688,10 @@ def chi_theta(
 
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
     ``localize`` checks that the strictly negative u-powers cancel across
-    fixed points, and the u^0 coefficient is the (integer) answer.  A
-    truncated product is exact up to its order, so order 2k suffices.  A
+    fixed points, and the u^0 coefficient is the (integer) answer.  The
+    level-n series at a point is exp(-n det u) times the bundle-free
+    ``theta_level`` of the rank of e, which every bundle of that rank and
+    every k up to the highest one met so far reads from one table.  A
     non-orthogonal e (chi_pair nonzero) only warns: the line bundle exists,
     it is just not the canonical pairing class.
     """
@@ -655,20 +706,21 @@ def chi_theta(
     if k == 0:
         return 1
     order = 2 * k
+    fitting = _fitting((order + 1,))
 
     def residue_at(z: tuple[int, int], m: int) -> int:
         lines = _spec_lines(e, z)
 
-        def factor(p, table):
+        def factor(p, s1, s2):
             plus, minus = lines[p]
             det, rank = sum(plus) - sum(minus), len(plus) - len(minus)
-            for n, level in enumerate(table):
-                yield [
-                    exp_todd_series(
-                        n * det + rank * part.shift_sum, part.tangents, order, m
-                    )
-                    for part in level
-                ]
+            for n in range(k + 1):
+                # the product of exp(-n det u) and H, a one-term q-series each
+                yield _q_coefficient(
+                    [exp_todd_series(n * det, (), order, m)],
+                    [theta_level(s1, s2, n, m, rank, order)],
+                    0, fitting, m,
+                )
 
         return localize(surface, k, factor, z, (order + 1,), m)[(order,)]
 
@@ -731,10 +783,11 @@ def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
     """Check the (r, d, w) bounds under which good split constructions exist.
 
     Requires r >= 2, d >= 1 and C(d+1,2) <= w <= C(d+2,2) - 3 + eps with
-    eps = 1 for d in {1, 2} and 0 otherwise.
+    eps = 1 for d in {1, 2} and 0 otherwise.  C is the binomial polynomial,
+    so every d gets a report.
     """
     eps = 1 if d in (1, 2) else 0
-    lower = comb(d + 1, 2)
+    lower = (d + 1) * d // 2  # C(d+1,2), also for d < -1
     upper = lower + d - 2 + eps  # C(d+2,2) - 3 + eps, by Pascal's rule
     violations = []
     if r < 2:
@@ -802,7 +855,9 @@ def verify_conjecture(
     if k_max < 1:
         raise UsageError("need k_max >= 1")
     rows: list[ConjectureRow] = []
-    for k in range(1, k_max + 1):
+    # from k_max down: the first chi_theta call builds the theta tables at
+    # order 2 k_max, and every smaller k reads a prefix of them
+    for k in range(k_max, 0, -1):
         c2s = c2_for_expected_dim_zero(r, d, k)
         v = ChernData(r, (-d,), c2s)
         e = e_from_v(v, k)
@@ -819,4 +874,4 @@ def verify_conjecture(
         quot = quot_count(surface, v_model, k, seed=seed, cache=cache)
         chi = chi_theta(surface, e_model, k, seed=seed, cache=cache)
         rows.append(ConjectureRow(k, c2s, int(quot), chi, quot == chi))
-    return rows
+    return rows[::-1]

@@ -80,6 +80,17 @@ def test_validate_construction_reject(capsys):
     assert "6" in violation
 
 
+def test_validate_construction_below_degree_minus_one(capsys):
+    code, out, err = run_cli(
+        capsys, "validate-construction", "--r", "2", "--d", "-3", "--w", "5"
+    )
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["violations"] == ["degree bound violated: d = -3 < 1"]
+
+
 def test_validate_construction_accept(capsys):
     report = run_json(
         capsys, "validate-construction", "--r", "2", "--d", "3", "--w", "7"

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbloc.integrals import chi_theta, quot_count
-from hilbloc.toric import line_bundle, make_surface, split_bundle
+from hilbloc.symbolic import Weight
+from hilbloc.toric import SplitBundle, line_bundle, make_surface, split_bundle
 
 from oracles import brute_chi_surface, c2_by_surface_localization
 
@@ -38,8 +39,8 @@ def binomial(n: int, k: int) -> int:
 
 
 @st.composite
-def surfaces_and_degrees(draw):
-    surface = draw(st.sampled_from(SURFACES))
+def surfaces_and_degrees(draw, surfaces=SURFACES):
+    surface = draw(st.sampled_from(surfaces))
     degree = st.tuples(*[st.integers(-3, 4)] * surface.divisor_rank)
     return surface, draw(degree), draw(degree)
 
@@ -78,6 +79,42 @@ def test_chi_theta_of_a_line_bundle_less_the_structure_sheaf(case, k):
     assert value == binomial(chi + k - 1, k)
 
 
+# from the top down: the first call builds the theta tables at order 28 and
+# the smaller k read prefixes of them.  Three surfaces keep the builds few.
+HIGH_K = range(14, 9, -1)
+HIGH_K_SURFACES = SURFACES[0], SURFACES[1], SURFACES[3]
+shifts = st.builds(Weight, st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=5, deadline=None)
+@given(surfaces_and_degrees(HIGH_K_SURFACES), shifts)
+def test_chi_theta_of_a_shifted_line_bundle_at_high_k(case, shift):
+    surface, degrees, _ = case
+    chi = brute_chi_surface(surface, split_bundle(surface, [degrees]))
+    line = line_bundle(surface, degrees).shifted(shift)
+    for k in HIGH_K:
+        value = chi_theta_checking_warning(surface, line, k, chi == k)
+        assert value == binomial(chi, k)
+
+
+@settings(max_examples=5, deadline=None)
+@given(surfaces_and_degrees(HIGH_K_SURFACES), shifts, shifts)
+def test_chi_theta_of_a_shifted_line_bundle_less_the_structure_sheaf_at_high_k(
+    case, shift, other
+):
+    surface, degrees, _ = case
+    chi = brute_chi_surface(surface, split_bundle(surface, [degrees]))
+    zero = (0,) * surface.divisor_rank
+    e = SplitBundle(
+        surface,
+        (line_bundle(surface, degrees).shifted(shift),),
+        (line_bundle(surface, zero).shifted(other),),
+    )
+    for k in HIGH_K:
+        value = chi_theta_checking_warning(surface, e, k, chi == 1)
+        assert value == binomial(chi + k - 1, k)
+
+
 @settings(max_examples=40)
 @given(surfaces_and_degrees(), st.integers(1, 5))
 def test_quot_count_of_a_rank_two_bundle(case, k):
@@ -91,6 +128,19 @@ def test_chi_theta_of_a_line_bundle_at_k12():
     p2 = make_surface("P2")
     with pytest.warns(UserWarning, match="not orthogonal"):
         assert chi_theta(p2, line_bundle(p2, (4,)), 12) == binomial(15, 12) == 455
+
+
+def test_chi_theta_of_a_shifted_line_bundle_at_k10_to_14():
+    p2 = make_surface("P2")
+    line = line_bundle(p2, (4,)).shifted(Weight(2, -1))  # chi = 15
+    e = SplitBundle(p2, (line,), (line_bundle(p2, (0,)).shifted(Weight(-1, 3)),))
+    with pytest.warns(UserWarning, match="not orthogonal"):
+        values = [chi_theta(p2, line, k) for k in HIGH_K]
+        less_o = [chi_theta(p2, e, k) for k in HIGH_K]
+    assert values == [binomial(15, k) for k in HIGH_K] == [15, 105, 455, 1365, 3003]
+    assert less_o == [binomial(k + 14, k) for k in HIGH_K] == [
+        40116600, 20058300, 9657700, 4457400, 1961256
+    ]
 
 
 def test_chi_theta_of_a_line_bundle_with_negative_chi():

@@ -19,9 +19,11 @@ from hilbloc.integrals import (
     chi_theta,
     expected_dim_pairs,
     integrate,
+    level_sum,
     localize,
     partition_table,
     quot_count,
+    theta_level,
     validate_construction,
     verify_conjecture,
 )
@@ -139,17 +141,26 @@ def test_chi_theta_matches_brute_tuple_sum(data):
     assert value == brute_chi_theta(surface, e, k)
 
 
-def _ones(p, table):
-    return ([[1]] * len(level) for level in table)
+def _ones(k, m):
+    """1 for every partition of n <= k, over its tangent product."""
+
+    def factor(p, s1, s2):
+        for n in range(k + 1):
+            level = partition_table(s1, s2, n, m)
+            yield level_sum(level, [[1]] * len(level), m)
+
+    return factor
 
 
 def test_localize_raises_pole_error_on_vanishing_tangent_weight():
     # z = (1, 1) kills t2 - t1, a chart weight at the second point of P2
-    with pytest.raises(PoleError):
-        localize(P2, 1, _ones, (1, 1), (1,), WORD_PRIMES[0])
+    m = WORD_PRIMES[0]
+    pole = r"tangent weight vanished at point 1 under z=\(1, 1\)"
+    with pytest.raises(PoleError, match=pole):
+        localize(P2, 1, _ones(1, m), (1, 1), (1,), m)
     # the shared partition table keeps the pole: a second call raises again
-    with pytest.raises(PoleError):
-        localize(P2, 1, _ones, (1, 1), (1,), WORD_PRIMES[0])
+    with pytest.raises(PoleError, match=pole):
+        localize(P2, 1, _ones(1, m), (1, 1), (1,), m)
     assert quot_count(P2, split_bundle(P2, [-2, -3]), 2) == 15
 
 
@@ -198,13 +209,16 @@ def test_partition_table_grows_chern_rows_from_parents(data):
             )
 
 
-def _tangent_products(k):
+def _tangent_products(k, m):
     """prod(tangents) at u^(2n) for a partition of n: a class of degree 2k."""
 
-    def factor(p, table):
-        for n, level in enumerate(table):
+    def factor(p, s1, s2):
+        for n in range(k + 1):
+            level = partition_table(s1, s2, n, m)
             pad = [0] * (2 * n), [0] * (2 * (k - n))
-            yield [pad[0] + [prod(part.tangents)] + pad[1] for part in level]
+            yield level_sum(
+                level, [pad[0] + [prod(part.tangents)] + pad[1] for part in level], m
+            )
 
     return factor
 
@@ -213,19 +227,25 @@ def test_localize_counts_fixed_points():
     # a local factor of prod(tangents) makes every fixed point count once
     for k in range(5):
         for m in (*WORD_PRIMES[:2], WORD_PRIMES[0] * WORD_PRIMES[1]):
-            got = localize(F1, k, _tangent_products(k), (53, 59), (2 * k + 1,), m)
+            got = localize(F1, k, _tangent_products(k, m), (53, 59), (2 * k + 1,), m)
             assert got == {(2 * k,): count_fixed_points(F1, k)}
 
 
-def _one_at_first_point(p, table):
+def _one_at_first_point(m):
     # 1 at u^0 for each partition of n >= 1 at point 0 only: not a class
-    for n, level in enumerate(table):
-        yield [[1 if n == 0 or p == 0 else 0, 0, 0]] * len(level)
+
+    def factor(p, s1, s2):
+        for n in range(2):
+            level = partition_table(s1, s2, n, m)
+            yield level_sum(level, [[1 if n == 0 or p == 0 else 0, 0, 0]] * len(level), m)
+
+    return factor
 
 
 def test_localize_rejects_a_class_whose_lower_degrees_do_not_cancel():
+    m = WORD_PRIMES[0]
     with pytest.raises(ComputationError, match="below degree 2 do not cancel"):
-        localize(P2, 1, _one_at_first_point, (53, 59), (3,), WORD_PRIMES[0])
+        localize(P2, 1, _one_at_first_point(m), (53, 59), (3,), m)
 
 
 @pytest.fixture
@@ -380,6 +400,54 @@ def test_chi_theta_shift_invariance():
         assert chi_theta(P2, shifted, 2) == base
 
 
+def _clear_tables():
+    partition_table.cache_clear()
+    integrals._theta_table.cache_clear()
+
+
+@pytest.mark.parametrize("surface", (P2, QUADRIC, F1), ids=lambda s: s.name)
+def test_chi_theta_is_the_same_from_a_higher_order_table(surface):
+    first, second = ((1, 2), (2, 1)) if surface.divisor_rank == 2 else ((1,), (2,))
+    zero = (0,) * surface.divisor_rank
+    bundles = [
+        split_bundle(surface, [first], [zero]),  # rank 0
+        split_bundle(surface, [first]),  # rank 1
+        split_bundle(surface, [first, second]),  # rank 2
+    ]
+    ks = range(1, 6)
+
+    def values(order_of_k, clear_each):
+        out = {}
+        _clear_tables()
+        for e in bundles:
+            for k in order_of_k:
+                if clear_each:
+                    _clear_tables()
+                out[e, k] = chi_theta(surface, e, k)
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the bundles are not orthogonal
+        fresh = values(ks, clear_each=True)
+        # from k = 5 down every k reads a prefix of the order-10 tables;
+        # from k = 1 up every k rebuilds them at a higher order
+        assert values(ks[::-1], clear_each=False) == fresh
+        assert values(ks, clear_each=False) == fresh
+
+
+def test_theta_level_keeps_nothing_from_a_pole():
+    m = WORD_PRIMES[0]
+    _clear_tables()
+    # s1 = 0 is a tangent weight of the one-cell partition
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            theta_level(0, 59, 1, m, 1, 4)
+        assert integrals._theta_table(0, 59, 1, m, 1) == []
+    # a lower order is a prefix of the highest order built
+    high = theta_level(53, 59, 1, m, 1, 8)
+    assert theta_level(53, 59, 1, m, 1, 4) == high[:5]
+
+
 # ---------------------------------------------------------------------------
 # the expected-dimension-zero family
 
@@ -420,6 +488,13 @@ def test_validate_construction_fixtures():
     assert not validate_construction(2, 0, 0).ok
     upper = validate_construction(2, 2, 5)
     assert not upper.ok and any("upper" in v for v in upper.violations)
+
+
+@given(st.integers(2, 4), st.integers(-12, 0), st.integers(-5, 30))
+def test_validate_construction_reports_any_degree_below_one(r, d, w):
+    rep = validate_construction(r, d, w)
+    assert not rep.ok
+    assert rep.violations == (f"degree bound violated: d = {d} < 1",)
 
 
 def test_verify_conjecture_small():

@@ -117,6 +117,22 @@ def test_exp_todd_series_is_the_product():
         assert exp_todd_series(theta, weights, order, P) == _mod(want)
 
 
+@given(
+    st.integers(-50, 50),
+    st.lists(st.integers(-60, 60).filter(bool), max_size=8),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from((P, WORD_PRIMES[0] * WORD_PRIMES[1])),
+)
+def test_exp_todd_series_prefix_is_the_lower_order(theta, weights, low, extra, m):
+    # the theta table serves order `low` from a series built at a higher one
+    high = low + extra
+    assert (
+        exp_todd_series(theta, weights, high, m)[: low + 1]
+        == exp_todd_series(theta, weights, low, m)
+    )
+
+
 def test_elementary_symmetric_fixture():
     vals = [2, 3, 5]
     assert elementary_symmetric(vals, 0) == 1
