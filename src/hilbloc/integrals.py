@@ -18,11 +18,15 @@ tangent weights, the inverse of their product mod m, and its parent, the
 partition one cell smaller) depends only on the specialized chart weights
 at the point, n and m.  ``partition_table`` builds it once per process for
 each of them, so every bundle, k and side of a sum under the same z shares
-it.  Chern-class integrands are built cell by cell: ``chern_rows`` grows
-each partition's row of Chern classes from its parent's by the lines of its
-last cell, instead of from all of its cells.  Each point factor hands
-``localize`` one series per level n, the sum over the partitions of n of
-their integrands over their tangent products (``level_sum``).
+it.  It specializes one chart-free table per n (``_hook_table``: each
+partition's parent, last cell, cell row and column sums, and its tangent
+weights in the basis of the chart weights), so the arm/leg formula runs
+once per partition and process.  Chern-class integrands are built cell by
+cell: ``chern_rows`` grows each partition's row of Chern classes from its
+parent's by the lines of its last cell, instead of from all of its cells.
+Each point factor hands ``localize`` one series per level n, the sum over
+the partitions of n of their integrands over their tangent products
+(``level_sum``).
 
 For chi_theta that level sum is bundle-free up to one factor: at a chart
 it is exp(-n det u) times the sum over the partitions of n of their Todd
@@ -30,6 +34,9 @@ series, twisted by the rank of the bundle (``theta_level``).  That sum is
 one table per chart, n, m and rank, kept at the highest order built so
 far, so every bundle of that rank and every k up to the highest one met
 share it; ``verify_conjecture`` runs from k_max down to build it once.
+Each partition's Todd series there is ``symbolic.exp_todd_series``, which
+reads its weights' even powers from cached rows and exponentiates only
+the linear and even terms of the Todd log.
 
 Each sum is evaluated mod m, a product of word primes, one pass per
 specialization, and the exact rational is rebuilt from the residue by
@@ -62,6 +69,7 @@ from .errors import (
 from .hilb import Partition, cell_tangent_weights, partitions
 from .symbolic import (
     DEFAULT_SEED,
+    Weight,
     dual_specialized,
     exp_todd_series,
     reconstruct,
@@ -371,33 +379,59 @@ class LocalPartition(NamedTuple):
     inverse: int | None  # 1 / prod(tangents) mod m; None for a pole
 
 
-@lru_cache(maxsize=1024)
-def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, ...]:
-    """The bundle-free data of every partition of n, in ``partitions`` order.
+_T1, _T2 = Weight(1, 0), Weight(0, 1)  # the chart weights v1, v2 as a basis
 
-    It depends only on the chart's specialized weights and the modulus, so
-    a process builds it once and every bundle, k and side of a sum under
-    the same z reuses it.  A tangent product that specializes to zero is
-    kept as a pole (``inverse`` None), which ``localize`` raises on each
-    time it meets it.
+
+@lru_cache(maxsize=64)
+def _hook_table(n: int) -> tuple[tuple, ...]:
+    """The chart-free data of every partition of n, in ``partitions`` order.
+
+    Per partition: itself, its parent's index among the partitions of
+    n - 1, its last cell (i, j) (the last of its last row), the sums of
+    the rows i and of the columns j of its cells, and its tangent weights
+    as pairs (a, b) meaning a*v1 + b*v2 (the arm/leg formula of
+    ``cell_tangent_weights`` at the generic chart).  ``partition_table``
+    specializes it at each chart.
     """
     parents = {} if n == 0 else {
         part.parts: i for i, part in enumerate(partitions(n - 1))
     }
     table = []
     for part in partitions(n):
-        parent = shift = 0  # the empty partition has neither
-        if part.parts:
-            i, j = len(part.parts) - 1, part.parts[-1] - 1
+        cells = list(part.cells())
+        parent, last = 0, (0, 0)  # the empty partition has neither
+        if cells:
+            last = i, j = cells[-1]
             parent = parents[part.parts[:-1] + ((j,) if j else ())]
-            shift = i * s1 + j * s2
-        tangents = tuple(cell_tangent_weights(s1, s2, part))
+        table.append((
+            part,
+            parent,
+            last,
+            (sum(i for i, _ in cells), sum(j for _, j in cells)),
+            tuple((w.a, w.b) for w in cell_tangent_weights(_T1, _T2, part)),
+        ))
+    return tuple(table)
+
+
+@lru_cache(maxsize=1024)
+def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, ...]:
+    """The bundle-free data of every partition of n, in ``partitions`` order.
+
+    It depends only on the chart's specialized weights and the modulus, so
+    a process builds it once and every bundle, k and side of a sum under
+    the same z reuses it; it specializes the chart-free ``_hook_table``.
+    A tangent product that specializes to zero is kept as a pole
+    (``inverse`` None), which ``localize`` raises on each time it meets it.
+    """
+    table = []
+    for part, parent, (i, j), (rows, cols), forms in _hook_table(n):
+        tangents = tuple(a * s1 + b * s2 for a, b in forms)
         den = prod(tangents)
         table.append(LocalPartition(
             part,
             parent,
-            shift,
-            sum(i * s1 + j * s2 for i, j in part.cells()),
+            i * s1 + j * s2,
+            rows * s1 + cols * s2,
             tangents,
             pow(den % m, -1, m) if den else None,
         ))

@@ -165,22 +165,40 @@ def series_exp(coeffs: Sequence[int], m: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _todd_power_row(v: int, order: int, m: int) -> tuple[int, ...]:
+    """2j L_2j v^2j mod m for j = 1..order/2: one weight's even log terms,
+    already scaled for the exponential's recurrence."""
+    logtodd = _todd_log_residues(order, m)
+    square = v * v % m
+    row = []
+    power = 1
+    for n in range(2, order + 1, 2):
+        power = power * square % m
+        row.append(n * logtodd[n] * power % m)
+    return tuple(row)
+
+
 def exp_todd_series(theta: int, weights: Sequence[int], order: int, m: int) -> list[int]:
     """exp(-theta u) * prod_v todd(v u) mod m, truncated at u^order (order >= 1).
 
-    The local integrand of every Riemann-Roch sum: one series exponential
-    of -theta u + sum_n L_n p_n u^n, with p_n the power sums of the weights.
-    Since log todd(x) - x/2 is even, only p_1 and the even p_n enter.
+    The local integrand of every Riemann-Roch sum: the series exponential
+    of f = c u + sum_j L_2j p_2j u^2j, with c = p_1/2 - theta and p_n the
+    power sums of the weights; log todd(x) - x/2 is even, so no other term
+    enters.  Each weight's even terms come from a cached row
+    (``_todd_power_row``), and the exponential e of f runs over the terms
+    f has: t e_t = c e_(t-1) + sum_j 2j L_2j p_2j e_(t-2j).  With no
+    weights that is c^t / t!.
     """
-    logtodd = _todd_log_residues(order, m)
-    log = [0] * (order + 1)
-    log[1] = logtodd[1] * sum(weights) - theta
-    squares = [v * v % m for v in weights]
-    pows = squares
-    for n in range(2, order + 1, 2):
-        log[n] = logtodd[n] * sum(pows) % m
-        pows = [a * b % m for a, b in zip(pows, squares)]
-    return series_exp(log, m)
+    inverses = _inverses(order, m)
+    rows = [_todd_power_row(v, order, m) for v in weights]
+    even = [sum(column) % m for column in zip(*rows)]
+    c = (_todd_log_residues(order, m)[1] * sum(weights) - theta) % m
+    out = [1, c]
+    for t in range(2, order + 1):
+        acc = c * out[-1] + sum(map(mul, even, out[t - 2 :: -2]))
+        out.append(acc * inverses[t] % m)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -499,6 +499,8 @@ def universal_poly(
         raise UsageError("universal_poly is budgeted for k <= 3")
     if rank_v < 1:
         raise UsageError("rank V >= 1 required")
+    if rank_lam < 0:
+        raise UsageError("rank Lambda >= 0 required")
     if isinstance(shape, str):
         if shape != "count":
             raise UsageError(f"unknown shape {shape!r}; use 'count' or a ChernExpr")

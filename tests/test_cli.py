@@ -484,6 +484,7 @@ def test_threads_do_not_change_values(capsys):
         ("expected-dim", "--surface", "P2", "--k", "1"),
         ("fixed-points", "--surface", "P2", "--k", "-1"),
         ("universal-poly", "--k", "4"),
+        ("universal-poly", "--rank-lam", "-1"),
         ("bogus",),
         ("c2-for-zero", "--r", "3", "--d", "-3", "--k", "1"),
         ("verify-conjecture", "--surface", "P2", "--r", "3", "--d", "7", "--kmax", "0"),

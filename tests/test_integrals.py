@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hilbloc import integrals
 from hilbloc.errors import ComputationError, PoleError, UsageError
-from hilbloc.hilb import count_fixed_points, partitions
+from hilbloc.hilb import cell_tangent_weights, count_fixed_points, partitions
 from hilbloc.integrals import (
     ChernExpr,
     IntegralRequest,
@@ -207,6 +207,56 @@ def test_partition_table_grows_chern_rows_from_parents(data):
                 [1] + [0] * top,
                 m,
             )
+
+
+def _arm_leg_table(s1, s2, n, m):
+    """partition_table's entries, each from Partition.arm and leg alone."""
+    smaller = [lam.parts for lam in partitions(n - 1)] if n else []
+    for lam in partitions(n):
+        parent = shift = 0
+        if lam.parts:
+            i, j = len(lam.parts) - 1, lam.parts[-1] - 1
+            parent = smaller.index(tuple(x for x in lam.parts[:-1] + (j,) if x))
+            shift = i * s1 + j * s2
+        tangents = tuple(cell_tangent_weights(s1, s2, lam))
+        den = prod(tangents)
+        yield (
+            lam,
+            parent,
+            shift,
+            sum(i * s1 + j * s2 for i, j in lam.cells()),
+            tangents,
+            pow(den, -1, m) if den else None,
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_partition_table_is_the_arm_leg_route(data):
+    surface = data.draw(st.sampled_from((P2, QUADRIC, F1)))
+    p = data.draw(st.integers(0, len(surface.points) - 1))
+    z = tuple(data.draw(st.lists(
+        st.sampled_from(PRIME_POOL), min_size=2, max_size=2, unique=True
+    )))
+    n = data.draw(st.integers(0, 9))
+    m = data.draw(st.sampled_from((WORD_PRIMES[0], WORD_PRIMES[0] * WORD_PRIMES[1])))
+    v1, v2 = surface.points[p]
+    s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
+    assert [tuple(e) for e in partition_table(s1, s2, n, m)] == list(
+        _arm_leg_table(s1, s2, n, m)
+    )
+
+
+def test_partition_table_keeps_poles_at_a_pole_chart():
+    # z = (1, 1) kills t2 - t1, a chart weight at the second point of P2
+    m = WORD_PRIMES[0]
+    v1, v2 = P2.points[1]
+    s1, s2 = v1.spec_int(1, 1), v2.spec_int(1, 1)
+    assert 0 in (s1, s2)
+    for n in range(5):
+        table = partition_table(s1, s2, n, m)
+        assert [tuple(e) for e in table] == list(_arm_leg_table(s1, s2, n, m))
+        assert all((e.inverse is None) == bool(n) for e in table)
 
 
 def _tangent_products(k, m):
@@ -505,6 +555,20 @@ def test_verify_conjecture_small():
     ]
     data = rows[0].to_json()
     assert data["quot_count"] == "21" and data["equal"] is True
+
+
+def test_verify_conjecture_grows_past_the_benchmark():
+    # the benchmark sweep stops at k = 9; these rows were measured before
+    # the Todd and partition tables were rebuilt
+    rows = verify_conjecture(P2, 3, 7, 13)
+    assert [row.k for row in rows] == list(range(1, 14))
+    assert all(row.error is None and row.quot == row.chi for row in rows)
+    assert [(row.k, row.quot, row.equal) for row in rows[9:]] == [
+        (10, 6804, True),
+        (11, -7272, True),
+        (12, 87639, True),
+        (13, -950460, True),
+    ]
 
 
 def test_verify_conjecture_input_validation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hilbloc import symbolic
 from hilbloc.cli import main
@@ -131,6 +131,28 @@ def test_exp_todd_series_prefix_is_the_lower_order(theta, weights, low, extra, m
         exp_todd_series(theta, weights, high, m)[: low + 1]
         == exp_todd_series(theta, weights, low, m)
     )
+
+
+# weights in +-60, drawn from a small pool so that they repeat
+repeated_weights = st.lists(st.integers(-60, 60), min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=10)
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(-50, 50),
+    repeated_weights,
+    st.integers(1, 26),
+    st.sampled_from((P, WORD_PRIMES[0] * WORD_PRIMES[1])),
+)
+def test_exp_todd_series_is_the_todd_product(theta, weights, order, m):
+    # exp(-theta u) times one Todd series per weight, multiplied out in
+    # rationals; odd orders end on a term the even log terms do not reach
+    want = _exp(-theta, order)
+    for v in weights:
+        want = _mul(want, todd_series(v, order))
+    assert exp_todd_series(theta, weights, order, m) == [residue(c, m) for c in want]
 
 
 def test_elementary_symmetric_fixture():

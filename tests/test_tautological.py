@@ -376,3 +376,5 @@ def test_universal_poly_input_validation():
         universal_poly("mystery", k=1)
     with pytest.raises(UsageError):
         universal_poly("count", k=1, rank_v=0)
+    with pytest.raises(UsageError, match="rank Lambda >= 0"):
+        universal_poly("count", k=1, rank_lam=-1)
