@@ -19,9 +19,6 @@ from .hilb import (
     Partition,
     count_fixed_points,
     enumerate_fixed_points,
-    tangent_weights,
-    taut_weights,
-    theta_weight,
 )
 from .integrals import (
     ChernExpr,
@@ -38,20 +35,12 @@ from .integrals import (
     verify_conjecture,
 )
 from .symbolic import DEFAULT_SEED, Weight
-from .tautological import (
-    ITClass,
-    UniversalPolynomial,
-    it_class,
-    universal_poly,
-    virtual_integral,
-)
+from .tautological import UniversalPolynomial, universal_poly, virtual_integral
 from .toric import (
     ChernData,
     EquivariantLineBundle,
     SplitBundle,
     ToricSurfaceModel,
-    bundle_from_json,
-    bundle_to_json,
     chi_from_chern,
     chi_pair,
     chi_surface,
@@ -60,7 +49,6 @@ from .toric import (
     make_surface,
     realize_split_model,
     split_bundle,
-    surface_from_json,
     surface_to_json,
 )
 
@@ -92,16 +80,10 @@ __all__ = [
     "e_from_v",
     "realize_split_model",
     "surface_to_json",
-    "surface_from_json",
-    "bundle_to_json",
-    "bundle_from_json",
     "Partition",
     "HilbFixedPoint",
     "enumerate_fixed_points",
     "count_fixed_points",
-    "tangent_weights",
-    "taut_weights",
-    "theta_weight",
     "ChernExpr",
     "IntegralRequest",
     "integrate",
@@ -113,8 +95,6 @@ __all__ = [
     "ConstructionReport",
     "verify_conjecture",
     "ConjectureRow",
-    "ITClass",
-    "it_class",
     "virtual_integral",
     "UniversalPolynomial",
     "universal_poly",

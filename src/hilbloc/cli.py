@@ -20,7 +20,7 @@ import sys
 from typing import Sequence
 
 from .cache import ENGINE_VERSION, default_cache
-from .errors import ComputationError, EngineError, UsageError
+from .errors import EngineError, UsageError
 from .hilb import count_fixed_points, enumerate_fixed_points
 from .integrals import (
     c2_for_expected_dim_zero,
@@ -397,7 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ComputationError, EngineError) as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(_report(args, seed, payload), args.format)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ComputationError, UsageError
 from .symbolic import Weight, ZERO_WEIGHT
@@ -32,10 +32,7 @@ __all__ = [
     "compositions",
     "enumerate_fixed_points",
     "count_fixed_points",
-    "tangent_weights",
     "cell_tangent_weights",
-    "taut_weights",
-    "theta_weight",
 ]
 
 
@@ -62,9 +59,6 @@ class Partition:
         return tuple(
             sum(1 for p in self.parts if p > j) for j in range(self.parts[0])
         )
-
-    def transpose(self) -> "Partition":
-        return Partition(self.conjugate)
 
     def cells(self) -> Iterator[tuple[int, int]]:
         for i, p in enumerate(self.parts):
@@ -93,10 +87,6 @@ class HilbFixedPoint:
 
     def to_json(self) -> list[list[int]]:
         return [list(p.parts) for p in self.parts]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Sequence[int]]) -> "HilbFixedPoint":
-        return cls(tuple(Partition(tuple(p)) for p in data))
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.parts) + "]"

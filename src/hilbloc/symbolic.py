@@ -33,7 +33,7 @@ from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
 from typing import Callable, Sequence
 
-from .errors import ComputationError, PoleError, UsageError
+from .errors import ComputationError, PoleError
 
 __all__ = [
     "Weight",
@@ -98,14 +98,6 @@ class Weight:
 
     def to_json(self) -> list[int]:
         return [self.a, self.b]
-
-    @staticmethod
-    def from_json(data: Sequence[int]) -> "Weight":
-        try:
-            a, b = (int(x) for x in data)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"a weight is a pair of integers, not {data!r}") from exc
-        return Weight(a, b)
 
 
 ZERO_WEIGHT = Weight(0, 0)

@@ -32,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 from .cache import ResultCache
@@ -51,9 +51,6 @@ from .toric import (
 )
 
 __all__ = [
-    "AmbientClass",
-    "ITClass",
-    "it_class",
     "virtual_integral",
     "UniversalPolynomial",
     "universal_poly",
@@ -164,30 +161,7 @@ class AmbientClass:
 
 
 # ---------------------------------------------------------------------------
-# the integral transform class
-
-
-@dataclass(frozen=True)
-class ITClass:
-    """K-group shape of the integral transform of Lambda over the pair space.
-
-    In K-theory it is chi(Lambda (x) V) trivial summands, minus chi(Lambda)
-    copies of O(1), plus O(1) (x) Lambda^[k]; everything is pulled back from
-    P x X^[k].
-    """
-
-    trivial_rank: int
-    hyperplane_multiplicity: int
-    taut_part: SplitBundle
-    k: int
-
-    @property
-    def virtual_rank(self) -> int:
-        return (
-            self.trivial_rank
-            + self.hyperplane_multiplicity
-            + self.taut_part.rank * self.k
-        )
+# the ambient localization integral
 
 
 def _require_ambient(surface: ToricSurfaceModel, v: SplitBundle) -> None:
@@ -199,25 +173,6 @@ def _require_ambient(surface: ToricSurfaceModel, v: SplitBundle) -> None:
                 "ambient space needs nef dual summands so that "
                 "dim P = chi(V*) - 1 is an honest section count"
             )
-
-
-def it_class(
-    surface: ToricSurfaceModel,
-    v: SplitBundle | EquivariantLineBundle,
-    lam: SplitBundle | EquivariantLineBundle | None,
-    k: int,
-) -> ITClass:
-    """The integral transform of Lambda as a K-class on P x X^[k]."""
-    v = as_split(v)
-    lam = SplitBundle(surface) if lam is None else as_split(lam)
-    _require_ambient(surface, v)
-    chi_lam = chi_surface(surface, lam)
-    chi_lam_v = chi_surface(surface, lam.tensor(v))
-    return ITClass(chi_lam_v, -chi_lam, lam, k)
-
-
-# ---------------------------------------------------------------------------
-# the ambient localization integral
 
 
 def virtual_integral(
@@ -268,16 +223,17 @@ def virtual_integral(
 
     # Per term: the Chern factors (V*, top b) and (Lambda, top beta_j), and
     # the binomial weights of the entries of u-degree b + sum(beta) = 2k.
-    # Above the rank of an honest bundle its Chern classes vanish, so the
-    # tops stop there.
+    # Classes above 2k never reach that entry, and above the rank of an
+    # honest bundle they vanish, so the tops stop there.
     rank_v, rank_lam = vdual.rank * k, lam.rank * k
     m_lam = rank_lam - chi_lam
     b_top = min(2 * k, rank_v) if vdual.is_honest() else 2 * k
+    lam_top = min(2 * k, rank_lam) if lam.is_honest() else 2 * k
     plans = []
     reached = False
     for term in p_expr.terms:
         idxs = [idx for _, idx in term.factors]
-        tops = [min(i, rank_lam) if lam.is_honest() else i for i in idxs]
+        tops = [min(i, lam_top) for i in idxs]
         factors = [(vdual, b_top)] + [(lam, t) for t in tops]
         top = []
         ranges = [range(b_top + 1)] + [range(t + 1) for t in tops]
@@ -289,6 +245,8 @@ def virtual_integral(
                 rank_v - b, dp - sum(idxs) + sum(betas)
             )
             for i, beta in zip(idxs, betas):
+                if not weight:  # C(m, t) takes t steps, and t grows with i
+                    break
                 weight *= _gen_binomial(m_lam - beta, i - beta)
             reached = reached or weight != 0
             if udeg == 2 * k and weight:
@@ -351,18 +309,11 @@ def _symbol_values(
 
 def _monomials(max_degree: int) -> list[tuple[str, ...]]:
     """Multisets of symbols of size <= max_degree, higher degree first."""
-    out: list[tuple[str, ...]] = []
-
-    def rec(start: int, length: int, prefix: tuple[str, ...]):
-        if length == 0:
-            out.append(prefix)
-            return
-        for i in range(start, len(SYMBOL_NAMES)):
-            rec(i, length - 1, prefix + (SYMBOL_NAMES[i],))
-
-    for deg in range(max_degree, -1, -1):
-        rec(0, deg, ())
-    return out
+    return [
+        mono
+        for deg in range(max_degree, -1, -1)
+        for mono in combinations_with_replacement(SYMBOL_NAMES, deg)
+    ]
 
 
 def _monomial_values(

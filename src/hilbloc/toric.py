@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Sequence
 
 from .errors import ComputationError, RealizationError, UsageError
@@ -47,8 +47,6 @@ __all__ = [
     "e_from_v",
     "realize_split_model",
     "surface_to_json",
-    "bundle_to_json",
-    "bundle_from_json",
 ]
 
 SURFACE_NAMES = ("P2", "P1xP1", "Hirzebruch")
@@ -220,13 +218,6 @@ class EquivariantLineBundle:
         """Shift the linearization; the underlying bundle does not change."""
         return EquivariantLineBundle(self.surface, tuple(w + s for w in self.weights))
 
-    def tensor(self, other: "EquivariantLineBundle") -> "EquivariantLineBundle":
-        if self.surface.name != other.surface.name:
-            raise UsageError("tensor product across different surfaces")
-        return EquivariantLineBundle(
-            self.surface, tuple(x + y for x, y in zip(self.weights, other.weights))
-        )
-
 
 def line_bundle(surface: ToricSurfaceModel, degrees: Sequence[int]) -> EquivariantLineBundle:
     """O(degrees) with its canonical linearization (weight zero first)."""
@@ -288,13 +279,6 @@ class SplitBundle:
             tuple(l.shifted(s) for l in self.plus),
             tuple(l.shifted(s) for l in self.minus),
         )
-
-    def tensor(self, other: "SplitBundle") -> "SplitBundle":
-        plus = [a.tensor(b) for a in self.plus for b in other.plus]
-        plus += [a.tensor(b) for a in self.minus for b in other.minus]
-        minus = [a.tensor(b) for a in self.plus for b in other.minus]
-        minus += [a.tensor(b) for a in self.minus for b in other.plus]
-        return SplitBundle(self.surface, tuple(plus), tuple(minus))
 
     def weight_key(self) -> dict:
         """The line weights as JSON: what a cache key needs of the bundle."""
@@ -415,16 +399,6 @@ def e_from_v(v: ChernData, k: int) -> ChernData:
 # split models with prescribed Chern data
 
 
-def _nondecreasing_tuples(atoms: Sequence, length: int):
-    """All non-decreasing sequences of the given atoms, lexicographic."""
-    if length == 0:
-        yield ()
-        return
-    for i in range(len(atoms)):
-        for rest in _nondecreasing_tuples(atoms[i:], length - 1):
-            yield (atoms[i],) + rest
-
-
 def _plus_search(surface: ToricSurfaceModel, atoms: Sequence[tuple[int, ...]],
                  bound: int):
     """Lexicographic search for non-decreasing atom tuples by two sums.
@@ -489,7 +463,7 @@ def _realize_cached(
             span = range(-bound, bound + 1)
             atoms = sorted(iproduct(span, repeat=surface.divisor_rank))
             plus_tuples = _plus_search(surface, atoms, bound)
-            for minus in _nondecreasing_tuples(atoms, m):
+            for minus in combinations_with_replacement(atoms, m):
                 # the plus lines sum to s = c1 + e1m, and Whitney's c2 =
                 # e2p - s.e1m + e1m.e1m - e2m with 2 e2p = s.s - sum d.d
                 # fixes the sum of their self-intersections; the minus
@@ -562,52 +536,3 @@ def surface_to_json(surface: ToricSurfaceModel) -> dict:
         "K2": surface.k_squared,
         "canonical_degrees": list(surface.canonical_degrees),
     }
-
-
-def surface_from_json(data: dict) -> ToricSurfaceModel:
-    return make_surface(data["family"], data.get("a")) \
-        if data["family"] == "Hirzebruch" else make_surface(data["family"])
-
-
-def bundle_to_json(bundle: SplitBundle | EquivariantLineBundle) -> dict:
-    bundle = as_split(bundle)
-
-    def line(l: EquivariantLineBundle) -> dict:
-        return {
-            "degrees": list(l.degrees),
-            "weights": [w.to_json() for w in l.weights],
-        }
-
-    return {
-        "surface": surface_to_json(bundle.surface),
-        "plus": [line(l) for l in bundle.plus],
-        "minus": [line(l) for l in bundle.minus],
-    }
-
-
-def bundle_from_json(data: dict) -> SplitBundle:
-    try:
-        return _bundle_from_json(data)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed bundle record: {exc!r}") from exc
-
-
-def _bundle_from_json(data: dict) -> SplitBundle:
-    surface = surface_from_json(data["surface"])
-
-    def line(entry: dict) -> EquivariantLineBundle:
-        weights = tuple(Weight.from_json(w) for w in entry["weights"])
-        l = EquivariantLineBundle(surface, weights)
-        degs = entry.get("degrees")
-        if degs is not None and degs != list(l.degrees):
-            raise UsageError(
-                f"serialized degrees {degs} disagree with the weights, "
-                f"which give {list(l.degrees)}"
-            )
-        return l
-
-    return SplitBundle(
-        surface,
-        tuple(line(e) for e in data["plus"]),
-        tuple(line(e) for e in data["minus"]),
-    )

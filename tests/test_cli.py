@@ -559,6 +559,25 @@ def test_taut_integral_truncation_invariance(capsys):
     Fraction(base["value"])
 
 
+@pytest.mark.parametrize("lam_minus", [(), ("--lambda-minus", "1")],
+                         ids=["honest", "virtual"])
+@pytest.mark.parametrize("index", ["60", "99999999999999999999"])
+def test_taut_integral_far_above_the_dimension(index, lam_minus):
+    # a Chern class far above dim P x X^[k] is 0 by degree; its binomial
+    # weights and Lambda's Chern tops must not grow with the index
+    src = str(Path(hilbloc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbloc.cli", "taut-integral", "--surface", "P2",
+         "--vstar", "0,0", "--k", "1", "--expr", f"c{index}(IT)", "--no-cache",
+         *lam_minus],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == "0"
+    assert f"virtual dimension 1 not among expression degrees [{index}]" in proc.stderr
+
+
 def test_universal_poly_count_shape(capsys):
     report = run_json(capsys, "universal-poly", "--k", "1", "--rank-v", "2")
     poly = report["polynomial"]

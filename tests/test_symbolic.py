@@ -201,7 +201,7 @@ def test_specialization_is_linear(w1, w2, z1, z2):
 
 @given(weights)
 def test_weight_json_roundtrip(w):
-    assert Weight.from_json(w.to_json()) == w
+    assert Weight(*w.to_json()) == w
 
 
 def test_weight_str_forms():

@@ -16,12 +16,12 @@ from hilbloc.integrals import (
     parse_chern_expr,
     quot_count,
 )
+from hilbloc.symbolic import Weight
 from hilbloc.tautological import (
     AmbientClass,
     SYMBOL_NAMES,
     _config_menu,
     _monomials,
-    it_class,
     universal_poly,
     virtual_integral,
 )
@@ -89,35 +89,6 @@ def test_h_binomial_negative_exponent_row():
 
 
 # ---------------------------------------------------------------------------
-# the integral transform
-
-
-def test_it_class_fixture():
-    v = split_bundle(P2, [-2, -3])  # V* = O(2) + O(3)
-    lam = split_bundle(P2, [0])
-    itc = it_class(P2, v, lam, 1)
-    assert itc.trivial_rank == 1  # chi(O(-2)) + chi(O(-3)) = 0 + 1
-    assert itc.hyperplane_multiplicity == -1
-    assert itc.virtual_rank == 1
-    # rank bookkeeping: chi(Lambda V) - chi(Lambda) + rank(Lambda) k
-    itc2 = it_class(P2, v, lam, 3)
-    assert itc2.virtual_rank == 1 - 1 + 3
-
-
-def test_it_class_requires_honest_nef_dual():
-    with pytest.raises(UsageError):
-        it_class(P2, split_bundle(P2, [-2, -3], [-1]), None, 1)
-    with pytest.raises(UsageError):
-        it_class(P2, split_bundle(P2, [1, -3]), None, 1)  # dual has O(-1)
-    from hilbloc.symbolic import Weight
-
-    # a shifted linearization is the same bundle, with the same transform
-    v = split_bundle(P2, [-2, -3])
-    lam = split_bundle(P2, [1])
-    assert it_class(P2, v.shifted(Weight(1, 0)), lam, 1) == it_class(P2, v, lam, 1)
-
-
-# ---------------------------------------------------------------------------
 # virtual integrals
 
 
@@ -179,6 +150,16 @@ def _warned(*args):
         warnings.simplefilter("always")
         value = virtual_integral(*args)
     return value, [str(w.message) for w in rec]
+
+
+def test_virtual_integral_warns_on_non_nef_dual():
+    # V* = O(-1) + O(3) is honest but not nef, so Dp = chi(V*) - 1 is formal
+    v = split_bundle(P2, [1, -3])
+    lam = split_bundle(P2, [1])
+    value, messages = _warned(P2, v, lam, 1)
+    assert any("nef dual summands" in m for m in messages)
+    # a shifted linearization is the same bundle, with the same integral
+    assert _warned(P2, v.shifted(Weight(1, 0)), lam, 1) == (value, messages)
 
 
 def test_virtual_integral_warns_off_dimension():

@@ -11,8 +11,6 @@ from hilbloc.symbolic import Weight, ZERO_WEIGHT
 from hilbloc.toric import (
     ChernData,
     EquivariantLineBundle,
-    bundle_from_json,
-    bundle_to_json,
     chi_from_chern,
     chi_pair,
     chi_surface,
@@ -21,7 +19,6 @@ from hilbloc.toric import (
     make_surface,
     realize_split_model,
     split_bundle,
-    surface_from_json,
     surface_to_json,
     validate_compatibility,
     _plus_search,
@@ -352,52 +349,5 @@ def test_plus_search_yields_every_tuple(data):
 @pytest.mark.parametrize("surface", ALL_SURFACES + (F0,), ids=lambda s: s.name)
 def test_surface_json_roundtrip(surface):
     data = surface_to_json(surface)
-    back = surface_from_json(data)
-    assert back is surface  # models are canonical singletons
-
-
-def test_bundle_json_roundtrip():
-    for surface in (QUADRIC, F0):
-        v = split_bundle(surface, [(1, 2), (0, 1)], [(1, 0)])
-        back = bundle_from_json(bundle_to_json(v))
-        assert back == v
-        shifted = v.shifted(Weight(2, -1))
-        data = bundle_to_json(shifted)
-        back2 = bundle_from_json(data)
-        assert back2 == shifted
-        assert back2.plus[0].degrees == (1, 2)
-        # files that stored no degrees still load
-        for entry in data["plus"] + data["minus"]:
-            entry["degrees"] = None
-        assert bundle_from_json(data) == shifted
-
-
-def test_bundle_json_rejects_incompatible_weights():
-    data = bundle_to_json(split_bundle(P2, [2]))
-    data["plus"][0]["weights"][1] = [1, 1]  # breaks an edge relation
-    with pytest.raises(UsageError):
-        bundle_from_json(data)
-
-
-def test_bundle_json_rejects_disagreeing_degrees():
-    data = bundle_to_json(split_bundle(P2, [1]))
-    data["plus"][0]["degrees"] = [5]
-    with pytest.raises(UsageError, match="disagree"):
-        bundle_from_json(data)
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda line: line["weights"].__setitem__(0, "x"),
-        lambda line: line["weights"].__setitem__(0, [1]),
-        lambda line: line["weights"].__setitem__(0, None),
-        lambda line: line.pop("weights"),
-    ],
-    ids=["string", "short", "null", "no-weights"],
-)
-def test_bundle_json_malformed_is_a_usage_error(edit):
-    data = bundle_to_json(split_bundle(P2, [1]))
-    edit(data["plus"][0])
-    with pytest.raises(UsageError):
-        bundle_from_json(data)
+    # the record names the model: its family and twist rebuild it
+    assert make_surface(data["family"], data["a"]) == surface
