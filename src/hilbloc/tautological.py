@@ -18,7 +18,8 @@ generalized binomials.
 
 The module also extracts universal polynomials: the value of a fixed
 integral shape as a polynomial in intersection numbers of (X, V, Lambda),
-interpolated exactly from sampled configurations.  Ranks and the expected
+interpolated exactly from sampled configurations by fraction-free
+Gauss-Jordan elimination on integers.  Ranks and the expected
 dimension are fixed per extraction: the ambient dimension Dp enters the
 integral structurally (as the extracted h-power), so polynomiality in the
 intersection numbers holds on each fixed-expected-dimension family, and the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
@@ -318,10 +319,10 @@ def _monomials(max_degree: int) -> list[tuple[str, ...]]:
 
 def _monomial_values(
     monomials: tuple[tuple[str, ...], ...], symbols: dict[str, int]
-) -> list[Fraction]:
-    """Each monomial's value at the given symbol values, as a Fraction so
-    that the Gauss-Jordan solve divides exactly."""
-    return [Fraction(prod(symbols[name] for name in mono)) for mono in monomials]
+) -> list[int]:
+    """Each monomial's value at the given symbol values: an integer row of
+    the fraction-free Gauss-Jordan solve."""
+    return [prod(symbols[name] for name in mono) for mono in monomials]
 
 
 @dataclass(frozen=True)
@@ -335,8 +336,10 @@ class UniversalPolynomial:
     undetermined: tuple[str, ...]
 
     def evaluate(self, symbols: dict[str, int]) -> Fraction:
+        den = lcm(*(c.denominator for c in self.coefficients))
         values = _monomial_values(self.monomials, symbols)
-        return sum((c * x for c, x in zip(self.coefficients, values)), Fraction(0))
+        return Fraction(sum(c.numerator * den // c.denominator * x
+                            for c, x in zip(self.coefficients, values)), den)
 
     def nonzero_terms(self) -> list[tuple[str, Fraction]]:
         return [
@@ -386,14 +389,18 @@ def _config_menu(
 
 
 def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
+    rows: list[list[int]], rhs: list[Fraction]
 ) -> tuple[list[Fraction], list[int]]:
-    """Gauss-Jordan solve; free columns get 0 and are reported.
+    """Fraction-free Gauss-Jordan solve; free columns get 0 and are reported.
 
+    The right-hand side is scaled once to integers, and each updated row
+    pv * row_i - f * row_r is divided by the gcd of its entries.  Scaling a
+    row keeps its zero entries, so the pivots are those over the rationals.
     Raises ComputationError if the system is inconsistent.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
+    den = lcm(*(b.denominator for b in rhs))
+    aug = [row + [b.numerator * den // b.denominator] for row, b in zip(rows, rhs)]
     pivots: list[int] = []
     r = 0
     for col in range(n):
@@ -401,12 +408,13 @@ def _solve_exact(
         if sel is None:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
+        pivot_row, pv = aug[r], aug[r][col]
         for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = aug[i][col]
+            if i != r and f != 0:
+                row = [pv * x - f * y for x, y in zip(aug[i], pivot_row)]
+                g = gcd(*row) or 1
+                aug[i] = [x // g for x in row]
         pivots.append(col)
         r += 1
         if r == m:
@@ -419,7 +427,7 @@ def _solve_exact(
             )
     solution = [Fraction(0)] * n
     for i, col in enumerate(pivots):
-        solution[col] = aug[i][n]
+        solution[col] = Fraction(aug[i][n], aug[i][col] * den)
     free = [c for c in range(n) if c not in pivots]
     return solution, free
 
@@ -439,10 +447,10 @@ def universal_poly(
     configurations run over P2, P1xP1 and Hirzebruch(1) with varying split
     degrees on the fixed-expected-dimension family.  The exact linear system
     over monomials of degree <= k in the intersection symbols is solved by
-    Gauss-Jordan elimination; directions the family cannot distinguish get
-    coefficient zero and are reported, and at least five held-out
-    configurations (always including a Hirzebruch one) are checked against
-    the direct integral, failing hard on mismatch.
+    fraction-free Gauss-Jordan elimination on integers; directions the
+    family cannot distinguish get coefficient zero and are reported, and at
+    least five held-out configurations (always including a Hirzebruch one)
+    are checked against the direct integral, failing hard on mismatch.
     """
     if k < 0:
         raise UsageError("negative k")

@@ -168,20 +168,25 @@ def _check_model(m: ToricSurfaceModel) -> ToricSurfaceModel:
     return m
 
 
-@functools.lru_cache(maxsize=None)
 def make_surface(name: str, a: int | None = None) -> ToricSurfaceModel:
-    """Build one of the supported surface models.
+    """Build one of the supported surface models, one object per surface.
 
     ``name`` is one of P2, P1xP1, Hirzebruch; Hirzebruch takes the
     non-negative twist ``a`` (Hirzebruch(0) has the same intersection numbers
-    as P1xP1 but a different divisor basis).
+    as P1xP1 but a different divisor basis).  P2 and P1xP1 read ``a = 0``
+    as no twist.
     """
+    return _make_surface(name, None if a == 0 and name != "Hirzebruch" else a)
+
+
+@functools.lru_cache(maxsize=None)
+def _make_surface(name: str, a: int | None) -> ToricSurfaceModel:
     if name == "P2":
-        if a not in (None, 0):
+        if a is not None:
             raise UsageError("P2 takes no twist parameter")
         return _check_model(_p2_model())
     if name == "P1xP1":
-        if a not in (None, 0):
+        if a is not None:
             raise UsageError("P1xP1 takes no twist parameter")
         return _check_model(_p1xp1_model())
     if name == "Hirzebruch":
@@ -451,7 +456,7 @@ def _realize_cached(
     surface_name: str, a: int, rank: int, c1: tuple[int, ...], c2: int,
     box: int, max_minus: int,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    surface = make_surface(surface_name, a if surface_name == "Hirzebruch" else None)
+    surface = make_surface(surface_name, a)
     inter = surface.intersect
 
     def max_abs(tuples) -> int:

@@ -6,9 +6,11 @@ instead of Hilbert-scheme machinery or closed-form Riemann-Roch, and a sum
 over whole fixed-point tuples (reading only ``hilb``'s per-fixed-point
 weights) instead of the factorized localization core.  The ambient oracle
 keeps the (h, u) bigraded class of P x X^[k] at each fixed point instead of
-integrating h out in closed form.  The split-model oracle walks every non-decreasing
-degree tuple with the right sum, with no Whitney pruning.  The tests compare the engine against
-these implementations, so they must not import from the modules they check
+integrating h out in closed form.  The split-model oracle walks every
+non-decreasing degree tuple with the right sum, with no Whitney pruning.
+The universal fit's oracle is Gauss-Jordan elimination over ``Fraction``s,
+not over integers.  The tests compare the engine against these
+implementations, so they must not import from the modules they check
 beyond plain data access.
 """
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from hilbloc.errors import RealizationError
+from hilbloc.errors import ComputationError, RealizationError
 
 from hilbloc.hilb import (
     enumerate_fixed_points,
@@ -296,3 +298,35 @@ def brute_realize_split_model(surface, target, box, max_minus):
         f"no split model for rank={target.rank}, c1={target.c1}, c2={target.c2} "
         f"on {surface.name} within box {box} and up to {max_minus} minus lines"
     )
+
+
+def fraction_gauss_jordan(rows, rhs):
+    """Gauss-Jordan solve over Fractions: each pivot row is divided by its
+    pivot, the first nonzero entry in column order.  Free columns get 0.
+    Returns (solution, free columns); an inconsistent system raises
+    ComputationError."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        sel = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        pv = aug[r][col]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        raise ComputationError("inconsistent system")
+    solution = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        solution[col] = aug[i][n]
+    return solution, [c for c in range(n) if c not in pivots]

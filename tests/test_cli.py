@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -587,6 +588,56 @@ def test_universal_poly_count_shape(capsys):
         m: c for m, c in zip(poly["monomials"], poly["coefficients"]) if c != "0"
     }
     assert terms == {"c2(V)": "1"}
+
+
+def test_universal_poly_k2_with_a_line_bundle(capsys):
+    report = run_json(capsys, "universal-poly", "--k", "2", "--rank-lam", "1")
+    poly = report["polynomial"]
+    terms = {
+        m: c for m, c in zip(poly["monomials"], poly["coefficients"]) if c != "0"
+    }
+    assert terms == {"c2(V)*c1(V)^2": "1/4", "c2(V)*c1(X).c1(V)": "-1/4"}
+    assert poly["undetermined"] == [
+        "c2(V)*c1(X).c1(L)", "c1(L)^2*c1(X).c1(L)", "c1(L)^2*c1(X)^2",
+        "c1(V).c1(L)*c1(V).c1(L)", "c1(V).c1(L)*c1(X).c1(V)",
+        "c1(V).c1(L)*c1(X).c1(L)", "c1(V).c1(L)*c1(X)^2",
+        "c1(X).c1(V)*c1(X).c1(V)", "c1(X).c1(V)*c1(X).c1(L)",
+        "c1(X).c1(V)*c1(X)^2", "c1(X).c1(L)*c1(X).c1(L)", "c1(X).c1(L)*c1(X)^2",
+        "c1(X)^2*c1(X)^2", "c2(V)", "c2(L)", "c1(V)^2", "c1(L)^2",
+        "c1(V).c1(L)", "c1(X).c1(V)", "c1(X).c1(L)", "c1(X)^2", "1",
+    ]
+
+
+def test_universal_poly_k3_fails_its_held_out_check(capsys):
+    # a known failure (ROADMAP item 4): on the expected-dimension-zero family
+    # c2(V) is affine in c1(V)^2 and c1(X).c1(V), so the fit's free columns
+    # get 0 and a held-out configuration disagrees
+    code, out, err = run_cli(capsys, "universal-poly", "--k", "3")
+    assert code == 1
+    assert out == ""
+    assert "polynomial gives 10, direct integral gives 20" in err
+
+
+def _readme_commands() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [line for line in lines if line.startswith("hilbloc ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_command_block_is_found():
+    assert len(README_COMMANDS) == 11
+
+
+@pytest.mark.parametrize("line", README_COMMANDS,
+                         ids=[line.split()[1] for line in README_COMMANDS])
+def test_readme_command_runs(capsys, line):
+    # the cache is the per-test file that conftest points HILBLOC_CACHE at
+    code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
 
 
 def test_plain_format(capsys):

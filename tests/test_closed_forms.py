@@ -124,6 +124,25 @@ def test_quot_count_of_a_rank_two_bundle(case, k):
     assert quot_count(surface, vstar.dual(), k) == binomial(c2, k)
 
 
+# V* per surface with its c2(V*), and quot_count at k = 14..10 (HIGH_K)
+RANK_TWO_HIGH_K = [
+    (SURFACES[0], [(4,), (5,)], 20, [38760, 77520, 125970, 167960, 184756]),
+    (SURFACES[1], [(2, 3), (3, 3)], 15, [15, 105, 455, 1365, 3003]),
+    (SURFACES[2], [(2, 3), (3, 3)], 15, [15, 105, 455, 1365, 3003]),
+    (SURFACES[3], [(2, 2), (2, 3)], 16, [120, 560, 1820, 4368, 8008]),
+    (SURFACES[4], [(1, 2), (2, 3)], 19, [11628, 27132, 50388, 75582, 92378]),
+]
+
+
+@pytest.mark.parametrize("surface, degrees, c2, pins", RANK_TWO_HIGH_K,
+                         ids=[case[0].name for case in RANK_TWO_HIGH_K])
+def test_quot_count_of_a_rank_two_bundle_at_k10_to_14(surface, degrees, c2, pins):
+    vstar = split_bundle(surface, degrees)
+    assert c2_by_surface_localization(surface, vstar) == c2
+    values = [quot_count(surface, vstar.dual(), k) for k in HIGH_K]
+    assert values == [binomial(c2, k) for k in HIGH_K] == pins
+
+
 def test_chi_theta_of_a_line_bundle_at_k12():
     p2 = make_surface("P2")
     with pytest.warns(UserWarning, match="not orthogonal"):

@@ -3,12 +3,13 @@
 import warnings
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hilbloc.cache import ResultCache
-from hilbloc.errors import UsageError
+from hilbloc.errors import ComputationError, UsageError
 from hilbloc.integrals import (
     ChernExpr,
     c2_for_expected_dim_zero,
@@ -20,8 +21,10 @@ from hilbloc.symbolic import Weight
 from hilbloc.tautological import (
     AmbientClass,
     SYMBOL_NAMES,
+    UniversalPolynomial,
     _config_menu,
     _monomials,
+    _solve_exact,
     universal_poly,
     virtual_integral,
 )
@@ -34,7 +37,7 @@ from hilbloc.toric import (
     split_bundle,
 )
 
-from oracles import brute_virtual_integral
+from oracles import brute_virtual_integral, fraction_gauss_jordan
 
 P2 = make_surface("P2")
 QUADRIC = make_surface("P1xP1")
@@ -308,6 +311,66 @@ def test_config_menu_stays_on_the_expected_dimension_family(surface):
     ):
         for v, _ in _config_menu(surface, rank_v, rank_lam, k, expected_dim):
             assert expected_dim_pairs(surface, v, k) == expected_dim
+
+
+def random_fraction(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 12))
+
+
+@st.composite
+def integer_systems(draw):
+    """An integer system of at most 14 x 40 as a product of two small
+    matrices, so of bounded rank, with zeroed and repeated columns, and a
+    rational right-hand side that is consistent about half of the time."""
+    m, n = draw(st.integers(1, 14)), draw(st.integers(1, 40))
+    rank = draw(st.integers(0, min(m, n)))
+    rng = draw(st.randoms(use_true_random=False))
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(m)]
+    right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rank)]
+    rows = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(n)]
+            for row in left]
+    for _ in range(rng.randint(0, 3)):
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    for _ in range(rng.randint(0, 3)):
+        dst, src = rng.randrange(n), rng.randrange(n)
+        for row in rows:
+            row[dst] = row[src]
+    if draw(st.booleans()):
+        x = [random_fraction(rng, 5) for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    else:
+        rhs = [random_fraction(rng, 5) for _ in range(m)]
+    return rows, rhs
+
+
+@settings(max_examples=200)
+@given(integer_systems())
+def test_solve_exact_matches_the_fraction_oracle(system):
+    rows, rhs = system
+    try:
+        want = fraction_gauss_jordan(rows, rhs)
+    except ComputationError:
+        with pytest.raises(ComputationError, match="inconsistent"):
+            _solve_exact(rows, rhs)
+        return
+    assert _solve_exact(rows, rhs) == want
+
+
+@settings(max_examples=50)
+@given(st.randoms(use_true_random=False))
+def test_evaluate_matches_a_fraction_sum(rng):
+    monomials = tuple(_monomials(2))
+    coefficients = [random_fraction(rng, 99) for _ in monomials]
+    symbols = {name: rng.randint(-20, 20) for name in SYMBOL_NAMES}
+    poly = UniversalPolynomial("count", 2, 2, 0, monomials, tuple(coefficients), ())
+    want = sum(
+        (c * prod(symbols[name] for name in mono)
+         for c, mono in zip(coefficients, monomials)),
+        Fraction(0),
+    )
+    assert poly.evaluate(symbols) == want
 
 
 def test_universal_poly_count_k1_rank2():

@@ -350,4 +350,9 @@ def test_plus_search_yields_every_tuple(data):
 def test_surface_json_roundtrip(surface):
     data = surface_to_json(surface)
     # the record names the model: its family and twist rebuild it
-    assert make_surface(data["family"], data["a"]) == surface
+    assert make_surface(data["family"], data["a"]) is surface
+
+
+@pytest.mark.parametrize("name", ["P2", "P1xP1"])
+def test_make_surface_reads_a_zero_twist_as_none(name):
+    assert make_surface(name, 0) is make_surface(name)
