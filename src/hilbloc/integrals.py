@@ -38,12 +38,14 @@ Each partition's Todd series there is ``symbolic.exp_todd_series``, which
 reads its weights' even powers from cached rows and exponentiates only
 the linear and even terms of the Todd log.
 
-Each sum is evaluated mod m, a product of word primes, one pass per
-specialization, and the exact rational is rebuilt from the residue by
-rational reconstruction (``symbolic.reconstruct``).  ``exact`` does that
-under two independent integer specializations of (t1, t2) and asserts the
-results equal, so neither a silently bad specialization nor an unlucky
-reconstruction can leak into output; it alone reads and writes the cache.
+Every sum is an integer over a known denominator D: Chern numbers of the
+smooth X^[k], or a holomorphic Euler characteristic there, times the
+coefficients of a Chern expression.  It is evaluated mod m, a product of
+word primes, one pass per specialization, and the integer is rebuilt from
+the residue (``symbolic.reconstruct``).  ``exact`` does that under two
+independent integer specializations of (t1, t2), asserts the results equal
+(so a bad specialization cannot leak into output) and divides by D; it
+alone reads and writes the cache.
 The module also holds the Chern-expression grammar and the count-matching
 verification loop (verify_conjecture).
 """
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import ResultCache
@@ -73,7 +75,6 @@ from .symbolic import (
     dual_specialized,
     exp_todd_series,
     reconstruct,
-    residue,
     signed_chern_coefficients,
 )
 from .toric import (
@@ -591,36 +592,43 @@ def exact(
     seed: int = DEFAULT_SEED,
     cache: ResultCache | None = None,
     request: dict | None = None,
+    denominator: int = 1,
 ) -> Fraction:
-    """The exact value of a localization sum from its residues.
+    """The value n / ``denominator`` of a sum whose integer n has these residues.
 
-    ``residue_at(z, m)`` is the sum under the specialization z, mod m, a
-    product of word primes.  Each specialization is rebuilt by
-    ``reconstruct`` and two of them are cross-checked by
-    ``dual_specialized``.  This is the one place that reads and writes
-    ``cache``, under ``request``.
+    ``residue_at(z, m)`` is n under the specialization z, mod m, a product
+    of word primes.  Each specialization is rebuilt by ``reconstruct`` and
+    two of them are cross-checked by ``dual_specialized``.  This is the one
+    place that reads and writes ``cache``, under ``request``.
     """
 
     def compute() -> Fraction:
-        return dual_specialized(lambda z: reconstruct(partial(residue_at, z)), seed)
+        n = dual_specialized(lambda z: reconstruct(partial(residue_at, z)), seed)
+        return Fraction(n, denominator)
 
     return compute() if cache is None else cache.fetch(request, compute)
 
 
-def _chern_plans_at(
-    surface: ToricSurfaceModel,
-    k: int,
-    plans: Sequence[tuple[list, list]],
-    z: tuple[int, int],
-    m: int,
-) -> int:
+def _chern_plan_sum(
+    surface: ToricSurfaceModel, k: int, plans: Sequence[tuple[list, list]],
+    seed: int, cache: ResultCache | None, request: dict,
+) -> Fraction:
     """Sum over plans (factors, [(exponents, weight), ...]) of each weight
-    times that entry of ``localize_chern(surface, k, factors, z, m)``, mod m."""
-    total = 0
-    for factors, top in plans:
-        series = localize_chern(surface, k, factors, z, m)
-        total += sum(residue(w, m) * series[exps] for exps, w in top)
-    return total % m
+    times that entry of ``localize_chern(surface, k, factors, z, m)``.  The
+    entries are Chern numbers of X^[k], integers, so each pass sums the
+    weights times D, the lcm of their denominators, and ``exact`` divides
+    by D."""
+    den = lcm(*(w.denominator for _, top in plans for _, w in top))
+    scaled = [(f, [(e, int(w * den)) for e, w in top]) for f, top in plans]
+
+    def residue_at(z: tuple[int, int], m: int) -> int:
+        total = 0
+        for factors, top in scaled:
+            series = localize_chern(surface, k, factors, z, m)
+            total += sum(w * series[exps] for exps, w in top)
+        return total % m
+
+    return exact(residue_at, seed, cache, request, den)
 
 
 def integrate(
@@ -648,9 +656,7 @@ def integrate(
         "bundles": {bid: b.weight_key() for bid, b in sorted(req.bundles.items())},
         "expr": str(req.expr),
     }
-    return exact(
-        partial(_chern_plans_at, req.surface, req.k, plans), seed, cache, request
-    )
+    return _chern_plan_sum(req.surface, req.k, plans, seed, cache, request)
 
 
 def quot_count(
@@ -662,8 +668,8 @@ def quot_count(
 ) -> Fraction:
     """The quotient count: integral of c_{2k} of the taut bundle of V*.
 
-    The argument is V itself; the dual is taken here.  For honest V the
-    count is asserted to be an integer (it is a signed count of points).
+    The argument is V itself; the dual is taken here.  The count, a Chern
+    number of X^[k], is asserted to be an integer, as a cached one may not be.
     """
     v = as_split(v)
     if k < 0:
@@ -677,8 +683,8 @@ def quot_count(
         surface, k, {"Vdual_k": vd}, ChernExpr.chern(2 * k, "Vdual_k")
     )
     value = integrate(req, seed=seed, cache=cache)
-    if v.is_honest() and value.denominator != 1:
-        raise ComputationError(f"honest quot count came out non-integral: {value}")
+    if value.denominator != 1:
+        raise ComputationError(f"quot count came out non-integral: {value}")
     return value
 
 

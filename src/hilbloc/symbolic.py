@@ -10,11 +10,11 @@ Conventions used throughout the engine:
 * Localization sums are evaluated mod m, a product of word primes (the
   first j >= 2 of ``WORD_PRIMES``, primes just below 2^61), one pass per
   specialization: series coefficients are residues mod m and every
-  division is by an integer prime to every word prime.  ``reconstruct``
-  rebuilds the exact rational by rational reconstruction, taking one more
-  prime into m until the reconstructions mod m and mod m without its last
-  prime agree.  Outside the sums, coefficients are ``fractions.Fraction``
-  or ``int``; no floats appear anywhere.
+  division is by an integer prime to every word prime.  Each sum is an
+  integer, which ``reconstruct`` rebuilds as the symmetric residue, taking
+  one more prime into m until it is also the symmetric residue mod m
+  without its last prime.  Outside the sums, coefficients are
+  ``fractions.Fraction`` or ``int``; no floats appear anywhere.
 * Bernoulli numbers follow the convention B1 = -1/2, so the Todd series of a
   weight a is 1 + (a/2)u + (a^2/12)u^2 + 0*u^3 - (a^4/720)u^4 + ...
 * Specialization points are pairs of distinct primes drawn from a fixed pool
@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, isqrt, prod
+from math import comb, factorial, gcd, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -240,35 +240,27 @@ def residue(q: Fraction | int, m: int) -> int:
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
-def _rational(x: int, m: int) -> Fraction | None:
-    """The n/d with |n|, d <= sqrt(m/2) and n = d*x mod m, if any (Wang)."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, x, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def reconstruct(residue_mod: Callable[[int], int]) -> Fraction:
-    """The rational whose image in Z/m is ``residue_mod(m)``.
+def reconstruct(residue_mod: Callable[[int], int]) -> int:
+    """The integer whose image in Z/m is ``residue_mod(m)``.
 
     m is a product of word primes, the first j of ``WORD_PRIMES`` from
-    j = 2 on, so each call is one pass of the sum.  The value is returned
-    once the reconstruction mod m agrees with the one mod m without its
-    last prime, read off the same residue.
+    j = 2 on, so each call is one pass of the sum.  The symmetric residue n
+    is returned once it is also the one mod m without its last prime, that
+    is once 2|n| < m_(j-1): every |n| < 2^60 settles in one pass.  A larger
+    value is accepted wrongly only if its residue lands in that window, of
+    relative size 1/p_j, the same risk as a rational reconstruction test;
+    the second specialization cross-checks it.  A non-integer never settles.
     """
     for j in range(2, len(WORD_PRIMES) + 1):
         short = prod(WORD_PRIMES[: j - 1])
         m = short * WORD_PRIMES[j - 1]
-        x = residue_mod(m)
-        value = _rational(x, m)
-        if value is not None and value == _rational(x % short, short):
-            return value
+        n = residue_mod(m)
+        if 2 * n > m:
+            n -= m
+        if 2 * abs(n) < short:
+            return n
     raise ComputationError(
-        f"rational reconstruction did not settle within {len(WORD_PRIMES)} primes"
+        f"integer reconstruction did not settle within {len(WORD_PRIMES)} primes"
     )
 
 
@@ -292,9 +284,9 @@ _POLE_RETRIES = 8  # poles that dual_specialized tolerates before it gives up
 
 
 def dual_specialized(
-    compute: Callable[[tuple[int, int]], Fraction],
+    compute: Callable[[tuple[int, int]], int],
     seed: int = DEFAULT_SEED,
-) -> Fraction:
+) -> int:
     """Run ``compute`` under two independent specializations and cross-check.
 
     ``compute`` receives a pair of distinct primes and may raise PoleError if
@@ -303,7 +295,7 @@ def dual_specialized(
     """
     rng = random.Random(seed)
     seen: list[tuple[int, int]] = []
-    values: list[Fraction] = []
+    values: list[int] = []
     budget = _POLE_RETRIES
     while len(values) < 2:
         z = tuple(rng.sample(PRIME_POOL, 2))

@@ -32,13 +32,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm, prod
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
-from .integrals import ChernExpr, _chern_plans_at, exact, expected_dim_pairs
+from .integrals import ChernExpr, _chern_plan_sum, expected_dim_pairs
 from .symbolic import DEFAULT_SEED
 from .toric import (
     ChernData,
@@ -263,7 +262,7 @@ def virtual_integral(
         "expr": str(p_expr),
         "hmax": dp,
     }
-    value = exact(partial(_chern_plans_at, surface, k, plans), seed, cache, request)
+    value = _chern_plan_sum(surface, k, plans, seed, cache, request)
     if not reached:
         warnings.warn(
             f"h^{dp} is never reached by the integrand; "

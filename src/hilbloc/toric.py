@@ -459,9 +459,6 @@ def _realize_cached(
     surface = make_surface(surface_name, a)
     inter = surface.intersect
 
-    def max_abs(tuples) -> int:
-        return max((abs(x) for t in tuples for x in t), default=0)
-
     for m in range(0, max_minus + 1):
         p = rank + m
         for bound in range(0, box + 1):
@@ -479,10 +476,6 @@ def _realize_cached(
                     c2 + inter(s, e1m) - inter(e1m, e1m) + e2m
                 )
                 for plus in plus_tuples(0, p, s, squares):
-                    # solutions hugging a smaller box were found in an
-                    # earlier bound pass; skip them to keep the order stable
-                    if max(max_abs(plus), max_abs(minus)) != bound:
-                        continue
                     if _whitney(surface, plus, minus) == (c1, c2):
                         return plus, minus
     raise RealizationError(

@@ -1,5 +1,6 @@
 """Hilbert-scheme integrals: quotient counts and determinant chi."""
 
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -106,12 +107,13 @@ def test_integrate_composite_expression():
     assert direct == parts[0] - parts[1]
 
 
-def test_integrate_rejects_a_coefficient_over_a_word_prime():
-    # a coefficient with no image in Z/p is refused, not silently wrong
-    expr = ChernExpr.chern(2, "A", Fraction(1, WORD_PRIMES[0]))
+def test_integrate_takes_a_coefficient_over_a_word_prime():
+    # the coefficients' denominator is scaled away before any residue is
+    # taken, so one with no image in Z/p still gives the exact value
+    p = WORD_PRIMES[0]
+    expr = ChernExpr.chern(2, "A", Fraction(1, p))
     req = IntegralRequest(P2, 1, {"A": split_bundle(P2, [1, 2])}, expr)
-    with pytest.raises(ComputationError, match="vanishes mod"):
-        integrate(req)
+    assert integrate(req) == Fraction(2, p)
 
 
 @settings(max_examples=25)
@@ -386,13 +388,21 @@ def test_quot_count_rank_one_vanishes():
 
 
 def test_quot_count_beyond_two_primes(monkeypatch):
-    # a 64-bit count: rebuilding it takes the residues of at least 3 primes,
-    # and settling takes one more
+    # a 64-bit count lies outside the symmetric window of one prime, so it
+    # settles at the third
     calls = _spy_on_reconstruct(monkeypatch)
     v = split_bundle(P2, [-40] * 3)
     assert quot_count(P2, v, 6) == 16674716984097321750
-    moduli = [prod(WORD_PRIMES[:j]) for j in (2, 3, 4)]
+    moduli = [prod(WORD_PRIMES[:j]) for j in (2, 3)]
     assert calls == [moduli] * 2
+
+
+def test_quot_count_above_2_30_takes_one_pass(monkeypatch):
+    # any integer below 2^60 in absolute value settles at the first modulus
+    calls = _spy_on_reconstruct(monkeypatch)
+    v = split_bundle(P2, [-40] * 3)
+    assert quot_count(P2, v, 4) == 21954986690487
+    assert calls == [[WORD_PRIMES[0] * WORD_PRIMES[1]]] * 2
 
 
 def test_quot_count_trivial_cases():
@@ -424,6 +434,21 @@ def test_quot_count_uses_cache(tmp_path):
     first = quot_count(P2, v, 2, cache=cache)
     assert (tmp_path / "c.jsonl").exists()
     assert quot_count(P2, v, 2, cache=cache) == first
+
+
+def test_quot_count_refuses_a_non_integral_cached_value(tmp_path):
+    # a count is an integer for every V, minus lines or not, so a cache
+    # line holding 1/2 is refused
+    from hilbloc.cache import ResultCache
+
+    path = tmp_path / "c.jsonl"
+    v = split_bundle(P2, [2, 3], [1]).dual()  # V* has a minus line
+    assert quot_count(P2, v, 1, cache=ResultCache(path)) == 2  # c2(V*)
+    rec = json.loads(path.read_text())
+    rec["value_numerator"], rec["value_denominator"] = "1", "2"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ComputationError, match="non-integral: 1/2"):
+        quot_count(P2, v, 1, cache=ResultCache(path))
 
 
 # ---------------------------------------------------------------------------

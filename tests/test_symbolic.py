@@ -1,10 +1,10 @@
 """Series, residue and specialization primitives, checked against closed forms."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hilbloc import symbolic
 from hilbloc.cli import main
@@ -245,12 +245,17 @@ def test_dual_specialized_exhausts_retries():
         dual_specialized(always_pole, DEFAULT_SEED)
 
 
-@given(st.integers(-(2**450), 2**450), st.integers(1, 2**450))
-def test_reconstruction_round_trip(num, den):
-    # the first 15 of the 16 primes bound |n|, d by sqrt(M/2) > 2^456
-    assume(all(den % p for p in WORD_PRIMES))
-    q = F(num, den)
-    assert reconstruct(lambda p: residue(q, p)) == q
+@given(st.data())
+def test_reconstruction_round_trip(data):
+    # every |n| < m_15 / 2 settles by the sixteenth prime
+    half = prod(WORD_PRIMES[:15]) // 2
+    n = data.draw(st.integers(-half, half) | st.integers(-(2**70), 2**70))
+    assert reconstruct(lambda m: n % m) == n
+
+
+def test_reconstruction_refuses_a_non_integer():
+    with pytest.raises(ComputationError, match="did not settle"):
+        reconstruct(lambda m: residue(F(1, 3), m))
 
 
 def test_residue_refuses_a_denominator_sharing_one_word_prime():
