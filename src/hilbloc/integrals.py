@@ -30,10 +30,12 @@ the partitions of n of their integrands over their tangent products
 
 For chi_theta that level sum is bundle-free up to one factor: at a chart
 it is exp(-n det u) times the sum over the partitions of n of their Todd
-series, twisted by the rank of the bundle (``theta_level``).  That sum is
-one table per chart, n, m and rank, kept at the highest order built so
-far, so every bundle of that rank and every k up to the highest one met
-share it; ``verify_conjecture`` runs from k_max down to build it once.
+series, twisted by the rank of e (``theta_level``), and det is the
+canonical weight of det e = O(c1(e)) there, so chi_theta reads e as its
+rank and c1.  That sum is one table per chart, n, m and rank, kept at the
+highest order built so far, so every e of that rank and every k up to the
+highest one met share it; ``verify_conjecture`` runs from k_max down to
+build it once.
 Each partition's Todd series there is ``symbolic.exp_todd_series``, which
 reads its weights' even powers from cached rows and exponentiates only
 the linear and even terms of the Todd log.
@@ -86,6 +88,7 @@ from .toric import (
     chi_from_chern,
     chi_pair,
     e_from_v,
+    line_bundle,
     make_surface,
     realize_split_model,
 )
@@ -156,21 +159,6 @@ class ChernExpr:
         if index == 0:
             return cls.constant(coefficient)
         return cls((Term(Fraction(coefficient), ((bundle_id, index),)),))
-
-    def __add__(self, other: "ChernExpr") -> "ChernExpr":
-        return ChernExpr(self.terms + other.terms).collect()
-
-    def __mul__(self, other: "ChernExpr") -> "ChernExpr":
-        out = []
-        for a in self.terms:
-            for b in other.terms:
-                out.append(
-                    Term(
-                        a.coefficient * b.coefficient,
-                        tuple(sorted(a.factors + b.factors)),
-                    )
-                )
-        return ChernExpr(tuple(out)).collect()
 
     def collect(self) -> "ChernExpr":
         """Merge duplicate monomials and drop zero terms; canonical order."""
@@ -700,9 +688,9 @@ def theta_level(s1: int, s2: int, n: int, m: int, rank: int, order: int) -> list
     todd_lambda(u) / e_lambda, mod m, truncated at u^order (order >= 1).
 
     S_lambda is the sum of lambda's cell shifts and todd_lambda the product
-    of the Todd series of its tangent weights at the chart (s1, s2).  A
-    theta bundle of this rank whose lines have determinant det at the chart
-    adds exp(-n det u) H(u) at level n, so every such bundle shares H.
+    of the Todd series of its tangent weights at the chart (s1, s2).  The
+    theta bundle of an e of this rank whose determinant has weight det at
+    the chart adds exp(-n det u) H(u) at level n, so every such e shares H.
     Truncated series arithmetic is exact up to its order, so the table
     keeps the highest order it has built and serves a lower one by a
     prefix.  A pole raises PoleError before the table is written.
@@ -719,26 +707,37 @@ def theta_level(s1: int, s2: int, n: int, m: int, rank: int, order: int) -> list
 
 def chi_theta(
     surface: ToricSurfaceModel,
-    e: SplitBundle | EquivariantLineBundle,
+    e: ChernData | SplitBundle | EquivariantLineBundle,
     k: int,
     seed: int = DEFAULT_SEED,
     cache: ResultCache | None = None,
 ) -> int:
     """chi of the determinant line bundle induced by e on X^[k].
 
+    e is read as Chern data: a ``ChernData``, or a bundle reduced to its
+    ``chern_data()``.  The line bundle is fixed by rank e and det e =
+    O(c1(e)); c2(e) enters only chi_pair, and the cache keys a value by the
+    rank and c1.
+
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
     ``localize`` checks that the strictly negative u-powers cancel across
     fixed points, and the u^0 coefficient is the (integer) answer.  The
-    level-n series at a point is exp(-n det u) times the bundle-free
-    ``theta_level`` of the rank of e, which every bundle of that rank and
-    every k up to the highest one met so far reads from one table.  A
-    non-orthogonal e (chi_pair nonzero) only warns: the line bundle exists,
-    it is just not the canonical pairing class.
+    level-n series at a point is exp(-n det u), det the canonical weight of
+    O(c1(e)) there, times the bundle-free ``theta_level`` of the rank of e,
+    which every e of that rank and every k up to the highest one met so far
+    reads from one table.  A non-orthogonal e (chi_pair nonzero) only
+    warns: the line bundle exists, it is just not the canonical pairing
+    class.
     """
-    e = as_split(e)
+    if not isinstance(e, ChernData):
+        e = as_split(e)
+        if e.surface.name != surface.name:
+            raise UsageError(f"e lives on {e.surface.name}")
+        e = e.chern_data()
     if k < 0:
         raise UsageError("negative k")
-    if chi_pair(surface, e.chern_data(), k) != 0:
+    det = as_split(line_bundle(surface, e.c1))
+    if chi_pair(surface, e, k) != 0:
         warnings.warn(
             f"chi_pair(e, k={k}) != 0: theta class is not orthogonal",
             stacklevel=2,
@@ -749,16 +748,15 @@ def chi_theta(
     fitting = _fitting((order + 1,))
 
     def residue_at(z: tuple[int, int], m: int) -> int:
-        lines = _spec_lines(e, z)
+        dets = _spec_lines(det, z)
 
         def factor(p, s1, s2):
-            plus, minus = lines[p]
-            det, rank = sum(plus) - sum(minus), len(plus) - len(minus)
+            (weight,), _ = dets[p]
             for n in range(k + 1):
                 # the product of exp(-n det u) and H, a one-term q-series each
                 yield _q_coefficient(
-                    [exp_todd_series(n * det, (), order, m)],
-                    [theta_level(s1, s2, n, m, rank, order)],
+                    [exp_todd_series(n * weight, (), order, m)],
+                    [theta_level(s1, s2, n, m, e.rank, order)],
                     0, fitting, m,
                 )
 
@@ -768,8 +766,8 @@ def chi_theta(
         "op": "chi_theta",
         "surface": surface.name,
         "k": k,
-        "bundle": e.weight_key(),
-        "order": order,
+        "rank": e.rank,
+        "c1": list(e.c1),
     }
     value = exact(residue_at, seed, cache, request)
     if value.denominator != 1:
@@ -876,10 +874,10 @@ def verify_conjecture(
     """Check quot_count = chi_theta for the expected-dimension-zero family.
 
     For each k <= k_max: pick c2(V*) so the expected dimension vanishes,
-    realize split stand-ins for V* and for e = e_from_v(V, k) (the integrals
-    depend only on Chern data), assert the orthogonality chi_pair(e, k) = 0,
-    and compare the two sides.  A failed split-model search is recorded in
-    that row instead of aborting the sweep.
+    take e = e_from_v(V, k), assert the orthogonality chi_pair(e, k) = 0,
+    and compare the two sides.  ``chi_theta`` reads e as Chern data, so only
+    V* gets a split stand-in; a failed search for it is recorded in that
+    row instead of aborting the sweep.
 
     The count interpretation assumes Quot(V, k) finite and reduced and the
     vanishing of higher cohomology of the determinant line bundle, which
@@ -907,11 +905,10 @@ def verify_conjecture(
             )
         try:
             v_model = realize_split_model(surface, v.dual()).dual()
-            e_model = realize_split_model(surface, e)
         except RealizationError as exc:
             rows.append(ConjectureRow(k, c2s, None, None, None, str(exc)))
             continue
         quot = quot_count(surface, v_model, k, seed=seed, cache=cache)
-        chi = chi_theta(surface, e_model, k, seed=seed, cache=cache)
+        chi = chi_theta(surface, e, k, seed=seed, cache=cache)
         rows.append(ConjectureRow(k, c2s, int(quot), chi, quot == chi))
     return rows[::-1]

@@ -191,6 +191,8 @@ def virtual_integral(
     itself (the count shape).  The expression may mix degrees.  Minus lines
     in V or Lambda are accepted, with a warning that the ambient dimension
     is then read off Chern data rather than certified by section counts.
+    The virtual dimension is ``expected_dim_pairs``, so a V of rank < 1,
+    which has no pair space, is a UsageError.
     """
     v = as_split(v)
     lam = SplitBundle(surface) if lam is None else as_split(lam)
@@ -212,7 +214,7 @@ def virtual_integral(
     if dp < 0:
         raise UsageError(f"ambient projective space is empty: chi(V*) = {chi_vdual}")
     chi_lam = chi_surface(surface, lam)
-    vdim = dp + 2 * k - v.rank * k
+    vdim = expected_dim_pairs(surface, v, k)
     degs = p_expr.degrees()
     if vdim not in degs:
         warnings.warn(

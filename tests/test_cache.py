@@ -123,7 +123,7 @@ def test_disabled_cache_never_touches_disk(tmp_path):
         ),
         (
             lambda c: chi_theta(P2, split_bundle(P2, [1, 1], [2]), 2, cache=c),
-            "9c051c303eb27a52a3884de62726f2b26ca46cc7d08ee6c09612bbf23661eb56",
+            "f13ea2939d829be5c96ecedc23260ed3e865445352e6eef8e5002f8daa553f88",
         ),
         (
             lambda c: virtual_integral(

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbloc import integrals
+from hilbloc.cache import ResultCache
 from hilbloc.errors import ComputationError, PoleError, UsageError
 from hilbloc.hilb import cell_tangent_weights, count_fixed_points, partitions
 from hilbloc.integrals import (
     ChernExpr,
     IntegralRequest,
+    Term,
     c2_for_expected_dim_zero,
     chern_rows,
     chi_theta,
@@ -22,6 +24,7 @@ from hilbloc.integrals import (
     integrate,
     level_sum,
     localize,
+    parse_chern_expr,
     partition_table,
     quot_count,
     theta_level,
@@ -93,13 +96,10 @@ def test_integrate_on_a_point():
 def test_integrate_composite_expression():
     # c1(A)^2 - c2(A) with A = O(1) + O(2): weights give an exact integer
     v = split_bundle(P2, [1, 2])
-    expr = (
-        ChernExpr.chern(1, "A") * ChernExpr.chern(1, "A")
-        + ChernExpr.chern(2, "A", -1)
-    )
+    expr = parse_chern_expr("c1(A)*c1(A) - c2(A)")
     req = IntegralRequest(P2, 1, {"A": v}, expr)
     direct = integrate(req)
-    c1sq = ChernExpr.chern(1, "A") * ChernExpr.chern(1, "A")
+    c1sq = parse_chern_expr("c1(A)*c1(A)")
     parts = (
         integrate(IntegralRequest(P2, 1, {"A": v}, c1sq)),
         integrate(IntegralRequest(P2, 1, {"A": v}, ChernExpr.chern(2, "A"))),
@@ -125,8 +125,10 @@ def test_integrate_matches_brute_tuple_sum(data):
     i = data.draw(st.integers(1, 2 * k - 1))
     coeff = data.draw(st.fractions(-5, 5, max_denominator=4))
     # a two-factor term c_i(A) c_{2k-i}(B) plus a one-factor term
-    expr = ChernExpr.chern(i, "A") * ChernExpr.chern(2 * k - i, "B")
-    expr = expr + ChernExpr.chern(2 * k, "A", coeff)
+    expr = ChernExpr((
+        Term(Fraction(1), (("A", i), ("B", 2 * k - i))),
+        Term(coeff, (("A", 2 * k),)),
+    )).collect()
     bundles = {"A": a, "B": b}
     value = integrate(IntegralRequest(surface, k, bundles, expr))
     assert value == brute_chern_integral(surface, k, bundles, expr)
@@ -137,10 +139,14 @@ def test_integrate_matches_brute_tuple_sum(data):
 def test_chi_theta_matches_brute_tuple_sum(data):
     surface, k = data.draw(surfaces_and_k())
     e = data.draw(split_bundles(surface))
+    # a shift of the linearization moves the line weights, which the oracle
+    # reads, and leaves the Chern data, which chi_theta reads
+    s = Weight(data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # e is rarely orthogonal
-        value = chi_theta(surface, e, k)
-    assert value == brute_chi_theta(surface, e, k)
+        value = chi_theta(surface, e.chern_data(), k)
+        assert chi_theta(surface, e.shifted(s), k) == value
+    assert value == brute_chi_theta(surface, e.shifted(s), k)
 
 
 def _ones(k, m):
@@ -427,8 +433,6 @@ def test_quot_count_shift_invariance():
 
 
 def test_quot_count_uses_cache(tmp_path):
-    from hilbloc.cache import ResultCache
-
     cache = ResultCache(tmp_path / "c.jsonl")
     v = split_bundle(P2, [-2, -3])
     first = quot_count(P2, v, 2, cache=cache)
@@ -439,8 +443,6 @@ def test_quot_count_uses_cache(tmp_path):
 def test_quot_count_refuses_a_non_integral_cached_value(tmp_path):
     # a count is an integer for every V, minus lines or not, so a cache
     # line holding 1/2 is refused
-    from hilbloc.cache import ResultCache
-
     path = tmp_path / "c.jsonl"
     v = split_bundle(P2, [2, 3], [1]).dual()  # V* has a minus line
     assert quot_count(P2, v, 1, cache=ResultCache(path)) == 2  # c2(V*)
@@ -461,6 +463,12 @@ def test_chi_theta_structure_sheaf():
             assert chi_theta(surface, SplitBundle(surface), k) == 1
 
 
+def test_chi_theta_refuses_a_bundle_on_another_surface():
+    # its c1 would be read in another divisor basis
+    with pytest.raises(UsageError, match="lives on Hirzebruch"):
+        chi_theta(QUADRIC, split_bundle(F1, [(1, 1)]), 1)
+
+
 def test_chi_theta_warns_when_not_orthogonal():
     with pytest.warns(UserWarning):
         chi_theta(P2, line_bundle(P2, (1,)), 1)
@@ -473,6 +481,25 @@ def test_chi_theta_shift_invariance():
         base = chi_theta(P2, e, 2)
     with pytest.warns(UserWarning):
         assert chi_theta(P2, shifted, 2) == base
+
+
+def _refuse_to_compute(*args, **kwargs):
+    raise AssertionError("a cached value was computed again")
+
+
+def test_chi_theta_keys_a_value_by_rank_and_c1(tmp_path, monkeypatch):
+    # O(1)+O(2) and O(0)+O(3) have one rank and c1, and c2 = 2 and 0
+    path = tmp_path / "c.jsonl"
+    a, b = split_bundle(P2, [1, 2]), split_bundle(P2, [0, 3])
+    assert (a.chern_data().c2, b.chern_data().c2) == (2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # neither is orthogonal
+        first = [chi_theta(P2, a, k, cache=ResultCache(path)) for k in (1, 2, 3)]
+        lines = path.read_text().splitlines()
+        monkeypatch.setattr(integrals, "dual_specialized", _refuse_to_compute)
+        second = [chi_theta(P2, b, k, cache=ResultCache(path)) for k in (1, 2, 3)]
+    assert first == second == [10, 27, 20]
+    assert len(lines) == 3 and path.read_text().splitlines() == lines
 
 
 def _clear_tables():
@@ -580,6 +607,23 @@ def test_verify_conjecture_small():
     ]
     data = rows[0].to_json()
     assert data["quot_count"] == "21" and data["equal"] is True
+
+
+def test_verify_conjecture_realizes_a_model_for_v_star_only(tmp_path, monkeypatch):
+    calls = []
+    realize = integrals.realize_split_model
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "realize_split_model", counted)
+    cache = ResultCache(tmp_path / "c.jsonl")
+    rows = verify_conjecture(P2, 3, 7, 6, cache=cache)
+    assert len(calls) == 6
+    assert all(row.equal for row in rows)
+    monkeypatch.setattr(integrals, "dual_specialized", _refuse_to_compute)
+    assert verify_conjecture(P2, 3, 7, 6, cache=cache) == rows
 
 
 def test_verify_conjecture_grows_past_the_benchmark():

@@ -203,6 +203,12 @@ def test_virtual_integral_rejects_empty_ambient():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             virtual_integral(P2, v, None, 1)
+    # V of rank -1: chi(V*) = 3, but there is no pair space to count on
+    v = split_bundle(P2, [-1, -1], [0, 0, 0])
+    with pytest.raises(UsageError, match="rank V >= 1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # V has minus lines
+            virtual_integral(P2, v, None, 1)
 
 
 def test_virtual_integral_rejects_foreign_ids():
@@ -258,24 +264,24 @@ def ambient_cases(draw):
     k = draw(st.integers(0, 3))
     dp = chi_surface(surface, vstar) - 1
     vdim = dp + (2 - vstar.rank) * k
-    assume(dp >= 0 and vdim <= 6)
+    # a V of rank < 1 has no pair space
+    assume(vstar.rank >= 1 and dp >= 0 and vdim <= 6)
     kind = draw(st.sampled_from(("absent", "honest", "minus")))
     lam = SplitBundle(surface) if kind == "absent" else split_bundle(
         surface,
         draw(st.lists(nef, min_size=1, max_size=2)),
         [draw(nef)] if kind == "minus" else [],
     )
-    it = ChernExpr.chern
     i = max(vdim, 1)
     shape = draw(st.sampled_from(("count", "ci", "c1cj", "mixed")))
     if shape == "count":
         expr = ChernExpr.constant(1)
     elif shape == "ci":
-        expr = it(i, "IT")
+        expr = ChernExpr.chern(i, "IT")
     elif shape == "c1cj":
-        expr = it(1, "IT") * it(max(i - 1, 1), "IT")
+        expr = parse_chern_expr(f"c1(IT)*c{max(i - 1, 1)}(IT)")
     else:
-        expr = ChernExpr.constant(3) + it(i, "IT", -2) + it(1, "IT") * it(1, "IT")
+        expr = parse_chern_expr(f"3 - 2*c{i}(IT) + c1(IT)*c1(IT)")
     return surface, vstar.dual(), lam, k, expr
 
 
