@@ -17,6 +17,7 @@ column (0 <= j < lambda_i).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -33,7 +34,18 @@ __all__ = [
     "enumerate_fixed_points",
     "count_fixed_points",
     "cell_tangent_weights",
+    "check_k",
 ]
+
+
+def check_k(k: int) -> None:
+    """Refuse a number of points no sum over X^[k] can be run for: a
+    negative k, or one whose series of 2k + 1 terms (one per degree of
+    X^[k]) is longer than a list can be."""
+    if k < 0:
+        raise UsageError("negative k")
+    if 2 * k + 1 > sys.maxsize:
+        raise UsageError(f"k = {k} is too large: a series of 2k + 1 terms does not fit a list")
 
 
 @dataclass(frozen=True)
@@ -125,8 +137,7 @@ def enumerate_fixed_points(
     surface: ToricSurfaceModel, k: int
 ) -> Iterator[HilbFixedPoint]:
     """Stream the fixed points of X^[k], grouped by size composition."""
-    if k < 0:
-        raise UsageError("negative number of points")
+    check_k(k)
     npts = len(surface.points)
 
     def rec(slot: int, sizes: tuple[int, ...]):
@@ -144,8 +155,7 @@ def enumerate_fixed_points(
 
 def count_fixed_points(surface: ToricSurfaceModel, k: int) -> int:
     """Number of fixed points: [q^k] of prod_m (1 - q^m)^(-chi_top)."""
-    if k < 0:
-        raise UsageError("negative number of points")
+    check_k(k)
     series = [0] * (k + 1)
     series[0] = 1
     for m in range(1, k + 1):

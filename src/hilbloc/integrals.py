@@ -10,8 +10,10 @@ Ellingsrud-Goettsche-Lehn factorization).  ``localize`` evaluates it by
 walking the partitions of n <= k at each point, not the tuples.
 
 Every sum keeps one contract: the integrand is a mixed-degree class, and
-``localize`` returns the integrals of its parts of degree 2k = dim X^[k],
+``top_degree`` returns the integrals of its parts of degree 2k = dim X^[k],
 drops the parts above it, and checks that those below it integrate to zero.
+``q_product`` multiplies the points' series; ``localize`` runs the two in
+a row and takes the last point's product at q^k alone.
 
 What a partition contributes apart from the bundle (its cell shifts, its
 tangent weights, the inverse of their product mod m, and its parent, the
@@ -34,10 +36,14 @@ series, twisted by the rank of e (``theta_level``), and det is the
 canonical weight of det e = O(c1(e)) there, so chi_theta reads e as its
 rank and c1.  That sum is one table per chart, n, m and rank, kept at the
 highest order built so far, so every e of that rank and every k up to the
-highest one met share it; ``verify_conjecture`` runs from k_max down to
-build it once.
+highest one met share it.  The product over the points is one table too,
+per surface, rank, c1, specialization and modulus: all of q^0..q^K at
+order 2K for the highest K built, of which a call at k <= K reads the q^k
+row up to u^2k and checks it with ``top_degree``.  ``verify_conjecture``
+runs from k_max down, so it builds each of them once per specialization.
 Each partition's Todd series there is ``symbolic.exp_todd_series``, which
-reads its weights' even powers from cached rows and exponentiates only
+reads its weights' even powers from cached rows packed into one int each,
+so a partition's power sums are one integer sum, and exponentiates only
 the linear and even terms of the Todd log.
 
 Every sum is an integer over a known denominator D: Chern numbers of the
@@ -70,7 +76,7 @@ from .errors import (
     RealizationError,
     UsageError,
 )
-from .hilb import Partition, cell_tangent_weights, partitions
+from .hilb import Partition, cell_tangent_weights, check_k, partitions
 from .symbolic import (
     DEFAULT_SEED,
     Weight,
@@ -101,6 +107,8 @@ __all__ = [
     "LocalPartition",
     "partition_table",
     "level_sum",
+    "q_product",
+    "top_degree",
     "localize",
     "chern_rows",
     "localize_chern",
@@ -300,8 +308,7 @@ class IntegralRequest:
     expr: ChernExpr
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise UsageError("negative k")
+        check_k(self.k)
         self.bundles = {
             bid: as_split(b) for bid, b in self.bundles.items()
         }
@@ -447,29 +454,29 @@ def level_sum(
     return [x % m for x in acc]
 
 
-def localize(
+def q_product(
     surface: ToricSurfaceModel,
     k: int,
     point_factor: Callable[[int, int, int], Iterable[Sequence[int]]],
     z: tuple[int, int],
     width: tuple[int, ...],
     m: int,
-) -> dict[tuple[int, ...], int]:
-    """[q^k] of prod_p sum_n q^n point_factor(p, s1, s2)[n], mod m, a product
-    of word primes: one pass per specialization z.
+    low: int,
+) -> list[list[int]]:
+    """[q^low], ..., [q^k] of prod_p sum_n q^n point_factor(p, s1, s2)[n],
+    mod m, a product of word primes: one pass per specialization z.
 
     ``point_factor(p, s1, s2)`` gets surface point p and its specialized
     chart weights, and yields for each n = 0..k the sum over the partitions
     lambda of n of the local integrand at lambda over the tangent Euler
     class e_p(lambda) (``level_sum``).  Each is a truncated series: a flat
     row-major list over one formal variable per entry of ``width``, each
-    kept below its entry.  The q^k coefficient is the sum over X^[k] of the
-    product of the local integrands, a class whose part at an exponent
-    tuple has the tuple's total degree.  It is returned keyed by exponent
-    tuple, for the tuples of total degree 2k; a part of lower degree must
-    integrate to zero, else ComputationError.  A tangent weight that
-    specializes to zero raises PoleError; every other tangent weight is a
-    nonzero integer far below each word prime, so it is invertible mod m.
+    kept below its entry.  The q^n coefficient is the sum over X^[n] of the
+    product of the local integrands.  The last point's product is taken
+    only at q^low..q^k, so low = k costs one coefficient there.  A tangent
+    weight that specializes to zero raises PoleError; every other tangent
+    weight is a nonzero integer far below each word prime, so it is
+    invertible mod m.
     """
     fitting = _fitting(width)
 
@@ -488,14 +495,43 @@ def localize(
         total = [
             _q_coefficient(total, local, n, fitting, m) for n in range(k + 1)
         ]
-    total = _q_coefficient(total, last, k, fitting, m)
+    return [
+        _q_coefficient(total, last, n, fitting, m) for n in range(low, k + 1)
+    ]
+
+
+def top_degree(
+    series: Sequence[int], width: tuple[int, ...], k: int
+) -> dict[tuple[int, ...], int]:
+    """The integrals over X^[k] of a class summed over its fixed points.
+
+    ``series`` is a flat row-major series over ``width`` (``q_product``'s
+    q^k coefficient), whose part at an exponent tuple has the tuple's total
+    degree.  It is returned keyed by exponent tuple, for the tuples of
+    total degree 2k = dim X^[k]; the parts above it are dropped, and a part
+    of lower degree must integrate to zero, else ComputationError.
+    """
     exps = _exponents(width)
-    low = {e: c for e, c in zip(exps, total) if c and sum(e) < 2 * k}
+    low = {e: c for e, c in zip(exps, series) if c and sum(e) < 2 * k}
     if low:
         raise ComputationError(
             f"classes below degree {2 * k} do not cancel over X^[{k}]: {low}"
         )
-    return {e: c for e, c in zip(exps, total) if sum(e) == 2 * k}
+    return {e: c for e, c in zip(exps, series) if sum(e) == 2 * k}
+
+
+def localize(
+    surface: ToricSurfaceModel,
+    k: int,
+    point_factor: Callable[[int, int, int], Iterable[Sequence[int]]],
+    z: tuple[int, int],
+    width: tuple[int, ...],
+    m: int,
+) -> dict[tuple[int, ...], int]:
+    """``top_degree`` of [q^k] of ``q_product``: the integrals of degree 2k
+    of the product of the points' series over X^[k], mod m."""
+    (series,) = q_product(surface, k, point_factor, z, width, m, k)
+    return top_degree(series, width, k)
 
 
 def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
@@ -660,8 +696,7 @@ def quot_count(
     number of X^[k], is asserted to be an integer, as a cached one may not be.
     """
     v = as_split(v)
-    if k < 0:
-        raise UsageError("negative k")
+    check_k(k)
     if v.rank < 1:
         raise UsageError("quot_count needs rank V >= 1")
     if k == 0:
@@ -690,10 +725,12 @@ def theta_level(s1: int, s2: int, n: int, m: int, rank: int, order: int) -> list
     S_lambda is the sum of lambda's cell shifts and todd_lambda the product
     of the Todd series of its tangent weights at the chart (s1, s2).  The
     theta bundle of an e of this rank whose determinant has weight det at
-    the chart adds exp(-n det u) H(u) at level n, so every such e shares H.
-    Truncated series arithmetic is exact up to its order, so the table
-    keeps the highest order it has built and serves a lower one by a
-    prefix.  A pole raises PoleError before the table is written.
+    the chart adds exp(-n det u) H(u) at level n, so every such e shares H;
+    ``chi_theta`` reads it only while it builds its q-product.  At rank 0,
+    H is chi of O on Hilb^n C^2 in Todd form.  Truncated series arithmetic
+    is exact up to its order, so the table keeps the highest order it has
+    built and serves a lower one by a prefix.  A pole raises PoleError
+    before the table is written.
     """
     built = _theta_table(s1, s2, n, m, rank)
     if len(built) <= order:
@@ -703,6 +740,15 @@ def theta_level(s1: int, s2: int, n: int, m: int, rank: int, order: int) -> list
             for part in level
         ], m)
     return built[: order + 1]
+
+
+@lru_cache(maxsize=256)
+def _chi_product(
+    surface: ToricSurfaceModel, rank: int, c1: tuple[int, ...], z: tuple[int, int], m: int
+) -> list[list[int]]:
+    """``chi_theta``'s q-product [q^0..q^K] at order 2K, for the highest K
+    built so far; empty until the first build."""
+    return []
 
 
 def chi_theta(
@@ -720,22 +766,24 @@ def chi_theta(
     rank and c1.
 
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
-    ``localize`` checks that the strictly negative u-powers cancel across
+    ``top_degree`` checks that the strictly negative u-powers cancel across
     fixed points, and the u^0 coefficient is the (integer) answer.  The
     level-n series at a point is exp(-n det u), det the canonical weight of
     O(c1(e)) there, times the bundle-free ``theta_level`` of the rank of e,
     which every e of that rank and every k up to the highest one met so far
-    reads from one table.  A non-orthogonal e (chi_pair nonzero) only
-    warns: the line bundle exists, it is just not the canonical pairing
-    class.
+    reads from one table.  Their ``q_product`` over the points is kept per
+    (surface, rank, c1, z, m) with all of q^0..q^K at order 2K, for the
+    highest K built (``_chi_product``); a call at k <= K reads its q^k row
+    up to u^2k, and a pole leaves the table empty.  A non-orthogonal e
+    (chi_pair nonzero) only warns: the line bundle exists, it is just not
+    the canonical pairing class.
     """
     if not isinstance(e, ChernData):
         e = as_split(e)
         if e.surface.name != surface.name:
             raise UsageError(f"e lives on {e.surface.name}")
         e = e.chern_data()
-    if k < 0:
-        raise UsageError("negative k")
+    check_k(k)
     det = as_split(line_bundle(surface, e.c1))
     if chi_pair(surface, e, k) != 0:
         warnings.warn(
@@ -744,23 +792,26 @@ def chi_theta(
         )
     if k == 0:
         return 1
-    order = 2 * k
-    fitting = _fitting((order + 1,))
 
     def residue_at(z: tuple[int, int], m: int) -> int:
-        dets = _spec_lines(det, z)
+        built = _chi_product(surface, e.rank, tuple(e.c1), z, m)
+        if len(built) <= k:
+            order = 2 * k
+            fitting = _fitting((order + 1,))
+            dets = _spec_lines(det, z)
 
-        def factor(p, s1, s2):
-            (weight,), _ = dets[p]
-            for n in range(k + 1):
-                # the product of exp(-n det u) and H, a one-term q-series each
-                yield _q_coefficient(
-                    [exp_todd_series(n * weight, (), order, m)],
-                    [theta_level(s1, s2, n, m, e.rank, order)],
-                    0, fitting, m,
-                )
+            def factor(p, s1, s2):
+                (weight,), _ = dets[p]
+                for n in range(k + 1):
+                    # the product of exp(-n det u) and H, a one-term q-series each
+                    yield _q_coefficient(
+                        [exp_todd_series(n * weight, (), order, m)],
+                        [theta_level(s1, s2, n, m, e.rank, order)],
+                        0, fitting, m,
+                    )
 
-        return localize(surface, k, factor, z, (order + 1,), m)[(order,)]
+            built[:] = q_product(surface, k, factor, z, (order + 1,), m, 0)
+        return top_degree(built[k][: 2 * k + 1], (2 * k + 1,), k)[(2 * k,)]
 
     request = {
         "op": "chi_theta",
@@ -892,9 +943,10 @@ def verify_conjecture(
         raise UsageError("need degree d >= 1")
     if k_max < 1:
         raise UsageError("need k_max >= 1")
+    check_k(k_max)
     rows: list[ConjectureRow] = []
-    # from k_max down: the first chi_theta call builds the theta tables at
-    # order 2 k_max, and every smaller k reads a prefix of them
+    # from k_max down: the first chi_theta call builds the theta tables and
+    # the q-product at k_max, and every smaller k reads its row of them
     for k in range(k_max, 0, -1):
         c2s = c2_for_expected_dim_zero(r, d, k)
         v = ChernData(r, (-d,), c2s)

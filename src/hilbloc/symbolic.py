@@ -157,18 +157,26 @@ def series_exp(coeffs: Sequence[int], m: int) -> list[int]:
     return out
 
 
+# Spare bits per slot of a packed Todd row: a sum of fewer than 2^16 rows
+# cannot carry out of any slot.
+_SLOT_SPARE = 16
+
+
 @lru_cache(maxsize=4096)
-def _todd_power_row(v: int, order: int, m: int) -> tuple[int, ...]:
+def _todd_power_row(v: int, order: int, m: int) -> int:
     """2j L_2j v^2j mod m for j = 1..order/2: one weight's even log terms,
-    already scaled for the exponential's recurrence."""
+    already scaled for the exponential's recurrence, packed into one int,
+    term j in the slot of m.bit_length() + 16 bits starting at bit
+    (j - 1) times that width."""
     logtodd = _todd_log_residues(order, m)
+    width = m.bit_length() + _SLOT_SPARE
     square = v * v % m
-    row = []
+    row = 0
     power = 1
-    for n in range(2, order + 1, 2):
+    for shift, n in enumerate(range(2, order + 1, 2)):
         power = power * square % m
-        row.append(n * logtodd[n] * power % m)
-    return tuple(row)
+        row |= (n * logtodd[n] * power % m) << (shift * width)
+    return row
 
 
 def exp_todd_series(theta: int, weights: Sequence[int], order: int, m: int) -> list[int]:
@@ -177,14 +185,23 @@ def exp_todd_series(theta: int, weights: Sequence[int], order: int, m: int) -> l
     The local integrand of every Riemann-Roch sum: the series exponential
     of f = c u + sum_j L_2j p_2j u^2j, with c = p_1/2 - theta and p_n the
     power sums of the weights; log todd(x) - x/2 is even, so no other term
-    enters.  Each weight's even terms come from a cached row
-    (``_todd_power_row``), and the exponential e of f runs over the terms
-    f has: t e_t = c e_(t-1) + sum_j 2j L_2j p_2j e_(t-2j).  With no
-    weights that is c^t / t!.
+    enters.  Each weight's even terms come from a cached row packed into
+    one int (``_todd_power_row``), so the power sums are one integer sum of
+    the rows, unpacked slot by slot; fewer than 2^16 weights cannot carry
+    out of a slot.  The exponential e of f runs over the terms f has:
+    t e_t = c e_(t-1) + sum_j 2j L_2j p_2j e_(t-2j).  With no weights that
+    is c^t / t!.
     """
+    if len(weights) >> _SLOT_SPARE:
+        raise ComputationError(f"{len(weights)} weights overflow a packed Todd row")
     inverses = _inverses(order, m)
-    rows = [_todd_power_row(v, order, m) for v in weights]
-    even = [sum(column) % m for column in zip(*rows)]
+    width = m.bit_length() + _SLOT_SPARE
+    mask = (1 << width) - 1
+    packed = sum([_todd_power_row(v, order, m) for v in weights])
+    even = []
+    for _ in range(order // 2):
+        even.append((packed & mask) % m)
+        packed >>= width
     c = (_todd_log_residues(order, m)[1] * sum(weights) - theta) % m
     out = [1, c]
     for t in range(2, order + 1):

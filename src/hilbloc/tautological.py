@@ -37,6 +37,7 @@ from math import factorial, gcd, lcm, prod
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
+from .hilb import check_k
 from .integrals import ChernExpr, _chern_plan_sum, expected_dim_pairs
 from .symbolic import DEFAULT_SEED
 from .toric import (
@@ -201,8 +202,7 @@ def virtual_integral(
     bad_ids = p_expr.bundle_ids() - {"IT"}
     if bad_ids:
         raise UsageError(f"expression may only reference c_j(IT): {sorted(bad_ids)}")
-    if k < 0:
-        raise UsageError("negative k")
+    check_k(k)
     try:
         _require_ambient(surface, v)
     except UsageError as exc:

@@ -1,19 +1,8 @@
-import os
-
 import pytest
 from hypothesis import settings
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("HILBLOC_EXTENDED") == "1":
-        return
-    skip = pytest.mark.skip(reason="extended sweep; set HILBLOC_EXTENDED=1 to run")
-    for item in items:
-        if "extended" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture(autouse=True)

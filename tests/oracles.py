@@ -9,9 +9,10 @@ keeps the (h, u) bigraded class of P x X^[k] at each fixed point instead of
 integrating h out in closed form.  The split-model oracle walks every
 non-decreasing degree tuple with the right sum, with no Whitney pruning.
 The universal fit's oracle is Gauss-Jordan elimination over ``Fraction``s,
-not over integers.  The tests compare the engine against these
-implementations, so they must not import from the modules they check
-beyond plain data access.
+not over integers.  The rank-0 theta table's oracle is the plethystic
+product formula for Hilb C^2, with no partitions at all.  The tests
+compare the engine against these implementations, so they must not import
+from the modules they check beyond plain data access.
 """
 
 from fractions import Fraction
@@ -330,3 +331,34 @@ def fraction_gauss_jordan(rows, rhs):
     for i, col in enumerate(pivots):
         solution[col] = aug[i][n]
     return solution, [c for c in range(n) if c not in pivots]
+
+
+def rank_0_theta_series(s1, s2, n_max, order):
+    """[q^0..q^n_max] of sum_n q^n H_n(u), each truncated at u^order.
+
+    H_n is the sum over the partitions of n of the product of the Todd
+    series of their tangent weights at the chart (s1, s2), over the product
+    of those weights: chi of O on Hilb^n C^2 in Todd form.  The plethystic
+    formula for the Hilbert scheme of the plane gives it with no partitions:
+
+        sum_n q^n H_n(u) = exp(sum_j q^j u^(2j-2) td(j s1 u) td(j s2 u) / (j^3 s1 s2)).
+    """
+    zero = [Fraction(0)] * (order + 1)
+    log = [zero]  # the exponent, one series in u per power of q
+    for j in range(1, n_max + 1):
+        shift, term = 2 * j - 2, list(zero)
+        if shift <= order:
+            rest = order - shift
+            td = _truncated_mul(todd_series(j * s1, rest), todd_series(j * s2, rest), rest)
+            for i, c in enumerate(td):
+                term[i + shift] = c / (j**3 * s1 * s2)
+        log.append(term)
+    # E = exp(log) over q: n E_n = sum_j j log_j E_(n-j)
+    out = [[Fraction(1)] + zero[1:]]
+    for n in range(1, n_max + 1):
+        acc = list(zero)
+        for j in range(1, n + 1):
+            term = _truncated_mul(log[j], out[n - j], order)
+            acc = [a + j * t for a, t in zip(acc, term)]
+        out.append([a / n for a in acc])
+    return out

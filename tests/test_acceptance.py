@@ -6,8 +6,7 @@ Each test prints a single line
 
 (shown with ``pytest -s``, or in the passes section with ``-rP``) and then
 asserts both the mathematical statement and its wall-clock budget.
-Criterion 4 has an extended variant (k <= 11) gated behind
-HILBLOC_EXTENDED=1.
+Criterion 4 has an extended variant (k <= 11).
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ import time
 import warnings
 from fractions import Fraction
 from math import comb
-
-import pytest
 
 from hilbloc.hilb import count_fixed_points, enumerate_fixed_points
 from hilbloc.integrals import (
@@ -117,7 +114,6 @@ def test_criterion_4_conjecture_k_to_8():
             "quot_count = chi_theta on P2 (r=3, d=7) for every k <= 8")
 
 
-@pytest.mark.extended
 def test_criterion_4_extended_conjecture_k_to_11():
     t0 = time.monotonic()
     rows = verify_conjecture(P2, 3, 7, 11)

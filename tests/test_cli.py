@@ -579,6 +579,31 @@ def test_taut_integral_far_above_the_dimension(index, lam_minus):
     assert f"virtual dimension 1 not among expression degrees [{index}]" in proc.stderr
 
 
+HUGE_K = "100000000000000000000"  # 2k + 1 is far above sys.maxsize
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi-theta", "--surface", "P2", "--k", HUGE_K),
+    ("quot-count", "--surface", "P2", "--vstar", "2,3", "--k", HUGE_K),
+    ("fixed-points", "--surface", "P2", "--k", HUGE_K),
+    ("verify-conjecture", "--r", "3", "--d", "7", "--kmax", HUGE_K),
+], ids=lambda argv: argv[0])
+def test_a_k_too_large_for_a_series_is_a_usage_error(argv):
+    # it ended in an OverflowError traceback, or (verify-conjecture) ran
+    # one failing row after another with no end
+    src = str(Path(hilbloc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbloc.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: k = {HUGE_K} is too large: a series of 2k + 1 terms does not fit a list\n"
+    )
+
+
 def test_universal_poly_count_shape(capsys):
     report = run_json(capsys, "universal-poly", "--k", "1", "--rank-v", "2")
     poly = report["polynomial"]

@@ -35,7 +35,9 @@ from hilbloc.symbolic import (
     PRIME_POOL,
     WORD_PRIMES,
     Weight,
+    dual_specialized,
     reconstruct,
+    residue,
     signed_chern_coefficients,
 )
 from hilbloc.tautological import virtual_integral
@@ -51,6 +53,7 @@ from oracles import (
     brute_chern_integral,
     brute_chi_theta,
     c2_by_surface_localization,
+    rank_0_theta_series,
 )
 
 P2 = make_surface("P2")
@@ -306,6 +309,12 @@ def test_localize_rejects_a_class_whose_lower_degrees_do_not_cancel():
         localize(P2, 1, _one_at_first_point(m), (53, 59), (3,), m)
 
 
+def _clear_tables():
+    partition_table.cache_clear()
+    integrals._theta_table.cache_clear()
+    integrals._chi_product.cache_clear()
+
+
 @pytest.fixture
 def tampered_lines(monkeypatch):
     """Shift every line weight at the first surface point by one.
@@ -319,6 +328,11 @@ def tampered_lines(monkeypatch):
         return [([w + 1 for w in plus], [w + 1 for w in minus]), *rest]
 
     monkeypatch.setattr(integrals, "_spec_lines", tampered)
+    # a product built from untampered lines must not be served, and one
+    # built from tampered lines must not outlive the test
+    _clear_tables()
+    yield
+    _clear_tables()
 
 
 @pytest.mark.parametrize(
@@ -502,13 +516,23 @@ def test_chi_theta_keys_a_value_by_rank_and_c1(tmp_path, monkeypatch):
     assert len(lines) == 3 and path.read_text().splitlines() == lines
 
 
-def _clear_tables():
-    partition_table.cache_clear()
-    integrals._theta_table.cache_clear()
+def _count_product_builds(monkeypatch) -> list[int]:
+    """The k of every q-product taken at all of q^0..q^k: chi_theta's
+    builds.  The Chern sums take q^k alone."""
+    builds = []
+    q_product = integrals.q_product
+
+    def counted(surface, k, point_factor, z, width, m, low):
+        if low == 0:
+            builds.append(k)
+        return q_product(surface, k, point_factor, z, width, m, low)
+
+    monkeypatch.setattr(integrals, "q_product", counted)
+    return builds
 
 
 @pytest.mark.parametrize("surface", (P2, QUADRIC, F1), ids=lambda s: s.name)
-def test_chi_theta_is_the_same_from_a_higher_order_table(surface):
+def test_chi_theta_is_the_same_from_a_higher_order_table(surface, monkeypatch):
     first, second = ((1, 2), (2, 1)) if surface.divisor_rank == 2 else ((1,), (2,))
     zero = (0,) * surface.divisor_rank
     bundles = [
@@ -517,10 +541,12 @@ def test_chi_theta_is_the_same_from_a_higher_order_table(surface):
         split_bundle(surface, [first, second]),  # rank 2
     ]
     ks = range(1, 6)
+    builds = _count_product_builds(monkeypatch)
 
     def values(order_of_k, clear_each):
         out = {}
         _clear_tables()
+        builds.clear()
         for e in bundles:
             for k in order_of_k:
                 if clear_each:
@@ -531,10 +557,13 @@ def test_chi_theta_is_the_same_from_a_higher_order_table(surface):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the bundles are not orthogonal
         fresh = values(ks, clear_each=True)
-        # from k = 5 down every k reads a prefix of the order-10 tables;
-        # from k = 1 up every k rebuilds them at a higher order
+        # from k = 5 down every k reads the q^k row of the order-10 product
+        # and of the order-10 theta tables, built once per e and
+        # specialization; from k = 1 up every k builds them again
         assert values(ks[::-1], clear_each=False) == fresh
+        assert builds == [5] * 2 * len(bundles)
         assert values(ks, clear_each=False) == fresh
+        assert builds == [k for _ in bundles for k in ks for _ in range(2)]
 
 
 def test_theta_level_keeps_nothing_from_a_pole():
@@ -548,6 +577,34 @@ def test_theta_level_keeps_nothing_from_a_pole():
     # a lower order is a prefix of the highest order built
     high = theta_level(53, 59, 1, m, 1, 8)
     assert theta_level(53, 59, 1, m, 1, 4) == high[:5]
+
+
+def test_chi_product_keeps_nothing_from_a_pole(monkeypatch):
+    _clear_tables()
+    z, m = (53, 53), WORD_PRIMES[0] * WORD_PRIMES[1]  # t2 - t1 vanishes
+    kept = []
+
+    def pole_first(compute, seed):
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                compute(z)
+            kept.append(integrals._chi_product(P2, 0, (0,), z, m))
+        return dual_specialized(compute, seed)
+
+    monkeypatch.setattr(integrals, "dual_specialized", pole_first)
+    assert chi_theta(P2, SplitBundle(P2), 3) == 1
+    assert kept == [[], []]
+
+
+@pytest.mark.parametrize("s1, s2", [(53, 97), (-61, 113), (7, -3)])
+def test_rank_0_theta_table_is_the_plethystic_series(s1, s2):
+    # at rank 0 the theta table is chi of O on Hilb^n C^2 in Todd form,
+    # which the oracle reads off a product formula with no partitions
+    m, order = WORD_PRIMES[0], 12
+    want = rank_0_theta_series(s1, s2, 5, order)
+    for n in range(6):
+        got = theta_level(s1, s2, n, m, 0, order)
+        assert got == [residue(c, m) for c in want[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +681,18 @@ def test_verify_conjecture_realizes_a_model_for_v_star_only(tmp_path, monkeypatc
     assert all(row.equal for row in rows)
     monkeypatch.setattr(integrals, "dual_specialized", _refuse_to_compute)
     assert verify_conjecture(P2, 3, 7, 6, cache=cache) == rows
+
+
+def test_verify_conjecture_builds_one_chi_product_per_specialization(monkeypatch):
+    # from k_max down, every chi_theta call reads the k_max product
+    _clear_tables()
+    builds = _count_product_builds(monkeypatch)
+    rows = verify_conjecture(P2, 3, 7, 6)
+    assert builds == [6, 6]
+    assert [(row.k, row.quot, row.chi) for row in rows] == [
+        (1, 36, 36), (2, 546, 546), (3, 4556, 4556),
+        (4, 22935, 22935), (5, 71940, 71940), (6, 140504, 140504),
+    ]
 
 
 def test_verify_conjecture_grows_past_the_benchmark():

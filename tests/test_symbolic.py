@@ -1,5 +1,6 @@
 """Series, residue and specialization primitives, checked against closed forms."""
 
+import random
 from fractions import Fraction
 from math import factorial, prod
 
@@ -153,6 +154,31 @@ def test_exp_todd_series_is_the_todd_product(theta, weights, order, m):
     for v in weights:
         want = _mul(want, todd_series(v, order))
     assert exp_todd_series(theta, weights, order, m) == [residue(c, m) for c in want]
+
+
+def test_exp_todd_series_sums_hundreds_of_rows_near_the_modulus():
+    # 800 weights, eight distinct, whose scaled even log terms n L_n v^n
+    # (the entries of their packed rows) all lie in the top quarter of
+    # [0, m): every power sum is over 2^9 m before its reduction, so a slot
+    # with fewer than ten spare bits would carry into the next one
+    m, order, theta = WORD_PRIMES[0] * WORD_PRIMES[1], 8, 3
+    logtodd = symbolic._todd_log_residues(order, m)
+    # for small v they sit near multiples of m / 12, m / 720, ...; large
+    # ones spread evenly
+    rng = random.Random(0)
+    near = []
+    while len(near) < 8:
+        v = rng.randrange(2**64)
+        if all(n * logtodd[n] * v**n % m >= 3 * m // 4 for n in range(2, order + 1, 2)):
+            near.append(v)
+    weights = near * 100
+    # the exponent c u + sum_n L_n p_n u^n, its columns summed directly
+    log = [0] + [sum(logtodd[n] * v**n for v in weights) % m for n in range(1, order + 1)]
+    log[1] = (log[1] - theta) % m
+    assert exp_todd_series(theta, weights, order, m) == series_exp(log, m)
+    # 2^16 entries below m could carry out of a slot
+    with pytest.raises(ComputationError, match="overflow a packed Todd row"):
+        exp_todd_series(theta, [1] * 2**16, order, m)
 
 
 def test_elementary_symmetric_fixture():
