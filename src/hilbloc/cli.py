@@ -400,6 +400,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # a k far above any computable size but within check_k's bound
+        print("error: out of memory", file=sys.stderr)
+        return 1
     _emit(_report(args, seed, payload), args.format)
     return code
 

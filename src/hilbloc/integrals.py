@@ -23,12 +23,22 @@ each of them, so every bundle, k and side of a sum under the same z shares
 it.  It specializes one chart-free table per n (``_hook_table``: each
 partition's parent, last cell, cell row and column sums, and its tangent
 weights in the basis of the chart weights), so the arm/leg formula runs
-once per partition and process.  Chern-class integrands are built cell by
-cell: ``chern_rows`` grows each partition's row of Chern classes from its
-parent's by the lines of its last cell, instead of from all of its cells.
-Each point factor hands ``localize`` one series per level n, the sum over
-the partitions of n of their integrands over their tangent products
-(``level_sum``).
+once per partition and process, and it takes one modular inverse for all
+the tangent products of the table.  Chern-class integrands are built cell
+by cell: ``chern_rows`` grows each partition's row of Chern classes from
+its parent's by the lines of its last cell, instead of from all of its
+cells.  Each point factor hands ``localize`` one series per level n, the
+sum over the partitions of n of their integrands over their tangent
+products (``level_sum``).
+
+For the Chern sums that level series depends on the bundles only through
+their line weights at the point, so ``chern_levels`` keeps it per chart,
+modulus and sorted local lines of each factor, at the highest k and Chern
+tops built so far, and serves a smaller request from its sub-block.  A
+line bundle in its canonical linearization has weight 0 at the first
+point, so the rows of ``verify_conjecture`` (from k_max down) read that
+point off the k_max build, and a ``quot_count`` after ``virtual_integral``
+(P = 1) of the same V reads every point.
 
 For chi_theta that level sum is bundle-free up to one factor: at a chart
 it is exp(-n det u) times the sum over the partitions of n of their Todd
@@ -66,6 +76,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import lcm, prod
+from operator import gt, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import ResultCache
@@ -79,7 +90,6 @@ from .errors import (
 from .hilb import Partition, cell_tangent_weights, check_k, partitions
 from .symbolic import (
     DEFAULT_SEED,
-    Weight,
     dual_specialized,
     exp_todd_series,
     reconstruct,
@@ -111,6 +121,7 @@ __all__ = [
     "top_degree",
     "localize",
     "chern_rows",
+    "chern_levels",
     "localize_chern",
     "exact",
     "integrate",
@@ -375,9 +386,6 @@ class LocalPartition(NamedTuple):
     inverse: int | None  # 1 / prod(tangents) mod m; None for a pole
 
 
-_T1, _T2 = Weight(1, 0), Weight(0, 1)  # the chart weights v1, v2 as a basis
-
-
 @lru_cache(maxsize=64)
 def _hook_table(n: int) -> tuple[tuple, ...]:
     """The chart-free data of every partition of n, in ``partitions`` order.
@@ -385,9 +393,9 @@ def _hook_table(n: int) -> tuple[tuple, ...]:
     Per partition: itself, its parent's index among the partitions of
     n - 1, its last cell (i, j) (the last of its last row), the sums of
     the rows i and of the columns j of its cells, and its tangent weights
-    as pairs (a, b) meaning a*v1 + b*v2 (the arm/leg formula of
-    ``cell_tangent_weights`` at the generic chart).  ``partition_table``
-    specializes it at each chart.
+    as pairs (a, b) meaning a*v1 + b*v2, read off ``cell_tangent_weights``
+    at the integer charts (1, 0) and (0, 1), so the arm/leg formula is
+    written once.  ``partition_table`` specializes it at each chart.
     """
     parents = {} if n == 0 else {
         part.parts: i for i, part in enumerate(partitions(n - 1))
@@ -404,7 +412,9 @@ def _hook_table(n: int) -> tuple[tuple, ...]:
             parent,
             last,
             (sum(i for i, _ in cells), sum(j for _, j in cells)),
-            tuple((w.a, w.b) for w in cell_tangent_weights(_T1, _T2, part)),
+            tuple(zip(
+                cell_tangent_weights(1, 0, part), cell_tangent_weights(0, 1, part)
+            )),
         ))
     return tuple(table)
 
@@ -418,20 +428,28 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, .
     the same z reuses it; it specializes the chart-free ``_hook_table``.
     A tangent product that specializes to zero is kept as a pole
     (``inverse`` None), which ``localize`` raises on each time it meets it.
+    Every other product is a product of nonzero integers far below each
+    word prime, so it is invertible mod m, and the table takes one inverse
+    for all of them (Montgomery's trick): that of their product, from
+    which the prefix products peel off each one.
     """
-    table = []
-    for part, parent, (i, j), (rows, cols), forms in _hook_table(n):
-        tangents = tuple(a * s1 + b * s2 for a, b in forms)
-        den = prod(tangents)
-        table.append(LocalPartition(
-            part,
-            parent,
-            i * s1 + j * s2,
-            rows * s1 + cols * s2,
-            tangents,
-            pow(den % m, -1, m) if den else None,
-        ))
-    return tuple(table)
+    hooks = _hook_table(n)
+    tangents = [tuple(a * s1 + b * s2 for a, b in forms) for *_, forms in hooks]
+    dens = [prod(t) % m for t in tangents]
+    prefix = [1]  # prefix[i]: the product of the nonzero dens before i
+    for den in dens:
+        prefix.append(prefix[-1] * den % m if den else prefix[-1])
+    inverse = pow(prefix[-1], -1, m)  # 1 / prefix[i + 1] at step i below
+    inverses: list[int | None] = [None] * len(dens)
+    for i in reversed(range(len(dens))):
+        if dens[i]:
+            inverses[i] = inverse * prefix[i] % m
+            inverse = inverse * dens[i] % m
+    return tuple(
+        LocalPartition(part, parent, i * s1 + j * s2, rows * s1 + cols * s2, t, inv)
+        for (part, parent, (i, j), (rows, cols), _), t, inv
+        in zip(hooks, tangents, inverses)
+    )
 
 
 def level_sum(
@@ -575,6 +593,67 @@ def chern_rows(
         yield rows
 
 
+@lru_cache(maxsize=None)
+def _sub_block(tops: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
+    """The flat indices, in a row-major series with exponents up to
+    ``tops``, of its entries with exponents up to ``block``, in the block's
+    own row-major order; for one formal variable, a prefix."""
+    strides = [prod(top + 1 for top in tops[j + 1 :]) for j in range(len(tops))]
+    return tuple(
+        sum(map(mul, exps, strides))
+        for exps in _exponents(tuple(top + 1 for top in block))
+    )
+
+
+@lru_cache(maxsize=1024)
+def _chern_table(s1: int, s2: int, m: int, lines: tuple) -> list:
+    """``chern_levels``' (k, tops, level series) at the highest k and tops
+    built so far; empty until the first build."""
+    return []
+
+
+def chern_levels(
+    s1: int, s2: int, m: int, lines: tuple, tops: tuple[int, ...], k: int
+) -> list[list[int]]:
+    """Per level n = 0..k at the chart (s1, s2), the sum over the partitions
+    of n of the product of the Chern rows c_0..c_top_j of the factors,
+    over the tangent products, mod m (``level_sum``).
+
+    ``lines`` holds a pair (plus, minus) of sorted specialized line weights
+    at the point per factor, and ``tops`` its top Chern index; a level's
+    series is flat row-major over the widths top_j + 1, the first factor's
+    row first.  By the Ellingsrud-Goettsche-Lehn factorization this is all
+    a point contributes, so one table per (s1, s2, m, lines) serves every
+    bundle, k and sum with these local lines.  A Chern row depends only on
+    its lower entries, and a level only on the levels below it, so the
+    table keeps the highest k and tops built so far and serves a smaller
+    request from its sub-block (``_sub_block``).  A pole raises PoleError
+    before the table is written.
+    """
+    built = _chern_table(s1, s2, m, lines)
+    have_k, have_tops, levels = built or (-1, tops, [])
+    if have_k < k or any(map(gt, tops, have_tops)):
+        have_k, have_tops = max(k, have_k), tuple(map(max, tops, have_tops))
+        table = [partition_table(s1, s2, n, m) for n in range(have_k + 1)]
+        grown = [
+            chern_rows(table, plus, minus, top, m)
+            for (plus, minus), top in zip(lines, have_tops)
+        ]
+        levels = []
+        for level in table:
+            # with no factor, the integrand is 1
+            flats, *rest = [next(rows) for rows in grown] or [[[1]] * len(level)]
+            for rows in rest:
+                flats = [
+                    [x * y % m for x in flat for y in row]
+                    for flat, row in zip(flats, rows)
+                ]
+            levels.append(level_sum(level, flats, m))
+        built[:] = have_k, have_tops, levels
+    block = _sub_block(have_tops, tops)
+    return [[series[i] for i in block] for series in levels[: k + 1]]
+
+
 def localize_chern(
     surface: ToricSurfaceModel,
     k: int,
@@ -589,26 +668,21 @@ def localize_chern(
     prod_j c_{d_j}(B_j^[k]), mod m.  The local factor is the product of
     the signed Chern polynomials of the cell-shifted line weights of each
     B_j, grown partition by partition from the parent's by ``chern_rows``.
+    It depends on the bundles only through their sorted line weights at
+    the point, so each point reads its level series from ``chern_levels``,
+    one table per chart, modulus and local lines.
     """
     lines = [_spec_lines(bundle, z) for bundle, _ in factors]
+    tops = tuple(top for _, top in factors)
 
     def factor(p, s1, s2):
-        table = [partition_table(s1, s2, n, m) for n in range(k + 1)]
-        grown = [
-            chern_rows(table, *spec[p], top, m)
-            for (_, top), spec in zip(factors, lines)
-        ]
-        for level in table:
-            flats = [[1]] * len(level)
-            for rows in map(next, grown):
-                flats = [
-                    [x * y % m for x in flat for y in row]
-                    for flat, row in zip(flats, rows)
-                ]
-            yield level_sum(level, flats, m)
+        local = tuple(
+            (tuple(sorted(plus)), tuple(sorted(minus)))
+            for plus, minus in (spec[p] for spec in lines)
+        )
+        return chern_levels(s1, s2, m, local, tops, k)
 
-    width = tuple(top + 1 for _, top in factors)
-    return localize(surface, k, factor, z, width, m)
+    return localize(surface, k, factor, z, tuple(top + 1 for top in tops), m)
 
 
 def exact(

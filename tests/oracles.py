@@ -10,7 +10,9 @@ integrating h out in closed form.  The split-model oracle walks every
 non-decreasing degree tuple with the right sum, with no Whitney pruning.
 The universal fit's oracle is Gauss-Jordan elimination over ``Fraction``s,
 not over integers.  The rank-0 theta table's oracle is the plethystic
-product formula for Hilb C^2, with no partitions at all.  The tests
+product formula for Hilb C^2, with no partitions at all.  Lehn's series
+for the top Segre class of H^[k] is Fraction series arithmetic and a series
+reversion over the surface's intersection form.  The tests
 compare the engine against these implementations, so they must not import
 from the modules they check beyond plain data access.
 """
@@ -362,3 +364,50 @@ def rank_0_theta_series(s1, s2, n_max, order):
             acc = [a + j * t for a, t in zip(acc, term)]
         out.append([a / n for a in acc])
     return out
+
+
+def _series_power(p, e, order):
+    """p^e truncated at order, for a series p with p[0] = 1 and any integer
+    (or rational) e, by the recurrence n f_n = sum_j ((e + 1) j - n) p_j f_(n-j)."""
+    p = list(p[: order + 1]) + [0] * (order + 1 - len(p))
+    f = [Fraction(1)]
+    for n in range(1, order + 1):
+        f.append(sum(((e + 1) * j - n) * p[j] * f[n - j] for j in range(1, n + 1)) / n)
+    return f
+
+
+def lehn_segre_series(surface, degrees, k_max):
+    """[z^0..z^k_max] of sum_k z^k int_{X^[k]} s_2k(H^[k]), H = O(degrees).
+
+    Lehn's formula (math/9803091, proved by Marian-Oprea-Pandharipande and
+    by Voisin): the series is (1-w)^a (1-2w)^b / (1-6w+6w^2)^c with
+    z = w(1-w)(1-2w)^4 / (1-6w+6w^2)^3, a = H.K - 2K^2, b = (H-K)^2 +
+    3 chi(O), c = H.(H-K)/2 + chi(O), and chi(O) = 1 on a rational surface.
+    It reads only the intersection form; w(z) comes from the reversion
+    w = z (1-6w+6w^2)^3 / ((1-w)(1-2w)^4), one order per iteration.
+    """
+    canonical = surface.canonical_degrees
+    h_less_k = [h - x for h, x in zip(degrees, canonical)]
+    a = surface.intersect(degrees, canonical) - 2 * surface.intersect(canonical, canonical)
+    b = surface.intersect(h_less_k, h_less_k) + 3
+    c = Fraction(surface.intersect(degrees, h_less_k), 2) + 1
+
+    def factors(w):
+        """(1 - w, 1 - 2w, 1 - 6w + 6w^2) as series in z, for w(0) = 0."""
+        square = _truncated_mul(w, w, k_max)
+        return (
+            [1] + [-x for x in w[1:]],
+            [1] + [-2 * x for x in w[1:]],
+            [1] + [6 * (y - x) for x, y in zip(w[1:], square[1:])],
+        )
+
+    def product_of_powers(series, exponents):
+        out = [Fraction(1)] + [Fraction(0)] * k_max
+        for s, e in zip(series, exponents):
+            out = _truncated_mul(out, _series_power(s, e, k_max), k_max)
+        return out
+
+    w = [Fraction(0)] * (k_max + 1)
+    for _ in range(k_max):
+        w = [Fraction(0)] + product_of_powers(factors(w), (-1, -4, 3))[:k_max]
+    return product_of_powers(factors(w), (a, b, -c))

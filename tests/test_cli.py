@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -602,6 +603,33 @@ def test_a_k_too_large_for_a_series_is_a_usage_error(argv):
     assert proc.stderr == (
         f"error: k = {HUGE_K} is too large: a series of 2k + 1 terms does not fit a list\n"
     )
+
+
+BIG_K = "1000000000"  # within the bound, but its series do not fit in 1 GB
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi-theta", "--surface", "P2", "--k", BIG_K),
+    ("quot-count", "--surface", "P2", "--vstar", "1,2", "--k", BIG_K),
+    ("taut-integral", "--surface", "P2", "--vstar", "2,3", "--k", BIG_K),
+], ids=lambda argv: argv[0])
+def test_running_out_of_memory_is_a_one_line_error(argv):
+    # it ended in a MemoryError traceback (taut-integral warns first); the
+    # cap keeps the process from taking the machine's memory
+    src = str(Path(hilbloc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbloc.cli", *argv, "--no-cache"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_cap_address_space, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == "error: out of memory"
 
 
 def test_universal_poly_count_shape(capsys):

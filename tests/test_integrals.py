@@ -18,6 +18,7 @@ from hilbloc.integrals import (
     IntegralRequest,
     Term,
     c2_for_expected_dim_zero,
+    chern_levels,
     chern_rows,
     chi_theta,
     expected_dim_pairs,
@@ -46,6 +47,7 @@ from hilbloc.toric import (
     SplitBundle,
     line_bundle,
     make_surface,
+    realize_split_model,
     split_bundle,
 )
 
@@ -268,6 +270,15 @@ def test_partition_table_keeps_poles_at_a_pole_chart():
         table = partition_table(s1, s2, n, m)
         assert [tuple(e) for e in table] == list(_arm_leg_table(s1, s2, n, m))
         assert all((e.inverse is None) == bool(n) for e in table)
+    # at (2, 1) a cell with arm a = 2(leg + 1) or a + 1 = 2 leg has a zero
+    # weight, so a level mixes poles and non-poles, and the one inverse of
+    # the table must skip exactly the poles
+    poles = {3: {(3,), (2, 1)}, 4: {(4,), (2, 2)}}
+    for n in range(6):
+        table = partition_table(2, 1, n, m)
+        assert [tuple(e) for e in table] == list(_arm_leg_table(2, 1, n, m))
+        if n in poles:
+            assert {e.partition.parts for e in table if e.inverse is None} == poles[n]
 
 
 def _tangent_products(k, m):
@@ -313,6 +324,7 @@ def _clear_tables():
     partition_table.cache_clear()
     integrals._theta_table.cache_clear()
     integrals._chi_product.cache_clear()
+    integrals._chern_table.cache_clear()
 
 
 @pytest.fixture
@@ -607,6 +619,101 @@ def test_rank_0_theta_table_is_the_plethystic_series(s1, s2):
         assert got == [residue(c, m) for c in want[n]]
 
 
+def _count_chern_rows(monkeypatch) -> list:
+    """One entry per Chern row grown by ``signed_chern_coefficients``."""
+    grown = []
+
+    def counted(*args):
+        grown.append(args)
+        return signed_chern_coefficients(*args)
+
+    monkeypatch.setattr(integrals, "signed_chern_coefficients", counted)
+    return grown
+
+
+def _chern_level_cases(surface):
+    """(name, k range, call at k): Chern sums with plus and minus lines."""
+    first, second = ((1, 2), (2, 1)) if surface.divisor_rank == 2 else ((1,), (2,))
+    zero = (0,) * surface.divisor_rank
+    v = split_bundle(surface, [first, second, zero], [first])
+    b = split_bundle(surface, [second], [first, zero])
+    cases = [
+        ("quot_count", range(1, 5), lambda k: quot_count(surface, v, k)),
+        ("integrate", range(1, 5), lambda k: integrate(IntegralRequest(
+            surface, k, {"B": b}, ChernExpr.chern(2 * k, "B")
+        ))),
+    ]
+    if surface is P2:
+        lam = split_bundle(P2, [2], [1])
+        cases += [
+            ("two factors", range(1, 5), lambda k: integrate(IntegralRequest(
+                P2, k, {"A": v, "B": b}, parse_chern_expr(f"c1(A)*c{2 * k - 1}(B)")
+            ))),
+            ("virtual_integral", range(1, 4), lambda k: virtual_integral(
+                P2, split_bundle(P2, [1, 1], [1]).dual(), lam, k,
+                parse_chern_expr(f"2/3*c1(IT)*c{2 * k}(IT) - 1/5*c{2 * k + 1}(IT)"),
+            )),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("surface", (P2, QUADRIC, F1), ids=lambda s: s.name)
+def test_chern_levels_are_the_same_from_a_higher_build(surface, monkeypatch):
+    grown = _count_chern_rows(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # off-dimension Lambda integrands
+        for name, ks, call in _chern_level_cases(surface):
+            fresh, rows = {}, {}
+            for k in ks:
+                _clear_tables()
+                grown.clear()
+                fresh[k] = call(k)
+                rows[k] = len(grown)
+            # from the top k down, every point reads its levels off the
+            # first build, so no call after it grows a row
+            _clear_tables()
+            grown.clear()
+            assert {k: call(k) for k in reversed(ks)} == fresh, name
+            assert len(grown) == rows[ks[-1]] > 0, name
+            _clear_tables()
+            assert {k: call(k) for k in ks} == fresh, name
+
+
+def test_quot_count_reads_the_levels_of_the_virtual_integral(monkeypatch):
+    # virtual_integral(P=1) of V at k is c_2k of V*^[k], the quot count's
+    # integrand, so the quot count after it grows no Chern row
+    c2 = c2_for_expected_dim_zero(3, 5, 3)
+    v = realize_split_model(P2, ChernData(3, (-5,), c2).dual()).dual()
+    _clear_tables()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the model of V* has minus lines
+        assert virtual_integral(P2, v, None, 3) == 609
+    grown = _count_chern_rows(monkeypatch)
+    assert quot_count(P2, v, 3) == 609
+    assert grown == []
+
+
+def test_chern_levels_keep_nothing_from_a_pole():
+    m = WORD_PRIMES[0]
+    _clear_tables()
+    lines = (((0, 5), (1,)),)
+    # s1 = 0 is a tangent weight of the one-cell partition
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            chern_levels(0, 59, m, lines, (2,), 1)
+        assert integrals._chern_table(0, 59, m, lines) == []
+    # a smaller k and top is a prefix of the highest build, and a smaller
+    # block of two factors is the sub-block of theirs
+    two = lines + (((3,), ()),)
+    high = chern_levels(53, 59, m, lines, (6,), 3)
+    high_two = chern_levels(53, 59, m, two, (4, 3), 3)
+    assert chern_levels(53, 59, m, lines, (2,), 1) == [s[:3] for s in high[:2]]
+    served = chern_levels(53, 59, m, two, (2, 1), 2)
+    assert served == [[s[4 * i + j] for i in range(3) for j in range(2)] for s in high_two[:3]]
+    _clear_tables()
+    assert chern_levels(53, 59, m, two, (2, 1), 2) == served
+
+
 # ---------------------------------------------------------------------------
 # the expected-dimension-zero family
 
@@ -684,11 +791,15 @@ def test_verify_conjecture_realizes_a_model_for_v_star_only(tmp_path, monkeypatc
 
 
 def test_verify_conjecture_builds_one_chi_product_per_specialization(monkeypatch):
-    # from k_max down, every chi_theta call reads the k_max product
+    # from k_max down, every chi_theta call reads the k_max product, and
+    # every quot_count reads the first point's Chern levels (all line
+    # weights 0 there) off the k_max build: 330 rows grown, not 2 * 3 * 68
     _clear_tables()
     builds = _count_product_builds(monkeypatch)
+    grown = _count_chern_rows(monkeypatch)
     rows = verify_conjecture(P2, 3, 7, 6)
     assert builds == [6, 6]
+    assert len(grown) == 408 - 2 * (68 - 29) == 330
     assert [(row.k, row.quot, row.chi) for row in rows] == [
         (1, 36, 36), (2, 546, 546), (3, 4556, 4556),
         (4, 22935, 22935), (5, 71940, 71940), (6, 140504, 140504),
