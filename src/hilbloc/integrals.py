@@ -40,18 +40,16 @@ point, so the rows of ``verify_conjecture`` (from k_max down) read that
 point off the k_max build, and a ``quot_count`` after ``virtual_integral``
 (P = 1) of the same V reads every point.
 
-For chi_theta that level sum is bundle-free up to one factor: at a chart
-it is exp(-n det u) times the sum over the partitions of n of their Todd
-series, twisted by the rank of e (``theta_level``), and det is the
-canonical weight of det e = O(c1(e)) there, so chi_theta reads e as its
-rank and c1.  That sum is one table per chart, n, m and rank, kept at the
-highest order built so far, so every e of that rank and every k up to the
-highest one met share it.  The product over the points is one table too,
-per surface, rank, c1, specialization and modulus: all of q^0..q^K at
-order 2K for the highest K built, of which a call at k <= K reads the q^k
-row up to u^2k and checks it with ``top_degree``.  ``verify_conjecture``
-runs from k_max down, so it builds each of them once per specialization.
-Each partition's Todd series there is ``symbolic.exp_todd_series``, which
+For chi_theta the level sum at a chart depends on e only through its
+rank and det, the canonical weight of det e = O(c1(e)) there: each
+partition of n adds its Todd series twisted by exp(-(n det + rank S) u),
+S the sum of its cell shifts (``theta_level``), so chi_theta reads e as
+its rank and c1.  The product over the points is one table per surface,
+rank, c1, specialization and modulus: all of q^0..q^K at order 2K for the
+highest K built, of which a call at k <= K reads the q^k row up to u^2k
+and checks it with ``top_degree``.  ``verify_conjecture`` runs from k_max
+down, so it builds each of them once per specialization.  Each
+partition's Todd series there is ``symbolic.exp_todd_series``, which
 reads its weights' even powers from cached rows packed into one int each,
 so a partition's power sums are one integer sum, and exponentiates only
 the linear and even terms of the Todd log.
@@ -107,6 +105,7 @@ from .toric import (
     line_bundle,
     make_surface,
     realize_split_model,
+    split_on,
 )
 
 __all__ = [
@@ -321,11 +320,9 @@ class IntegralRequest:
     def __post_init__(self) -> None:
         check_k(self.k)
         self.bundles = {
-            bid: as_split(b) for bid, b in self.bundles.items()
+            bid: split_on(self.surface, b, f"bundle {bid!r}")
+            for bid, b in self.bundles.items()
         }
-        for bid, b in self.bundles.items():
-            if b.surface.name != self.surface.name:
-                raise UsageError(f"bundle {bid!r} lives on {b.surface.name}")
         missing = self.expr.bundle_ids() - set(self.bundles)
         if missing:
             raise UsageError(f"undeclared bundle ids in expression: {sorted(missing)}")
@@ -785,35 +782,24 @@ def quot_count(
     return value
 
 
-@lru_cache(maxsize=1024)
-def _theta_table(s1: int, s2: int, n: int, m: int, rank: int) -> list[int]:
-    """``theta_level``'s series at the highest order built so far; empty
-    until the first build."""
-    return []
-
-
-def theta_level(s1: int, s2: int, n: int, m: int, rank: int, order: int) -> list[int]:
-    """H(u) = sum over the partitions lambda of n of exp(-rank S_lambda u)
+def theta_level(
+    s1: int, s2: int, n: int, m: int, rank: int, det: int, order: int
+) -> list[int]:
+    """sum over the partitions lambda of n of exp(-(n det + rank S_lambda) u)
     todd_lambda(u) / e_lambda, mod m, truncated at u^order (order >= 1).
 
     S_lambda is the sum of lambda's cell shifts and todd_lambda the product
-    of the Todd series of its tangent weights at the chart (s1, s2).  The
-    theta bundle of an e of this rank whose determinant has weight det at
-    the chart adds exp(-n det u) H(u) at level n, so every such e shares H;
-    ``chi_theta`` reads it only while it builds its q-product.  At rank 0,
-    H is chi of O on Hilb^n C^2 in Todd form.  Truncated series arithmetic
-    is exact up to its order, so the table keeps the highest order it has
-    built and serves a lower one by a prefix.  A pole raises PoleError
-    before the table is written.
+    of the Todd series of its tangent weights at the chart (s1, s2): the
+    level-n series of the theta bundle of an e of this rank whose
+    determinant has weight det there.  det enters the log linearly, so
+    det = 0 gives the det-free sum, which at rank 0 is chi of O on
+    Hilb^n C^2 in Todd form.  A pole raises PoleError.
     """
-    built = _theta_table(s1, s2, n, m, rank)
-    if len(built) <= order:
-        level = partition_table(s1, s2, n, m)
-        built[:] = level_sum(level, [
-            exp_todd_series(rank * part.shift_sum, part.tangents, order, m)
-            for part in level
-        ], m)
-    return built[: order + 1]
+    level = partition_table(s1, s2, n, m)
+    return level_sum(level, [
+        exp_todd_series(n * det + rank * part.shift_sum, part.tangents, order, m)
+        for part in level
+    ], m)
 
 
 @lru_cache(maxsize=256)
@@ -842,21 +828,17 @@ def chi_theta(
     Localization sum of exp(-theta u) * prod todd(v u) / (u^2k * prod v);
     ``top_degree`` checks that the strictly negative u-powers cancel across
     fixed points, and the u^0 coefficient is the (integer) answer.  The
-    level-n series at a point is exp(-n det u), det the canonical weight of
-    O(c1(e)) there, times the bundle-free ``theta_level`` of the rank of e,
-    which every e of that rank and every k up to the highest one met so far
-    reads from one table.  Their ``q_product`` over the points is kept per
-    (surface, rank, c1, z, m) with all of q^0..q^K at order 2K, for the
-    highest K built (``_chi_product``); a call at k <= K reads its q^k row
-    up to u^2k, and a pole leaves the table empty.  A non-orthogonal e
+    level-n series at a point is ``theta_level`` of the rank of e and det,
+    the canonical weight of O(c1(e)) there.  Their ``q_product`` over the
+    points is kept per (surface, rank, c1, z, m) with all of q^0..q^K at
+    order 2K, for the highest K built (``_chi_product``); a call at k <= K
+    reads its q^k row up to u^2k, and a pole leaves the table empty.  A
+    non-orthogonal e
     (chi_pair nonzero) only warns: the line bundle exists, it is just not
     the canonical pairing class.
     """
     if not isinstance(e, ChernData):
-        e = as_split(e)
-        if e.surface.name != surface.name:
-            raise UsageError(f"e lives on {e.surface.name}")
-        e = e.chern_data()
+        e = split_on(surface, e, "e").chern_data()
     check_k(k)
     det = as_split(line_bundle(surface, e.c1))
     if chi_pair(surface, e, k) != 0:
@@ -870,21 +852,14 @@ def chi_theta(
     def residue_at(z: tuple[int, int], m: int) -> int:
         built = _chi_product(surface, e.rank, tuple(e.c1), z, m)
         if len(built) <= k:
-            order = 2 * k
-            fitting = _fitting((order + 1,))
             dets = _spec_lines(det, z)
 
             def factor(p, s1, s2):
                 (weight,), _ = dets[p]
                 for n in range(k + 1):
-                    # the product of exp(-n det u) and H, a one-term q-series each
-                    yield _q_coefficient(
-                        [exp_todd_series(n * weight, (), order, m)],
-                        [theta_level(s1, s2, n, m, e.rank, order)],
-                        0, fitting, m,
-                    )
+                    yield theta_level(s1, s2, n, m, e.rank, weight, 2 * k)
 
-            built[:] = q_product(surface, k, factor, z, (order + 1,), m, 0)
+            built[:] = q_product(surface, k, factor, z, (2 * k + 1,), m, 0)
         return top_degree(built[k][: 2 * k + 1], (2 * k + 1,), k)[(2 * k,)]
 
     request = {
@@ -1019,8 +994,8 @@ def verify_conjecture(
         raise UsageError("need k_max >= 1")
     check_k(k_max)
     rows: list[ConjectureRow] = []
-    # from k_max down: the first chi_theta call builds the theta tables and
-    # the q-product at k_max, and every smaller k reads its row of them
+    # from k_max down: the first chi_theta call builds the q-product at
+    # k_max, and every smaller k reads its row of it
     for k in range(k_max, 0, -1):
         c2s = c2_for_expected_dim_zero(r, d, k)
         v = ChernData(r, (-d,), c2s)

@@ -45,10 +45,10 @@ from .toric import (
     EquivariantLineBundle,
     SplitBundle,
     ToricSurfaceModel,
-    as_split,
     chi_surface,
     make_surface,
     realize_split_model,
+    split_on,
 )
 
 __all__ = [
@@ -195,8 +195,8 @@ def virtual_integral(
     The virtual dimension is ``expected_dim_pairs``, so a V of rank < 1,
     which has no pair space, is a UsageError.
     """
-    v = as_split(v)
-    lam = SplitBundle(surface) if lam is None else as_split(lam)
+    v = split_on(surface, v, "V")
+    lam = SplitBundle(surface) if lam is None else split_on(surface, lam, "Lambda")
     if p_expr is None:
         p_expr = ChernExpr.constant(1)
     bad_ids = p_expr.bundle_ids() - {"IT"}

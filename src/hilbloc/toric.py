@@ -42,6 +42,7 @@ __all__ = [
     "validate_compatibility",
     "chi_from_chern",
     "as_split",
+    "split_on",
     "chi_surface",
     "chi_pair",
     "e_from_v",
@@ -367,6 +368,16 @@ def as_split(bundle: SplitBundle | EquivariantLineBundle) -> SplitBundle:
     if isinstance(bundle, EquivariantLineBundle):
         return SplitBundle(bundle.surface, (bundle,))
     return bundle
+
+
+def split_on(
+    surface: ToricSurfaceModel, bundle: SplitBundle | EquivariantLineBundle, name: str
+) -> SplitBundle:
+    """``as_split(bundle)``, or a UsageError calling it ``name`` if it lives elsewhere."""
+    split = as_split(bundle)
+    if split.surface.name != surface.name:
+        raise UsageError(f"{name} lives on {split.surface.name}")
+    return split
 
 
 def chi_surface(

@@ -9,7 +9,7 @@ keeps the (h, u) bigraded class of P x X^[k] at each fixed point instead of
 integrating h out in closed form.  The split-model oracle walks every
 non-decreasing degree tuple with the right sum, with no Whitney pruning.
 The universal fit's oracle is Gauss-Jordan elimination over ``Fraction``s,
-not over integers.  The rank-0 theta table's oracle is the plethystic
+not over integers.  The oracle of theta_level at rank 0 is the plethystic
 product formula for Hilb C^2, with no partitions at all.  Lehn's series
 for the top Segre class of H^[k] is Fraction series arithmetic and a series
 reversion over the surface's intersection form.  The tests

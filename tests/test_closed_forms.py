@@ -83,8 +83,8 @@ def test_chi_theta_of_a_line_bundle_less_the_structure_sheaf(case, k):
     assert value == binomial(chi + k - 1, k)
 
 
-# from the top down: the first call builds the theta tables at order 28 and
-# the smaller k read prefixes of them.  Three surfaces keep the builds few.
+# from the top down: the first call builds the q-product at order 28 and the
+# smaller k read prefixes of it.  Three surfaces keep the builds few.
 HIGH_K = range(14, 9, -1)
 HIGH_K_SURFACES = SURFACES[0], SURFACES[1], SURFACES[3]
 shifts = st.builds(Weight, st.integers(-4, 4), st.integers(-4, 4))

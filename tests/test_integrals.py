@@ -4,7 +4,7 @@ import json
 import random
 import warnings
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +56,7 @@ from oracles import (
     brute_chi_theta,
     c2_by_surface_localization,
     rank_0_theta_series,
+    todd_series,
 )
 
 P2 = make_surface("P2")
@@ -322,7 +323,6 @@ def test_localize_rejects_a_class_whose_lower_degrees_do_not_cancel():
 
 def _clear_tables():
     partition_table.cache_clear()
-    integrals._theta_table.cache_clear()
     integrals._chi_product.cache_clear()
     integrals._chern_table.cache_clear()
 
@@ -569,9 +569,9 @@ def test_chi_theta_is_the_same_from_a_higher_order_table(surface, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the bundles are not orthogonal
         fresh = values(ks, clear_each=True)
-        # from k = 5 down every k reads the q^k row of the order-10 product
-        # and of the order-10 theta tables, built once per e and
-        # specialization; from k = 1 up every k builds them again
+        # from k = 5 down every k reads the q^k row of the order-10 product,
+        # built once per e and specialization; from k = 1 up every k builds
+        # it again
         assert values(ks[::-1], clear_each=False) == fresh
         assert builds == [5] * 2 * len(bundles)
         assert values(ks, clear_each=False) == fresh
@@ -584,11 +584,44 @@ def test_theta_level_keeps_nothing_from_a_pole():
     # s1 = 0 is a tangent weight of the one-cell partition
     for _ in range(2):
         with pytest.raises(PoleError):
-            theta_level(0, 59, 1, m, 1, 4)
-        assert integrals._theta_table(0, 59, 1, m, 1) == []
-    # a lower order is a prefix of the highest order built
-    high = theta_level(53, 59, 1, m, 1, 8)
-    assert theta_level(53, 59, 1, m, 1, 4) == high[:5]
+            theta_level(0, 59, 1, m, 1, 0, 4)
+
+
+def _theta_level_by_fractions(s1, s2, n, rank, det, order):
+    """theta_level's series over the rationals, from the cells of each
+    partition and the oracle's Todd series."""
+    total = [Fraction(0)] * (order + 1)
+    for lam in partitions(n):
+        tangents = cell_tangent_weights(s1, s2, lam)
+        theta = n * det + rank * sum(i * s1 + j * s2 for i, j in lam.cells())
+        series = [Fraction(-theta) ** t / factorial(t) for t in range(order + 1)]
+        for v in tangents:
+            todd = todd_series(v, order)
+            series = [
+                sum(series[i] * todd[t - i] for i in range(t + 1))
+                for t in range(order + 1)
+            ]
+        total = [a + s / prod(tangents) for a, s in zip(total, series)]
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_theta_level_is_the_twisted_todd_sum(data):
+    surface = data.draw(st.sampled_from((P2, QUADRIC, F1)))
+    p = data.draw(st.integers(0, len(surface.points) - 1))
+    z = tuple(data.draw(st.lists(
+        st.sampled_from(PRIME_POOL), min_size=2, max_size=2, unique=True
+    )))
+    n = data.draw(st.integers(0, 5))
+    rank = data.draw(st.integers(-2, 3))
+    det = data.draw(st.integers(-60, 60))
+    order = data.draw(st.integers(1, 12))
+    m = data.draw(st.sampled_from((WORD_PRIMES[0], WORD_PRIMES[0] * WORD_PRIMES[1])))
+    v1, v2 = surface.points[p]
+    s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
+    want = _theta_level_by_fractions(s1, s2, n, rank, det, order)
+    assert theta_level(s1, s2, n, m, rank, det, order) == [residue(c, m) for c in want]
 
 
 def test_chi_product_keeps_nothing_from_a_pole(monkeypatch):
@@ -610,12 +643,12 @@ def test_chi_product_keeps_nothing_from_a_pole(monkeypatch):
 
 @pytest.mark.parametrize("s1, s2", [(53, 97), (-61, 113), (7, -3)])
 def test_rank_0_theta_table_is_the_plethystic_series(s1, s2):
-    # at rank 0 the theta table is chi of O on Hilb^n C^2 in Todd form,
+    # at rank 0 and det 0 theta_level is chi of O on Hilb^n C^2 in Todd form,
     # which the oracle reads off a product formula with no partitions
     m, order = WORD_PRIMES[0], 12
     want = rank_0_theta_series(s1, s2, 5, order)
     for n in range(6):
-        got = theta_level(s1, s2, n, m, 0, order)
+        got = theta_level(s1, s2, n, m, 0, 0, order)
         assert got == [residue(c, m) for c in want[n]]
 
 

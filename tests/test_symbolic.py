@@ -126,7 +126,7 @@ def test_exp_todd_series_is_the_product():
     st.sampled_from((P, WORD_PRIMES[0] * WORD_PRIMES[1])),
 )
 def test_exp_todd_series_prefix_is_the_lower_order(theta, weights, low, extra, m):
-    # the theta table serves order `low` from a series built at a higher one
+    # chi_theta's q-product serves order 2k from series built at a higher one
     high = low + extra
     assert (
         exp_todd_series(theta, weights, high, m)[: low + 1]

@@ -217,6 +217,15 @@ def test_virtual_integral_rejects_foreign_ids():
         virtual_integral(P2, v, None, 1, ChernExpr.chern(2, "A"))
 
 
+def test_virtual_integral_refuses_a_bundle_on_another_surface():
+    # its degrees would be read in another divisor basis
+    with pytest.raises(UsageError, match="V lives on P1xP1"):
+        virtual_integral(P2, split_bundle(QUADRIC, [(-1, -1), (-1, 0)]), None, 1)
+    lam = split_bundle(QUADRIC, [(1, 0)])
+    with pytest.raises(UsageError, match="Lambda lives on P1xP1"):
+        virtual_integral(P2, split_bundle(P2, [-2, -3]), lam, 1)
+
+
 def test_virtual_integral_with_nontrivial_shape():
     # P = c2(IT) against Lambda = O on a dimension-2 family: stable under seeds
     vstar = realize_split_model(P2, ChernData(2, (2,), 3))  # chi(V*) = 3, Dp = 2
