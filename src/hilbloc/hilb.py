@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .errors import ComputationError, UsageError
 from .symbolic import Weight, ZERO_WEIGHT
-from .toric import EquivariantLineBundle, SplitBundle, ToricSurfaceModel, as_split
+from .toric import EquivariantLineBundle, SplitBundle, ToricSurfaceModel, split_on
 
 __all__ = [
     "Partition",
@@ -208,7 +208,7 @@ def taut_weights(
     point contributes w + i*v1 + j*v2 for every cell (i, j) of the partition
     sitting there.  Minus lines of a virtual split land in the minus list.
     """
-    bundle = as_split(bundle)
+    bundle = split_on(surface, bundle, "bundle")
     if len(fp.parts) != len(surface.points):
         raise UsageError("fixed point does not match the surface model")
     plus: list[Weight] = []

@@ -33,8 +33,8 @@ products (``level_sum``).
 
 For the Chern sums that level series depends on the bundles only through
 their line weights at the point, so ``chern_levels`` keeps it per chart,
-modulus and sorted local lines of each factor, at the highest k and Chern
-tops built so far, and serves a smaller request from its sub-block.  A
+modulus, local lines and later factors' tops, at the highest k and first
+top built, and reads a smaller request off a prefix of each level.  A
 line bundle in its canonical linearization has weight 0 at the first
 point, so the rows of ``verify_conjecture`` (from k_max down) read that
 point off the k_max build, and a ``quot_count`` after ``virtual_integral``
@@ -74,7 +74,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import lcm, prod
-from operator import gt, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import ResultCache
@@ -98,7 +97,6 @@ from .toric import (
     EquivariantLineBundle,
     SplitBundle,
     ToricSurfaceModel,
-    as_split,
     chi_from_chern,
     chi_pair,
     e_from_v,
@@ -590,22 +588,10 @@ def chern_rows(
         yield rows
 
 
-@lru_cache(maxsize=None)
-def _sub_block(tops: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, ...]:
-    """The flat indices, in a row-major series with exponents up to
-    ``tops``, of its entries with exponents up to ``block``, in the block's
-    own row-major order; for one formal variable, a prefix."""
-    strides = [prod(top + 1 for top in tops[j + 1 :]) for j in range(len(tops))]
-    return tuple(
-        sum(map(mul, exps, strides))
-        for exps in _exponents(tuple(top + 1 for top in block))
-    )
-
-
 @lru_cache(maxsize=1024)
-def _chern_table(s1: int, s2: int, m: int, lines: tuple) -> list:
-    """``chern_levels``' (k, tops, level series) at the highest k and tops
-    built so far; empty until the first build."""
+def _chern_table(s1: int, s2: int, m: int, lines: tuple, later_tops: tuple) -> list:
+    """``chern_levels``' (k, first top, level series) at the highest k and
+    first top built so far; empty until the first build."""
     return []
 
 
@@ -620,21 +606,23 @@ def chern_levels(
     at the point per factor, and ``tops`` its top Chern index; a level's
     series is flat row-major over the widths top_j + 1, the first factor's
     row first.  By the Ellingsrud-Goettsche-Lehn factorization this is all
-    a point contributes, so one table per (s1, s2, m, lines) serves every
-    bundle, k and sum with these local lines.  A Chern row depends only on
-    its lower entries, and a level only on the levels below it, so the
-    table keeps the highest k and tops built so far and serves a smaller
-    request from its sub-block (``_sub_block``).  A pole raises PoleError
+    a point contributes, so one table per (s1, s2, m, lines, tops[1:])
+    serves every bundle, k and sum with these local lines.  A Chern row
+    depends only on its lower entries, a level only on the levels below
+    it, and the first factor's exponent is the outermost index, so the
+    table keeps the highest k and first top built so far and serves a
+    smaller request from a prefix of each level.  A pole raises PoleError
     before the table is written.
     """
-    built = _chern_table(s1, s2, m, lines)
-    have_k, have_tops, levels = built or (-1, tops, [])
-    if have_k < k or any(map(gt, tops, have_tops)):
-        have_k, have_tops = max(k, have_k), tuple(map(max, tops, have_tops))
+    built = _chern_table(s1, s2, m, lines, tops[1:])
+    # the first top as a 0- or 1-tuple, so a sum of no factors needs no branch
+    have_k, have_first, levels = built or (-1, (), [])
+    if have_k < k or tops[:1] > have_first:
+        have_k, have_first = max(k, have_k), max(tops[:1], have_first)
         table = [partition_table(s1, s2, n, m) for n in range(have_k + 1)]
         grown = [
             chern_rows(table, plus, minus, top, m)
-            for (plus, minus), top in zip(lines, have_tops)
+            for (plus, minus), top in zip(lines, have_first + tops[1:])
         ]
         levels = []
         for level in table:
@@ -646,9 +634,9 @@ def chern_levels(
                     for flat, row in zip(flats, rows)
                 ]
             levels.append(level_sum(level, flats, m))
-        built[:] = have_k, have_tops, levels
-    block = _sub_block(have_tops, tops)
-    return [[series[i] for i in block] for series in levels[: k + 1]]
+        built[:] = have_k, have_first, levels
+    width = prod(top + 1 for top in tops)
+    return [series[:width] for series in levels[: k + 1]]
 
 
 def localize_chern(
@@ -766,7 +754,7 @@ def quot_count(
     The argument is V itself; the dual is taken here.  The count, a Chern
     number of X^[k], is asserted to be an integer, as a cached one may not be.
     """
-    v = as_split(v)
+    v = split_on(surface, v, "V")
     check_k(k)
     if v.rank < 1:
         raise UsageError("quot_count needs rank V >= 1")
@@ -840,7 +828,7 @@ def chi_theta(
     if not isinstance(e, ChernData):
         e = split_on(surface, e, "e").chern_data()
     check_k(k)
-    det = as_split(line_bundle(surface, e.c1))
+    det = SplitBundle(surface, (line_bundle(surface, e.c1),))
     if chi_pair(surface, e, k) != 0:
         warnings.warn(
             f"chi_pair(e, k={k}) != 0: theta class is not orthogonal",
@@ -888,7 +876,7 @@ def expected_dim_pairs(
     if k < 0:
         raise UsageError("negative k")
     if isinstance(v, SplitBundle):
-        v = v.chern_data()
+        v = split_on(surface, v, "V").chern_data()
     if v.rank < 1:
         raise UsageError("expected_dim_pairs needs rank V >= 1")
     return chi_from_chern(surface, v.dual()) - 1 - (v.rank - 2) * k

@@ -41,7 +41,6 @@ __all__ = [
     "split_bundle",
     "validate_compatibility",
     "chi_from_chern",
-    "as_split",
     "split_on",
     "chi_surface",
     "chi_pair",
@@ -265,6 +264,13 @@ class SplitBundle:
     plus: tuple[EquivariantLineBundle, ...] = ()
     minus: tuple[EquivariantLineBundle, ...] = ()
 
+    def __post_init__(self):
+        for line in self.plus + self.minus:
+            if line.surface.name != self.surface.name:
+                raise UsageError(
+                    f"a line on {line.surface.name} in a bundle on {self.surface.name}"
+                )
+
     @property
     def rank(self) -> int:
         return len(self.plus) - len(self.minus)
@@ -353,8 +359,17 @@ def split_bundle(
 # Euler characteristics
 
 
+def _check_c1(surface: ToricSurfaceModel, c1: Sequence[int]) -> None:
+    if len(c1) != surface.divisor_rank:
+        raise UsageError(
+            f"{surface.name} wants {surface.divisor_rank} divisor degree(s) "
+            f"in c1, got {len(c1)}"
+        )
+
+
 def chi_from_chern(surface: ToricSurfaceModel, cd: ChernData) -> int:
     """chi(E) = rank + c1.(c1 - K)/2 - c2 on a rational surface (chi(O) = 1)."""
+    _check_c1(surface, cd.c1)
     k = surface.canonical_degrees
     c1_c1 = surface.intersect(cd.c1, cd.c1)
     c1_k = surface.intersect(cd.c1, k)
@@ -364,20 +379,16 @@ def chi_from_chern(surface: ToricSurfaceModel, cd: ChernData) -> int:
     return cd.rank + twice // 2 - cd.c2
 
 
-def as_split(bundle: SplitBundle | EquivariantLineBundle) -> SplitBundle:
-    if isinstance(bundle, EquivariantLineBundle):
-        return SplitBundle(bundle.surface, (bundle,))
-    return bundle
-
-
 def split_on(
     surface: ToricSurfaceModel, bundle: SplitBundle | EquivariantLineBundle, name: str
 ) -> SplitBundle:
-    """``as_split(bundle)``, or a UsageError calling it ``name`` if it lives elsewhere."""
-    split = as_split(bundle)
-    if split.surface.name != surface.name:
-        raise UsageError(f"{name} lives on {split.surface.name}")
-    return split
+    """The bundle, a line as a split bundle of one line, or a UsageError
+    calling it ``name`` if it lives on another surface."""
+    if bundle.surface.name != surface.name:
+        raise UsageError(f"{name} lives on {bundle.surface.name}")
+    if isinstance(bundle, EquivariantLineBundle):
+        return SplitBundle(surface, (bundle,))
+    return bundle
 
 
 def chi_surface(
@@ -385,7 +396,7 @@ def chi_surface(
     bundle: SplitBundle | EquivariantLineBundle,
 ) -> int:
     """Hirzebruch-Riemann-Roch over the surface, exact integer."""
-    return chi_from_chern(surface, as_split(bundle).chern_data())
+    return chi_from_chern(surface, split_on(surface, bundle, "bundle").chern_data())
 
 
 def chi_pair(
@@ -395,7 +406,7 @@ def chi_pair(
 ) -> int:
     """chi(E tensor I_Z) for any length-k Z: chi(E) - rank(E) * k."""
     if isinstance(e, SplitBundle):
-        e = e.chern_data()
+        e = split_on(surface, e, "e").chern_data()
     return chi_from_chern(surface, e) - e.rank * k
 
 
@@ -516,11 +527,7 @@ def realize_split_model(
     """
     if target.rank < 1:
         raise UsageError("realize_split_model needs rank >= 1")
-    if len(target.c1) != surface.divisor_rank:
-        raise UsageError(
-            f"{surface.name} wants {surface.divisor_rank} divisor degree(s) "
-            f"in c1, got {len(target.c1)}"
-        )
+    _check_c1(surface, target.c1)
     if box is None:
         box = 16 if surface.divisor_rank == 1 else 4
     plus, minus = _realize_cached(

@@ -45,6 +45,7 @@ from hilbloc.tautological import virtual_integral
 from hilbloc.toric import (
     ChernData,
     SplitBundle,
+    chi_pair,
     line_bundle,
     make_surface,
     realize_split_model,
@@ -445,6 +446,13 @@ def test_quot_count_trivial_cases():
         quot_count(P2, split_bundle(P2, [-2, -3]), -1)
 
 
+def test_quot_count_refuses_a_bundle_on_another_surface():
+    # named as the argument, not as the internal id of its dual
+    for k in (0, 1):
+        with pytest.raises(UsageError, match=r"^V lives on P1xP1$"):
+            quot_count(P2, split_bundle(QUADRIC, [(1, 0), (0, 1)]), k)
+
+
 def test_quot_count_seed_invariance():
     v = split_bundle(P2, [-2, -3])
     values = {quot_count(P2, v, 2, seed=s) for s in range(1, 6)}
@@ -702,12 +710,14 @@ def test_chern_levels_are_the_same_from_a_higher_build(surface, monkeypatch):
                 grown.clear()
                 fresh[k] = call(k)
                 rows[k] = len(grown)
-            # from the top k down, every point reads its levels off the
-            # first build, so no call after it grows a row
+            # from the top k down, every point of a one-factor sum reads its
+            # levels off the first build, so no call after it grows a row;
+            # a sum of two factors keys its table by its later factors' tops
             _clear_tables()
             grown.clear()
             assert {k: call(k) for k in reversed(ks)} == fresh, name
-            assert len(grown) == rows[ks[-1]] > 0, name
+            if name in ("quot_count", "integrate"):
+                assert len(grown) == rows[ks[-1]] > 0, name
             _clear_tables()
             assert {k: call(k) for k in ks} == fresh, name
 
@@ -734,17 +744,39 @@ def test_chern_levels_keep_nothing_from_a_pole():
     for _ in range(2):
         with pytest.raises(PoleError):
             chern_levels(0, 59, m, lines, (2,), 1)
-        assert integrals._chern_table(0, 59, m, lines) == []
-    # a smaller k and top is a prefix of the highest build, and a smaller
-    # block of two factors is the sub-block of theirs
+        assert integrals._chern_table(0, 59, m, lines, ()) == []
+    # a smaller k and first top is a prefix of the highest build, for one
+    # factor and for two with the same second top
     two = lines + (((3,), ()),)
     high = chern_levels(53, 59, m, lines, (6,), 3)
-    high_two = chern_levels(53, 59, m, two, (4, 3), 3)
+    high_two = chern_levels(53, 59, m, two, (4, 1), 3)
     assert chern_levels(53, 59, m, lines, (2,), 1) == [s[:3] for s in high[:2]]
     served = chern_levels(53, 59, m, two, (2, 1), 2)
-    assert served == [[s[4 * i + j] for i in range(3) for j in range(2)] for s in high_two[:3]]
+    assert served == [s[:6] for s in high_two[:3]]
     _clear_tables()
     assert chern_levels(53, 59, m, two, (2, 1), 2) == served
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_chern_levels_are_the_same_in_any_request_order(data):
+    surface = data.draw(st.sampled_from((P2, QUADRIC, F1)))
+    v1, v2 = data.draw(st.sampled_from(surface.points))
+    s1, s2 = v1.spec_int(53, 59), v2.spec_int(53, 59)
+    m = WORD_PRIMES[0]
+    weights = st.lists(st.integers(-300, 300), max_size=3).map(lambda w: tuple(sorted(w)))
+    lines = tuple(data.draw(st.lists(st.tuples(weights, weights), min_size=1, max_size=3)))
+    requests = data.draw(st.lists(st.integers(0, 4).flatmap(lambda k: st.tuples(
+        st.just(k), st.tuples(*[st.integers(0, 2 * k)] * len(lines))
+    )), min_size=1, max_size=6))
+    fresh = []
+    for k, tops in requests:
+        _clear_tables()
+        fresh.append(chern_levels(s1, s2, m, lines, tops, k))
+    # the same requests in a row, each served by the tables the ones
+    # before it built, grown in k and the first top
+    _clear_tables()
+    assert [chern_levels(s1, s2, m, lines, tops, k) for k, tops in requests] == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +791,20 @@ def test_expected_dim_pairs():
     for rank in (0, -2):
         with pytest.raises(UsageError):
             expected_dim_pairs(P2, ChernData(rank, (1,), 0), 1)
+
+
+def test_expected_dim_pairs_refuses_a_bundle_on_another_surface():
+    with pytest.raises(UsageError, match="V lives on P1xP1"):
+        expected_dim_pairs(P2, split_bundle(QUADRIC, [(1, 0), (0, 1)]), 1)
+
+
+def test_chern_data_with_a_c1_of_the_wrong_length_is_refused():
+    with pytest.raises(UsageError, match=r"P1xP1 wants 2 divisor degree\(s\) in c1, got 1"):
+        expected_dim_pairs(QUADRIC, ChernData(3, (7,), 0), 1)
+    with pytest.raises(UsageError, match="P1xP1 wants 2"):
+        chi_pair(QUADRIC, ChernData(2, (7,), 0), 1)
+    with pytest.raises(UsageError, match=r"P2 wants 1 divisor degree\(s\) in c1, got 2"):
+        expected_dim_pairs(P2, ChernData(3, (7, 5), 0), 1)
 
 
 def test_c2_for_expected_dim_zero_values():

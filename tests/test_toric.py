@@ -11,6 +11,7 @@ from hilbloc.symbolic import Weight, ZERO_WEIGHT
 from hilbloc.toric import (
     ChernData,
     EquivariantLineBundle,
+    SplitBundle,
     chi_from_chern,
     chi_pair,
     chi_surface,
@@ -197,6 +198,26 @@ def test_chi_surface_rejects_edge_incompatible_weights():
         EquivariantLineBundle(P2, weights)
     with pytest.raises(UsageError, match="expected 3 weights"):
         EquivariantLineBundle(P2, weights[:2])
+
+
+def test_split_bundle_refuses_a_line_on_another_surface():
+    with pytest.raises(UsageError, match="a line on P1xP1 in a bundle on P2"):
+        SplitBundle(P2, (line_bundle(QUADRIC, (1, 0)),))
+    with pytest.raises(UsageError, match="a line on Hirzebruch"):
+        SplitBundle(QUADRIC, (line_bundle(QUADRIC, (1, 0)),), (line_bundle(F0, (0, 1)),))
+
+
+def test_chi_surface_refuses_a_bundle_on_another_surface():
+    # its degrees would be read in another divisor basis
+    with pytest.raises(UsageError, match="bundle lives on P1xP1"):
+        chi_surface(P2, split_bundle(QUADRIC, [(1, 0)]))
+    with pytest.raises(UsageError, match="bundle lives on Hirzebruch"):
+        chi_surface(QUADRIC, line_bundle(F1, (1, 2)))
+
+
+def test_chi_pair_refuses_a_bundle_on_another_surface():
+    with pytest.raises(UsageError, match="e lives on P1xP1"):
+        chi_pair(P2, split_bundle(QUADRIC, [(1, 0)]), 1)
 
 
 def test_chi_split_additivity_with_minus_lines():
