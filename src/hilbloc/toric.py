@@ -434,13 +434,15 @@ def _plus_search(surface: ToricSurfaceModel, atoms: Sequence[tuple[int, ...]],
     function yields, for a start index, a length n, a component-wise sum R
     and a self-intersection sum Q, the non-decreasing n-tuples of
     ``atoms[start:]`` with sum R and sum of d.d equal to Q, in
-    lexicographic order.  A branch is cut when R is out of reach, when Q
-    leaves n times the range of d.d over the atoms still allowed, when R's
-    first coordinate falls below n times the current atom's (the atoms are
-    sorted, so every later one fails too), and on P2, whose form is
-    definite, when n Q < R^2 (Cauchy-Schwarz).  The last element must equal
-    R, so it is looked up, not searched.  Every cut branch holds no such
-    tuple, so the order of the survivors is that of the plain enumeration.
+    lexicographic order.  The root call and every branch are cut when R is
+    out of reach, when Q leaves n times the range of d.d over the atoms
+    still allowed, and on P2, whose form is definite, when n Q < R^2
+    (Cauchy-Schwarz); so a search for an unreachable pair of sums costs one
+    check.  The loop over atoms also stops once R's first coordinate falls
+    below n times the current atom's (the atoms are sorted, so every later
+    one fails too).  The last element must equal R, so it is looked up,
+    not searched.  Every cut branch holds no such tuple, so the order of
+    the survivors is that of the plain enumeration.
     """
     squares = [surface.intersect(a, a) for a in atoms]
     lo, hi = squares[:], squares[:]
@@ -448,6 +450,13 @@ def _plus_search(surface: ToricSurfaceModel, atoms: Sequence[tuple[int, ...]],
         lo[i], hi[i] = min(lo[i], lo[i + 1]), max(hi[i], hi[i + 1])
     index = {a: i for i, a in enumerate(atoms)}
     definite = surface.divisor_rank == 1
+
+    def reachable(start: int, n: int, rest: tuple[int, ...], q: int) -> bool:
+        return (
+            all(abs(x) <= n * bound for x in rest)
+            and n * lo[start] <= q <= n * hi[start]
+            and not (definite and n * q < rest[0] * rest[0])
+        )
 
     def rec(start: int, n: int, rest: tuple[int, ...], q: int):
         if n == 1:
@@ -460,17 +469,34 @@ def _plus_search(surface: ToricSurfaceModel, atoms: Sequence[tuple[int, ...]],
             if rest[0] < n * a[0]:
                 break
             r = tuple(x - y for x, y in zip(rest, a))
-            if any(abs(x) > (n - 1) * bound for x in r):
-                continue
             left = q - squares[i]
-            if not (n - 1) * lo[i] <= left <= (n - 1) * hi[i]:
-                continue
-            if definite and (n - 1) * left < r[0] * r[0]:
-                continue
-            for tail in rec(i, n - 1, r, left):
-                yield (a,) + tail
+            if reachable(i, n - 1, r, left):
+                for tail in rec(i, n - 1, r, left):
+                    yield (a,) + tail
 
-    return rec
+    def search(start: int, n: int, rest: tuple[int, ...], q: int):
+        return rec(start, n, rest, q) if reachable(start, n, rest, q) else iter(())
+
+    return search
+
+
+@functools.lru_cache(maxsize=256)
+def _box_table(family: str, a: int, bound: int, m: int):
+    """The target-free part of one step of the split-model search.
+
+    For the surface, the box ``bound`` and ``m`` minus lines: the plus
+    search over the sorted atoms within the box, and every non-decreasing
+    m-tuple of atoms as (minus, e1m, e2m), the tuple with its Whitney c1
+    and c2, in lexicographic order.  Built once per process and shared by
+    every target.
+    """
+    surface = make_surface(family, a)
+    atoms = sorted(iproduct(range(-bound, bound + 1), repeat=surface.divisor_rank))
+    rows = tuple(
+        (minus, *_whitney(surface, minus, ()))
+        for minus in combinations_with_replacement(atoms, m)
+    )
+    return _plus_search(surface, atoms, bound), rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,21 +504,21 @@ def _realize_cached(
     surface_name: str, a: int, rank: int, c1: tuple[int, ...], c2: int,
     box: int, max_minus: int,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The first split model's (plus, minus) degree tuples: a loop over the
+    rows of the shared ``_box_table`` of each minus count and bound, in the
+    search order, with one plus search per minus tuple."""
     surface = make_surface(surface_name, a)
     inter = surface.intersect
 
     for m in range(0, max_minus + 1):
         p = rank + m
         for bound in range(0, box + 1):
-            span = range(-bound, bound + 1)
-            atoms = sorted(iproduct(span, repeat=surface.divisor_rank))
-            plus_tuples = _plus_search(surface, atoms, bound)
-            for minus in combinations_with_replacement(atoms, m):
+            plus_tuples, rows = _box_table(surface_name, a, bound, m)
+            for minus, e1m, e2m in rows:
                 # the plus lines sum to s = c1 + e1m, and Whitney's c2 =
                 # e2p - s.e1m + e1m.e1m - e2m with 2 e2p = s.s - sum d.d
                 # fixes the sum of their self-intersections; the minus
                 # lines alone have (c1, c2) = (e1m, e2m)
-                e1m, e2m = _whitney(surface, minus, ())
                 s = tuple(x + y for x, y in zip(c1, e1m))
                 squares = inter(s, s) - 2 * (
                     c2 + inter(s, e1m) - inter(e1m, e1m) + e2m
@@ -522,14 +548,24 @@ def realize_split_model(
 
     Branches that the Whitney formula rules out (the plus lines' degree sum
     and self-intersection sum are fixed once the minus lines are chosen)
-    are cut without being walked, so the first model of this order is
-    found, and returned, as by a plain enumeration.
+    are cut without being walked, the root of each plus search included,
+    so the first model of this order is found, and returned, as by a plain
+    enumeration.  The atoms, plus search and minus tuples of each (surface,
+    bound, minus count) are one table per process (``_box_table``), shared
+    by every target.  ``box`` and ``max_minus`` must be non-negative
+    integers.
     """
     if target.rank < 1:
         raise UsageError("realize_split_model needs rank >= 1")
     _check_c1(surface, target.c1)
     if box is None:
         box = 16 if surface.divisor_rank == 1 else 4
+    for name, value in (("box", box), ("max_minus", max_minus)):
+        if not isinstance(value, int) or value < 0:
+            raise UsageError(
+                f"realize_split_model needs a non-negative integer {name}, "
+                f"got {value!r}"
+            )
     plus, minus = _realize_cached(
         surface.family, surface.a, target.rank, tuple(target.c1), target.c2,
         box, max_minus,

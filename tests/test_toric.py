@@ -22,8 +22,11 @@ from hilbloc.toric import (
     split_bundle,
     surface_to_json,
     validate_compatibility,
+    _box_table,
     _plus_search,
+    _realize_cached,
 )
+from hilbloc.integrals import c2_for_expected_dim_zero
 
 from oracles import brute_chi_surface, brute_realize_split_model
 
@@ -301,6 +304,11 @@ def test_realize_failure_reports():
         realize_split_model(P2, ChernData(2, (1, 2), 0))
     with pytest.raises(UsageError, match="divisor degree"):
         realize_split_model(QUADRIC, ChernData(2, (1,), 0))
+    # a box or minus count that is no non-negative integer: rejected before
+    # any search
+    for box, max_minus in ((-1, 2), (2, -1), (2.0, 2), (None, 1.5)):
+        with pytest.raises(UsageError, match="non-negative integer"):
+            realize_split_model(P2, ChernData(2, (5,), 6), box, max_minus)
 
 
 @st.composite
@@ -341,6 +349,94 @@ def test_realize_matches_brute_search(case):
     assert model.chern_data() == target
 
 
+def _model_or_error(case):
+    """The (plus, minus) degree tuples of the case's model, or the text of
+    its RealizationError."""
+    surface, target, box, max_minus = case
+    try:
+        model = realize_split_model(surface, target, box, max_minus)
+    except RealizationError as exc:
+        return str(exc)
+    return (
+        tuple(l.degrees for l in model.plus),
+        tuple(l.degrees for l in model.minus),
+    )
+
+
+@st.composite
+def shared_table_cases(draw):
+    """Cases of ``realize_cases``, one in two with the default box."""
+    surface, target, box, max_minus = draw(realize_cases())
+    return surface, target, draw(st.sampled_from((box, None))), max_minus
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_realize_is_the_same_in_any_request_order(data):
+    # the search's tables are shared by every target of a process: asked
+    # for in any order, each target gets the model of a search on cleared
+    # caches, and in a small box the model of the plain search
+    cases = data.draw(st.lists(shared_table_cases(), min_size=1, max_size=6))
+    cases = data.draw(st.permutations(cases))
+    _realize_cached.cache_clear()
+    _box_table.cache_clear()
+    shared = [_model_or_error(case) for case in cases]
+    for case, got in zip(cases, shared):
+        _realize_cached.cache_clear()
+        _box_table.cache_clear()
+        assert _model_or_error(case) == got
+        surface, target, box, max_minus = case
+        if box is not None:
+            try:
+                expected = brute_realize_split_model(surface, target, box, max_minus)
+            except RealizationError as exc:
+                expected = str(exc)
+            assert got == expected
+
+
+# default-box models of V* on P2, recorded before the search shared its
+# tables: quot_count keys its cache lines by V*'s line weights, so another
+# model would orphan every cached quot line
+SWEEP_MODELS = {  # (3, 7) sweep, k -> (plus, minus) degrees
+    1: ((0, 0, 1, 1), (-5,)), 2: ((-1, 1, 1, 1), (-5,)),
+    3: ((-1, 0, 1, 2), (-5,)), 4: ((-3, 0, 1, 3), (-6,)),
+    5: ((-2, 1, 1, 2), (-5,)), 6: ((0, 1, 1, 1), (-4,)),
+    7: ((0, 0, 1, 2), (-4,)), 8: ((-1, 1, 1, 2), (-4,)),
+    9: ((-1, 0, 2, 2), (-4,)), 10: ((1, 1, 1, 1), (-3,)),
+    11: ((0, 1, 1, 2), (-3,)), 12: ((0, 0, 2, 2), (-3,)),
+    13: ((-1, 1, 2, 2), (-3,)), 14: ((1, 1, 1, 2), (-2,)),
+    15: ((0, 1, 2, 2), (-2,)), 16: ((-2, 2, 2, 2), (-3,)),
+    17: ((-1, 2, 2, 2), (-2,)), 18: ((0, 2, 2, 2), (-1,)),
+    19: ((1, 2, 2, 2), (0,)), 20: ((2, 2, 2, 2), (1,)),
+}
+GRID_MODELS = {  # criterion-5 grid, (r, d, k) -> (plus, minus) degrees
+    (3, 4, 1): ((-1, 0, 0, 1), (-4,)), (3, 4, 2): ((-1, -1, 1, 1), (-4,)),
+    (3, 4, 3): ((-2, 0, 1, 1), (-4,)), (3, 4, 4): ((0, 0, 0, 1), (-3,)),
+    (3, 5, 1): ((-2, 0, 0, 2), (-5,)), (3, 5, 2): ((0, 0, 0, 1), (-4,)),
+    (3, 5, 3): ((-1, 0, 1, 1), (-4,)), (3, 5, 4): ((-1, 0, 0, 2), (-4,)),
+    (3, 6, 1): ((-1, 0, 0, 2), (-5,)), (3, 6, 2): ((-2, 1, 1, 1), (-5,)),
+    (3, 6, 3): ((-2, 0, 1, 2), (-5,)), (3, 6, 4): ((0, 0, 1, 1), (-4,)),
+    (3, 7, 1): ((0, 0, 1, 1), (-5,)), (3, 7, 2): ((-1, 1, 1, 1), (-5,)),
+    (3, 7, 3): ((-1, 0, 1, 2), (-5,)), (3, 7, 4): ((-3, 0, 1, 3), (-6,)),
+    (4, 4, 1): ((-1, 0, 0, 0, 1), (-4,)), (4, 4, 2): ((-2, 0, 0, 1, 1), (-4,)),
+    (4, 4, 3): ((-1, 0, 0, 1, 1), (-3,)), (4, 4, 4): ((0, 0, 0, 1, 1), (-2,)),
+    (4, 5, 1): ((-2, -1, 1, 1, 1), (-5,)), (4, 5, 2): ((-1, 0, 0, 1, 1), (-4,)),
+    (4, 5, 3): ((-2, 0, 1, 1, 1), (-4,)), (4, 5, 4): ((-1, 0, 1, 1, 1), (-3,)),
+    (4, 6, 1): ((-1, -1, 1, 1, 1), (-5,)), (4, 6, 2): ((-2, 0, 0, 1, 2), (-5,)),
+    (4, 6, 3): ((-1, 0, 1, 1, 1), (-4,)), (4, 6, 4): ((-2, 1, 1, 1, 1), (-4,)),
+    (4, 7, 1): ((0, 0, 0, 1, 1), (-5,)), (4, 7, 2): ((-1, 0, 0, 1, 2), (-5,)),
+    (4, 7, 3): ((-2, 0, 1, 1, 2), (-5,)), (4, 7, 4): ((-1, 1, 1, 1, 1), (-4,)),
+}
+
+
+def test_split_models_are_pinned():
+    targets = {(3, 7, k): pin for k, pin in SWEEP_MODELS.items()} | GRID_MODELS
+    for (r, d, k), (plus, minus) in targets.items():
+        target = ChernData(r, (d,), c2_for_expected_dim_zero(r, d, k))
+        expected = (tuple((x,) for x in plus), tuple((x,) for x in minus))
+        assert _model_or_error((P2, target, None, 2)) == expected, (r, d, k)
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_plus_search_yields_every_tuple(data):
@@ -356,6 +452,8 @@ def test_plus_search_yields_every_tuple(data):
         return tuple(map(sum, zip(*t))), sum(surface.intersect(d, d) for d in t)
 
     want, q = sums(degs)
+    # off the drawn sums, out of reach too, so the root's own cuts are tried
+    want = (want[0] + data.draw(st.sampled_from((0, 0, 1, n * bound + 1))),) + want[1:]
     q += data.draw(st.sampled_from((0, 0, 1, -2)))
     expected = [
         t for t in combinations_with_replacement(atoms, n) if sums(t) == (want, q)
