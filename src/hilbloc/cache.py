@@ -10,6 +10,12 @@ separators).  Requests describe the integral up to specialization, so seeds
 never enter the key.  Numerator and denominator are decimal strings to keep
 big integers JSON-safe.
 
+``hashlib`` is imported by ``canonical_key``, the one function that
+hashes: it maps OpenSSL's libcrypto, about 3.6 MB of resident memory, so a
+run that never looks a key up (every cache-less library call, every
+``--no-cache`` run) never loads it.  CPython's ``random`` avoids
+``hashlib`` at import for the same reason.
+
 Writes take an advisory lock on the file; reads are lock-free and tolerate
 truncated or foreign lines, so concurrent sweeps can share one cache file.
 The location comes from HILBLOC_CACHE, defaulting to
@@ -21,7 +27,6 @@ dependency.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import json
 import os
 from fractions import Fraction
@@ -35,6 +40,8 @@ __all__ = ["ENGINE_VERSION", "ResultCache", "canonical_key", "default_cache"]
 
 
 def canonical_key(request: dict) -> str:
+    import hashlib  # heavy to load (OpenSSL); see the module docstring
+
     blob = json.dumps(request, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ComputationError, UsageError
 from .symbolic import Weight, ZERO_WEIGHT
@@ -33,6 +33,7 @@ __all__ = [
     "compositions",
     "enumerate_fixed_points",
     "count_fixed_points",
+    "tangent_forms",
     "cell_tangent_weights",
     "check_k",
 ]
@@ -166,20 +167,28 @@ def count_fixed_points(surface: ToricSurfaceModel, k: int) -> int:
     return series[k]
 
 
+def tangent_forms(
+    parts: Sequence[int], conjugate: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """Tangent weights of the punctual stratum as forms (x, y), meaning
+    x*v1 + y*v2, two per cell in ``Partition.cells`` order.
+
+    Cell (i, j) with arm a and leg l contributes (l+1, -a) and (-l, a+1).
+    """
+    for i, p in enumerate(parts):
+        for j in range(p):
+            a, l = p - 1 - j, conjugate[j] - 1 - i
+            yield l + 1, -a
+            yield -l, a + 1
+
+
 def cell_tangent_weights(v1, v2, part: Partition) -> list:
     """Tangent weights of the punctual stratum for one chart.
 
-    Cell (i, j) with arm a and leg l contributes (l+1)v1 - a*v2 and
-    -l*v1 + (a+1)*v2.  The chart weights may be Weights or their integer
-    specializations; the result has the same type.
+    The chart weights may be Weights or their integer specializations; the
+    result has the same type.
     """
-    out = []
-    for i, j in part.cells():
-        a = part.arm(i, j)
-        l = part.leg(i, j)
-        out.append((l + 1) * v1 + (-a) * v2)
-        out.append((-l) * v1 + (a + 1) * v2)
-    return out
+    return [x * v1 + y * v2 for x, y in tangent_forms(part.parts, part.conjugate)]
 
 
 def tangent_weights(

@@ -84,7 +84,7 @@ from .errors import (
     RealizationError,
     UsageError,
 )
-from .hilb import Partition, cell_tangent_weights, check_k, partitions
+from .hilb import Partition, check_k, partitions, tangent_forms
 from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
@@ -386,30 +386,31 @@ def _hook_table(n: int) -> tuple[tuple, ...]:
     """The chart-free data of every partition of n, in ``partitions`` order.
 
     Per partition: itself, its parent's index among the partitions of
-    n - 1, its last cell (i, j) (the last of its last row), the sums of
-    the rows i and of the columns j of its cells, and its tangent weights
-    as pairs (a, b) meaning a*v1 + b*v2, read off ``cell_tangent_weights``
-    at the integer charts (1, 0) and (0, 1), so the arm/leg formula is
-    written once.  ``partition_table`` specializes it at each chart.
+    n - 1 (in the order of ``_hook_table(n - 1)``), its last cell (i, j)
+    (the last of its last row), the sums of the rows i and of the columns j
+    of its cells, and its tangent weights as the forms (a, b) of
+    ``hilb.tangent_forms``, meaning a*v1 + b*v2.  ``partition_table``
+    specializes it at each chart.
     """
     parents = {} if n == 0 else {
-        part.parts: i for i, part in enumerate(partitions(n - 1))
+        entry[0].parts: i for i, entry in enumerate(_hook_table(n - 1))
     }
     table = []
     for part in partitions(n):
-        cells = list(part.cells())
+        parts = part.parts
         parent, last = 0, (0, 0)  # the empty partition has neither
-        if cells:
-            last = i, j = cells[-1]
-            parent = parents[part.parts[:-1] + ((j,) if j else ())]
+        if parts:
+            last = i, j = len(parts) - 1, parts[-1] - 1
+            parent = parents[parts[:-1] + ((j,) if j else ())]
         table.append((
             part,
             parent,
             last,
-            (sum(i for i, _ in cells), sum(j for _, j in cells)),
-            tuple(zip(
-                cell_tangent_weights(1, 0, part), cell_tangent_weights(0, 1, part)
-            )),
+            (
+                sum(i * p for i, p in enumerate(parts)),
+                sum(p * (p - 1) // 2 for p in parts),
+            ),
+            tuple(tangent_forms(parts, part.conjugate)),
         ))
     return tuple(table)
 

@@ -503,10 +503,11 @@ def _box_table(family: str, a: int, bound: int, m: int):
 def _realize_cached(
     surface_name: str, a: int, rank: int, c1: tuple[int, ...], c2: int,
     box: int, max_minus: int,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The first split model's (plus, minus) degree tuples: a loop over the
-    rows of the shared ``_box_table`` of each minus count and bound, in the
-    search order, with one plus search per minus tuple."""
+) -> SplitBundle:
+    """The first split model: a loop over the rows of the shared
+    ``_box_table`` of each minus count and bound, in the search order, with
+    one plus search per minus tuple.  The bundle is frozen, so one object
+    serves every request for the same target."""
     surface = make_surface(surface_name, a)
     inter = surface.intersect
 
@@ -525,7 +526,7 @@ def _realize_cached(
                 )
                 for plus in plus_tuples(0, p, s, squares):
                     if _whitney(surface, plus, minus) == (c1, c2):
-                        return plus, minus
+                        return split_bundle(surface, plus, minus)
     raise RealizationError(
         f"no split model for rank={rank}, c1={c1}, c2={c2} on {surface.name} "
         f"within box {box} and up to {max_minus} minus lines"
@@ -552,8 +553,8 @@ def realize_split_model(
     so the first model of this order is found, and returned, as by a plain
     enumeration.  The atoms, plus search and minus tuples of each (surface,
     bound, minus count) are one table per process (``_box_table``), shared
-    by every target.  ``box`` and ``max_minus`` must be non-negative
-    integers.
+    by every target, and a repeated target returns the same bundle object.
+    ``box`` and ``max_minus`` must be non-negative integers.
     """
     if target.rank < 1:
         raise UsageError("realize_split_model needs rank >= 1")
@@ -566,11 +567,10 @@ def realize_split_model(
                 f"realize_split_model needs a non-negative integer {name}, "
                 f"got {value!r}"
             )
-    plus, minus = _realize_cached(
+    return _realize_cached(
         surface.family, surface.a, target.rank, tuple(target.c1), target.c2,
         box, max_minus,
     )
-    return split_bundle(surface, plus, minus)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -114,16 +117,44 @@ def test_disabled_cache_never_touches_disk(tmp_path):
 
 # sha256 keys written by engine 0.1.0; a change here turns every cached
 # result on disk into a miss
+QUOT_KEY = "ef8e0086e3ae22d520dd10671c42e5b5fc705e9ce7f37026bc77d4d3a01b7c53"
+CHI_KEY = "f13ea2939d829be5c96ecedc23260ed3e865445352e6eef8e5002f8daa553f88"
+# the requests behind them: quot_count(P2, O(-2) + O(-3), 2) and
+# chi_theta(P2, e of rank 1 and c1 0, 2)
+QUOT_REQUEST = {
+    "op": "integrate",
+    "surface": "P2",
+    "k": 2,
+    "bundles": {
+        "Vdual_k": {
+            "plus": [[[0, 0], [2, 0], [0, 2]], [[0, 0], [3, 0], [0, 3]]],
+            "minus": [],
+        }
+    },
+    "expr": "c4(Vdual_k)",
+}
+CHI_REQUEST = {"op": "chi_theta", "surface": "P2", "k": 2, "rank": 1, "c1": [0]}
+
+
+@pytest.mark.parametrize(
+    "request_, key",
+    [(QUOT_REQUEST, QUOT_KEY), (CHI_REQUEST, CHI_KEY)],
+    ids=["quot_count", "chi_theta"],
+)
+def test_canonical_key_is_pinned(request_, key):
+    assert canonical_key(request_) == key
+
+
 @pytest.mark.parametrize(
     "run, key",
     [
         (
             lambda c: quot_count(P2, split_bundle(P2, [-2, -3]), 2, cache=c),
-            "ef8e0086e3ae22d520dd10671c42e5b5fc705e9ce7f37026bc77d4d3a01b7c53",
+            QUOT_KEY,
         ),
         (
             lambda c: chi_theta(P2, split_bundle(P2, [1, 1], [2]), 2, cache=c),
-            "f13ea2939d829be5c96ecedc23260ed3e865445352e6eef8e5002f8daa553f88",
+            CHI_KEY,
         ),
         (
             lambda c: virtual_integral(
@@ -141,3 +172,32 @@ def test_request_keys_are_stable(tmp_path, run, key):
         run(ResultCache(path))
     [rec] = [json.loads(line) for line in path.read_text().splitlines()]
     assert rec["key_hash"] == canonical_key(rec["request"]) == key
+
+
+def test_cacheless_run_never_loads_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; only a cache key should load it
+    path = tmp_path / "cache.jsonl"
+    code = (
+        "import json, sys, warnings; warnings.simplefilter('ignore'); "
+        "from hilbloc import (ChernData, ResultCache, c2_for_expected_dim_zero, "
+        "chi_theta, e_from_v, make_surface, quot_count, realize_split_model, "
+        "split_bundle, virtual_integral); "
+        "P2 = make_surface('P2'); "
+        "vd = realize_split_model(P2, ChernData(3, (4,), c2_for_expected_dim_zero(3, 4, 2))); "
+        "v = vd.dual(); "
+        "assert virtual_integral(P2, v, None, 2) == quot_count(P2, v, 2); "
+        "assert chi_theta(P2, e_from_v(v.chern_data(), 2), 2) == quot_count(P2, v, 2); "
+        "loaded = {'hashlib', '_hashlib'} & set(sys.modules); "
+        "assert not loaded, loaded; "
+        "assert quot_count(P2, split_bundle(P2, [-2, -3]), 2, "
+        "cache=ResultCache(sys.argv[1])) == 15; "
+        "print(json.loads(open(sys.argv[1]).readline())['key_hash'])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == QUOT_KEY

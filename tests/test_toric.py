@@ -437,6 +437,12 @@ def test_split_models_are_pinned():
         assert _model_or_error((P2, target, None, 2)) == expected, (r, d, k)
 
 
+def test_repeated_request_returns_the_same_model():
+    # the model is frozen and cached whole, so a repeat builds no lines
+    target = ChernData(3, (7,), c2_for_expected_dim_zero(3, 7, 4))
+    assert realize_split_model(P2, target) is realize_split_model(P2, target)
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_plus_search_yields_every_tuple(data):
