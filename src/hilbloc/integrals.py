@@ -6,14 +6,14 @@ are sums over the torus-fixed points of X^[k]: tuples of partitions, one
 per fixed point p of the surface.  Each integrand, over the tangent Euler
 class, is a product of local factors f_p(lambda_p), so the sum is the q^k
 coefficient of prod_p sum_lambda q^|lambda| f_p(lambda) (the
-Ellingsrud-Goettsche-Lehn factorization).  ``localize`` evaluates it by
+Ellingsrud-Goettsche-Lehn factorization).  ``q_product`` evaluates it by
 walking the partitions of n <= k at each point, not the tuples.
 
 Every sum keeps one contract: the integrand is a mixed-degree class, and
 ``top_degree`` returns the integrals of its parts of degree 2k = dim X^[k],
 drops the parts above it, and checks that those below it integrate to zero.
-``q_product`` multiplies the points' series; ``localize`` runs the two in
-a row and takes the last point's product at q^k alone.
+Every sum is ``top_degree`` of one ``q_product`` coefficient: the Chern
+sums take the last point's product at q^k alone, chi_theta all of q^0..q^K.
 
 What a partition contributes apart from the bundle (its cell shifts, its
 tangent weights, the inverse of their product mod m, and its parent, the
@@ -27,7 +27,7 @@ once per partition and process, and it takes one modular inverse for all
 the tangent products of the table.  Chern-class integrands are built cell
 by cell: ``chern_rows`` grows each partition's row of Chern classes from
 its parent's by the lines of its last cell, instead of from all of its
-cells.  Each point factor hands ``localize`` one series per level n, the
+cells.  Each point factor hands ``q_product`` one series per level n, the
 sum over the partitions of n of their integrands over their tangent
 products (``level_sum``).
 
@@ -116,7 +116,6 @@ __all__ = [
     "level_sum",
     "q_product",
     "top_degree",
-    "localize",
     "chern_rows",
     "chern_levels",
     "localize_chern",
@@ -423,7 +422,7 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, .
     a process builds it once and every bundle, k and side of a sum under
     the same z reuses it; it specializes the chart-free ``_hook_table``.
     A tangent product that specializes to zero is kept as a pole
-    (``inverse`` None), which ``localize`` raises on each time it meets it.
+    (``inverse`` None), which ``level_sum`` raises on each time it meets it.
     Every other product is a product of nonzero integers far below each
     word prime, so it is invertible mod m, and the table takes one inverse
     for all of them (Montgomery's trick): that of their product, from
@@ -534,20 +533,6 @@ def top_degree(
     return {e: c for e, c in zip(exps, series) if sum(e) == 2 * k}
 
 
-def localize(
-    surface: ToricSurfaceModel,
-    k: int,
-    point_factor: Callable[[int, int, int], Iterable[Sequence[int]]],
-    z: tuple[int, int],
-    width: tuple[int, ...],
-    m: int,
-) -> dict[tuple[int, ...], int]:
-    """``top_degree`` of [q^k] of ``q_product``: the integrals of degree 2k
-    of the product of the points' series over X^[k], mod m."""
-    (series,) = q_product(surface, k, point_factor, z, width, m, k)
-    return top_degree(series, width, k)
-
-
 def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
     """Specialized (plus, minus) line weights per surface point."""
     return [
@@ -604,11 +589,12 @@ def chern_levels(
     over the tangent products, mod m (``level_sum``).
 
     ``lines`` holds a pair (plus, minus) of sorted specialized line weights
-    at the point per factor, and ``tops`` its top Chern index; a level's
-    series is flat row-major over the widths top_j + 1, the first factor's
-    row first.  By the Ellingsrud-Goettsche-Lehn factorization this is all
-    a point contributes, so one table per (s1, s2, m, lines, tops[1:])
-    serves every bundle, k and sum with these local lines.  A Chern row
+    at the point per factor, one or more, and ``tops`` its top Chern
+    index; a level's series is flat row-major over the widths top_j + 1,
+    the first factor's row first.  By the Ellingsrud-Goettsche-Lehn
+    factorization this is all a point contributes, so one table per (s1,
+    s2, m, lines, tops[1:]) serves every bundle, k and sum with these
+    local lines.  A Chern row
     depends only on its lower entries, a level only on the levels below
     it, and the first factor's exponent is the outermost index, so the
     table keeps the highest k and first top built so far and serves a
@@ -616,19 +602,17 @@ def chern_levels(
     before the table is written.
     """
     built = _chern_table(s1, s2, m, lines, tops[1:])
-    # the first top as a 0- or 1-tuple, so a sum of no factors needs no branch
-    have_k, have_first, levels = built or (-1, (), [])
-    if have_k < k or tops[:1] > have_first:
-        have_k, have_first = max(k, have_k), max(tops[:1], have_first)
+    have_k, have_first, levels = built or (-1, -1, [])
+    if have_k < k or tops[0] > have_first:
+        have_k, have_first = max(k, have_k), max(tops[0], have_first)
         table = [partition_table(s1, s2, n, m) for n in range(have_k + 1)]
         grown = [
             chern_rows(table, plus, minus, top, m)
-            for (plus, minus), top in zip(lines, have_first + tops[1:])
+            for (plus, minus), top in zip(lines, (have_first, *tops[1:]))
         ]
         levels = []
         for level in table:
-            # with no factor, the integrand is 1
-            flats, *rest = [next(rows) for rows in grown] or [[[1]] * len(level)]
+            flats, *rest = [next(rows) for rows in grown]
             for rows in rest:
                 flats = [
                     [x * y % m for x in flat for y in row]
@@ -649,14 +633,14 @@ def localize_chern(
 ) -> dict[tuple[int, ...], int]:
     """Integrals of products of Chern classes of tautological bundles.
 
-    ``factors`` lists pairs (B_j, top_j).  The result maps each (d_1, ...,
-    d_r) with d_j <= top_j and sum d_j = 2k to the integral over X^[k] of
-    prod_j c_{d_j}(B_j^[k]), mod m.  The local factor is the product of
-    the signed Chern polynomials of the cell-shifted line weights of each
-    B_j, grown partition by partition from the parent's by ``chern_rows``.
-    It depends on the bundles only through their sorted line weights at
-    the point, so each point reads its level series from ``chern_levels``,
-    one table per chart, modulus and local lines.
+    ``factors`` lists one or more pairs (B_j, top_j).  The result maps each
+    (d_1, ..., d_r) with d_j <= top_j and sum d_j = 2k to the integral over
+    X^[k] of prod_j c_{d_j}(B_j^[k]), mod m.  The local factor is the
+    product of the signed Chern polynomials of the cell-shifted line
+    weights of each B_j, grown partition by partition from the parent's by
+    ``chern_rows``.  It depends on the bundles only through their sorted
+    line weights at the point, so each point reads its level series from
+    ``chern_levels``, one table per chart, modulus and local lines.
     """
     lines = [_spec_lines(bundle, z) for bundle, _ in factors]
     tops = tuple(top for _, top in factors)
@@ -668,7 +652,9 @@ def localize_chern(
         )
         return chern_levels(s1, s2, m, local, tops, k)
 
-    return localize(surface, k, factor, z, tuple(top + 1 for top in tops), m)
+    width = tuple(top + 1 for top in tops)
+    (series,) = q_product(surface, k, factor, z, width, m, k)
+    return top_degree(series, width, k)
 
 
 def exact(
@@ -724,8 +710,11 @@ def integrate(
 
     Each term c_{i1}(B1)...c_{im}(Bm) is the t1^i1...tm^im coefficient of
     the product of total Chern classes c_{t1}(B1^[k])...c_{tm}(Bm^[k]),
-    which is multiplicative over the surface points.
+    which is multiplicative over the surface points.  X^[0] is a point, so
+    at k = 0 the value is the expression's constant.
     """
+    if req.k == 0:
+        return sum((term.coefficient for term in req.expr.terms), Fraction(0))
     plans = [
         (
             [(req.bundles[bid], idx) for bid, idx in term.factors],
@@ -759,8 +748,6 @@ def quot_count(
     check_k(k)
     if v.rank < 1:
         raise UsageError("quot_count needs rank V >= 1")
-    if k == 0:
-        return Fraction(1)
     vd = v.dual()
     req = IntegralRequest(
         surface, k, {"Vdual_k": vd}, ChernExpr.chern(2 * k, "Vdual_k")
@@ -870,13 +857,13 @@ def chi_theta(
 
 def expected_dim_pairs(
     surface: ToricSurfaceModel,
-    v: ChernData | SplitBundle,
+    v: ChernData | SplitBundle | EquivariantLineBundle,
     k: int,
 ) -> int:
     """chi(V*) - 1 - (rank V - 2) k, the expected dimension of the pair space."""
     if k < 0:
         raise UsageError("negative k")
-    if isinstance(v, SplitBundle):
+    if not isinstance(v, ChernData):
         v = split_on(surface, v, "V").chern_data()
     if v.rank < 1:
         raise UsageError("expected_dim_pairs needs rank V >= 1")

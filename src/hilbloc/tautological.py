@@ -11,10 +11,10 @@ c_b(V*^[k]) (1 + h)^(R - b), and likewise the transform's Chern classes
 expand in c_beta(Lambda^[k]) times powers of (1 + h).  Reading off h^Dp
 turns a term c_i1(IT)...c_im(IT) into a binomial-weighted sum of
 tautological integrals of c_b(V*^[k]) prod_j c_beta_j(Lambda^[k]) over
-X^[k], all of which one ``localize_chern`` call returns; ``localize``
-checks that those of degree below dim X^[k] vanish, and those above it do
-not contribute.  Minus lines in V or Lambda keep the same expansion with
-generalized binomials.
+X^[k], all of which one ``localize_chern`` call returns; its
+``top_degree`` checks that those of degree below dim X^[k] vanish, and
+those above it do not contribute.  Minus lines in V or Lambda keep the
+same expansion with generalized binomials.
 
 The module also extracts universal polynomials: the value of a fixed
 integral shape as a polynomial in intersection numbers of (X, V, Lambda),

@@ -401,11 +401,11 @@ def chi_surface(
 
 def chi_pair(
     surface: ToricSurfaceModel,
-    e: ChernData | SplitBundle,
+    e: ChernData | SplitBundle | EquivariantLineBundle,
     k: int,
 ) -> int:
     """chi(E tensor I_Z) for any length-k Z: chi(E) - rank(E) * k."""
-    if isinstance(e, SplitBundle):
+    if not isinstance(e, ChernData):
         e = split_on(surface, e, "e").chern_data()
     return chi_from_chern(surface, e) - e.rank * k
 
@@ -504,10 +504,11 @@ def _realize_cached(
     surface_name: str, a: int, rank: int, c1: tuple[int, ...], c2: int,
     box: int, max_minus: int,
 ) -> SplitBundle:
-    """The first split model: a loop over the rows of the shared
-    ``_box_table`` of each minus count and bound, in the search order, with
-    one plus search per minus tuple.  The bundle is frozen, so one object
-    serves every request for the same target."""
+    """The first split model within ``box`` and up to ``max_minus`` minus
+    lines: a loop over the rows of the shared ``_box_table`` of each minus
+    count and bound, in the search order, with one plus search per minus
+    tuple.  The bundle is frozen, so one object serves every request for
+    the same target."""
     surface = make_surface(surface_name, a)
     inter = surface.intersect
 
@@ -533,19 +534,15 @@ def _realize_cached(
     )
 
 
-def realize_split_model(
-    surface: ToricSurfaceModel,
-    target: ChernData,
-    box: int | None = None,
-    max_minus: int = 2,
-) -> SplitBundle:
+def realize_split_model(surface: ToricSurfaceModel, target: ChernData) -> SplitBundle:
     """Find a split bundle with the requested Chern data.
 
-    The search is deterministic: fewest minus lines first, then smallest
-    bounding box (max coordinate magnitude), then lexicographically first
-    degree tuples, both lists kept non-decreasing.  Minus lines make every
-    integral Chern datum reachable; the tradeoff is that the model is only a
-    K-theory stand-in, which is all the localized integrals depend on.
+    The search is deterministic: fewest minus lines first (at most 2), then
+    smallest bounding box (max coordinate magnitude, at most 16 on P2 and 4
+    on the other surfaces), then lexicographically first degree tuples,
+    both lists kept non-decreasing.  Minus lines make every integral Chern
+    datum reachable; the tradeoff is that the model is only a K-theory
+    stand-in, which is all the localized integrals depend on.
 
     Branches that the Whitney formula rules out (the plus lines' degree sum
     and self-intersection sum are fixed once the minus lines are chosen)
@@ -554,22 +551,13 @@ def realize_split_model(
     enumeration.  The atoms, plus search and minus tuples of each (surface,
     bound, minus count) are one table per process (``_box_table``), shared
     by every target, and a repeated target returns the same bundle object.
-    ``box`` and ``max_minus`` must be non-negative integers.
     """
     if target.rank < 1:
         raise UsageError("realize_split_model needs rank >= 1")
     _check_c1(surface, target.c1)
-    if box is None:
-        box = 16 if surface.divisor_rank == 1 else 4
-    for name, value in (("box", box), ("max_minus", max_minus)):
-        if not isinstance(value, int) or value < 0:
-            raise UsageError(
-                f"realize_split_model needs a non-negative integer {name}, "
-                f"got {value!r}"
-            )
     return _realize_cached(
         surface.family, surface.a, target.rank, tuple(target.c1), target.c2,
-        box, max_minus,
+        16 if surface.divisor_rank == 1 else 4, 2,
     )
 
 

@@ -24,11 +24,12 @@ from hilbloc.integrals import (
     expected_dim_pairs,
     integrate,
     level_sum,
-    localize,
     parse_chern_expr,
     partition_table,
+    q_product,
     quot_count,
     theta_level,
+    top_degree,
     validate_construction,
     verify_conjecture,
 )
@@ -172,10 +173,10 @@ def test_localize_raises_pole_error_on_vanishing_tangent_weight():
     m = WORD_PRIMES[0]
     pole = r"tangent weight vanished at point 1 under z=\(1, 1\)"
     with pytest.raises(PoleError, match=pole):
-        localize(P2, 1, _ones(1, m), (1, 1), (1,), m)
+        q_product(P2, 1, _ones(1, m), (1, 1), (1,), m, 1)
     # the shared partition table keeps the pole: a second call raises again
     with pytest.raises(PoleError, match=pole):
-        localize(P2, 1, _ones(1, m), (1, 1), (1,), m)
+        q_product(P2, 1, _ones(1, m), (1, 1), (1,), m, 1)
     assert quot_count(P2, split_bundle(P2, [-2, -3]), 2) == 15
 
 
@@ -301,8 +302,8 @@ def test_localize_counts_fixed_points():
     # a local factor of prod(tangents) makes every fixed point count once
     for k in range(5):
         for m in (*WORD_PRIMES[:2], WORD_PRIMES[0] * WORD_PRIMES[1]):
-            got = localize(F1, k, _tangent_products(k, m), (53, 59), (2 * k + 1,), m)
-            assert got == {(2 * k,): count_fixed_points(F1, k)}
+            (s,) = q_product(F1, k, _tangent_products(k, m), (53, 59), (2 * k + 1,), m, k)
+            assert top_degree(s, (2 * k + 1,), k) == {(2 * k,): count_fixed_points(F1, k)}
 
 
 def _one_at_first_point(m):
@@ -318,8 +319,9 @@ def _one_at_first_point(m):
 
 def test_localize_rejects_a_class_whose_lower_degrees_do_not_cancel():
     m = WORD_PRIMES[0]
+    (s,) = q_product(P2, 1, _one_at_first_point(m), (53, 59), (3,), m, 1)
     with pytest.raises(ComputationError, match="below degree 2 do not cancel"):
-        localize(P2, 1, _one_at_first_point(m), (53, 59), (3,), m)
+        top_degree(s, (3,), 1)
 
 
 def _clear_tables():
@@ -472,6 +474,19 @@ def test_quot_count_uses_cache(tmp_path):
     first = quot_count(P2, v, 2, cache=cache)
     assert (tmp_path / "c.jsonl").exists()
     assert quot_count(P2, v, 2, cache=cache) == first
+
+
+def test_sums_at_k0_are_constants_and_write_no_cache_line(tmp_path):
+    # X^[0] is a point: an integral is the expression's constant, and no
+    # sum runs, so no cache line is written
+    path = tmp_path / "c.jsonl"
+    bundles = {"A": split_bundle(P2, [1, 2])}
+    for expr, value in ((ChernExpr.constant(Fraction(5, 3)), Fraction(5, 3)),
+                        (ChernExpr(()), 0)):
+        req = IntegralRequest(P2, 0, bundles, expr)
+        assert integrate(req, cache=ResultCache(path)) == value
+    assert quot_count(P2, split_bundle(P2, [-2, -3]), 0, cache=ResultCache(path)) == 1
+    assert not path.exists()
 
 
 def test_quot_count_refuses_a_non_integral_cached_value(tmp_path):
@@ -796,6 +811,16 @@ def test_expected_dim_pairs():
 def test_expected_dim_pairs_refuses_a_bundle_on_another_surface():
     with pytest.raises(UsageError, match="V lives on P1xP1"):
         expected_dim_pairs(P2, split_bundle(QUADRIC, [(1, 0), (0, 1)]), 1)
+
+
+def test_pair_readers_take_a_line_bundle():
+    # a line is read as its Chern data, as chi_theta reads it
+    assert chi_pair(P2, line_bundle(P2, (2,)), 1) == 5  # chi(O(2)) - 1
+    assert expected_dim_pairs(P2, line_bundle(P2, (-2,)), 1) == 6
+    with pytest.raises(UsageError, match="e lives on P1xP1"):
+        chi_pair(P2, line_bundle(QUADRIC, (1, 0)), 1)
+    with pytest.raises(UsageError, match="V lives on P1xP1"):
+        expected_dim_pairs(P2, line_bundle(QUADRIC, (1, 0)), 1)
 
 
 def test_chern_data_with_a_c1_of_the_wrong_length_is_refused():

@@ -256,6 +256,17 @@ def test_virtual_integral_rebuilds_a_fraction(minus_v, k, value):
     assert brute_virtual_integral(P2, vstar.dual(), lam, k, expr) == (value, True)
 
 
+def test_virtual_integral_of_a_three_factor_sum():
+    # c_b(V*^[2]) c1(Lambda^[2]) c1(Lambda^[2]): three Chern factors per term
+    v = split_bundle(P2, [1, 0, 0]).dual()
+    lam = split_bundle(P2, [2])
+    expr = parse_chern_expr("c1(IT)*c1(IT)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert virtual_integral(P2, v, lam, 2, expr) == 10
+    assert brute_virtual_integral(P2, v, lam, 2, expr) == (10, True)
+
+
 @st.composite
 def ambient_cases(draw):
     """(surface, V, Lambda, k, P) with small degrees; minus lines allowed.

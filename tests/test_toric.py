@@ -294,9 +294,21 @@ def test_realize_is_deterministic_and_exact():
         assert a.chern_data() == target
 
 
+def _realize(surface, target, box, max_minus):
+    """The split model of the search within ``box`` and up to ``max_minus``
+    minus lines; a box of None is ``realize_split_model``'s own search."""
+    if box is None:
+        assert max_minus == 2
+        return realize_split_model(surface, target)
+    return _realize_cached(
+        surface.family, surface.a, target.rank, tuple(target.c1), target.c2,
+        box, max_minus,
+    )
+
+
 def test_realize_failure_reports():
     with pytest.raises(RealizationError):
-        realize_split_model(P2, ChernData(1, (0,), 50), box=2, max_minus=1)
+        _realize(P2, ChernData(1, (0,), 50), 2, 1)
     with pytest.raises(UsageError):
         realize_split_model(P2, ChernData(0, (0,), 0))
     # c1 in the wrong divisor basis: rejected before any search
@@ -304,11 +316,6 @@ def test_realize_failure_reports():
         realize_split_model(P2, ChernData(2, (1, 2), 0))
     with pytest.raises(UsageError, match="divisor degree"):
         realize_split_model(QUADRIC, ChernData(2, (1,), 0))
-    # a box or minus count that is no non-negative integer: rejected before
-    # any search
-    for box, max_minus in ((-1, 2), (2, -1), (2.0, 2), (None, 1.5)):
-        with pytest.raises(UsageError, match="non-negative integer"):
-            realize_split_model(P2, ChernData(2, (5,), 6), box, max_minus)
 
 
 @st.composite
@@ -338,10 +345,10 @@ def test_realize_matches_brute_search(case):
         expected = brute_realize_split_model(surface, target, box, max_minus)
     except RealizationError as exc:
         with pytest.raises(RealizationError) as got:
-            realize_split_model(surface, target, box, max_minus)
+            _realize(surface, target, box, max_minus)
         assert str(got.value) == str(exc)
         return
-    model = realize_split_model(surface, target, box, max_minus)
+    model = _realize(surface, target, box, max_minus)
     assert (
         tuple(l.degrees for l in model.plus),
         tuple(l.degrees for l in model.minus),
@@ -354,7 +361,7 @@ def _model_or_error(case):
     its RealizationError."""
     surface, target, box, max_minus = case
     try:
-        model = realize_split_model(surface, target, box, max_minus)
+        model = _realize(surface, target, box, max_minus)
     except RealizationError as exc:
         return str(exc)
     return (
@@ -365,9 +372,10 @@ def _model_or_error(case):
 
 @st.composite
 def shared_table_cases(draw):
-    """Cases of ``realize_cases``, one in two with the default box."""
+    """Cases of ``realize_cases``, one in two with the search of
+    ``realize_split_model`` (its own box, up to 2 minus lines)."""
     surface, target, box, max_minus = draw(realize_cases())
-    return surface, target, draw(st.sampled_from((box, None))), max_minus
+    return surface, target, *draw(st.sampled_from(((box, max_minus), (None, 2))))
 
 
 @given(st.data())
@@ -434,7 +442,9 @@ def test_split_models_are_pinned():
     for (r, d, k), (plus, minus) in targets.items():
         target = ChernData(r, (d,), c2_for_expected_dim_zero(r, d, k))
         expected = (tuple((x,) for x in plus), tuple((x,) for x in minus))
-        assert _model_or_error((P2, target, None, 2)) == expected, (r, d, k)
+        model = realize_split_model(P2, target)
+        got = tuple(l.degrees for l in model.plus), tuple(l.degrees for l in model.minus)
+        assert got == expected, (r, d, k)
 
 
 def test_repeated_request_returns_the_same_model():
