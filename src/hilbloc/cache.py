@@ -10,14 +10,17 @@ separators).  Requests describe the integral up to specialization, so seeds
 never enter the key.  Numerator and denominator are decimal strings to keep
 big integers JSON-safe.
 
-``hashlib`` is imported by ``canonical_key``, the one function that
-hashes: it maps OpenSSL's libcrypto, about 3.6 MB of resident memory, so a
-run that never looks a key up (every cache-less library call, every
-``--no-cache`` run) never loads it.  CPython's ``random`` avoids
-``hashlib`` at import for the same reason.
+The key is hashed by CPython's built-in SHA-256 module (``_sha2`` from 3.12
+on, ``_sha256`` on 3.10 and 3.11), loaded at the first key.  ``hashlib``
+gives the same digest but maps OpenSSL's libcrypto, about 3.6 MB of resident
+memory and a few milliseconds, so no run loads OpenSSL, cached or not;
+``hashlib`` serves only an interpreter built without the built-in module.
+CPython's ``random`` takes its ``sha512`` the same way.  ``fetch`` hashes
+its request once for both the lookup and the store.
 
-Writes take an advisory lock on the file; reads are lock-free and tolerate
-truncated or foreign lines, so concurrent sweeps can share one cache file.
+Writes take an advisory lock on the file; reads are lock-free and skip
+truncated or foreign lines (not UTF-8, not JSON, not a record, a zero
+denominator), so concurrent sweeps can share one cache file.
 The location comes from HILBLOC_CACHE, defaulting to
 ~/.cache/hilbloc/results.jsonl.  Any I/O failure silently disables the cache
 for the rest of the process; caching is an optimization, never a correctness
@@ -26,7 +29,10 @@ dependency.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
+import functools
+import importlib
 import json
 import os
 from fractions import Fraction
@@ -40,10 +46,22 @@ __all__ = ["ENGINE_VERSION", "ResultCache", "canonical_key", "default_cache"]
 
 
 def canonical_key(request: dict) -> str:
-    import hashlib  # heavy to load (OpenSSL); see the module docstring
-
     blob = json.dumps(request, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _sha256()(blob.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def _sha256():
+    """The built-in SHA-256 constructor, ``hashlib``'s only where it is missing."""
+    for module in ("_sha2", "_sha256", "hashlib"):  # 3.12 on; 3.10, 3.11; other
+        with contextlib.suppress(ImportError):
+            return importlib.import_module(module).sha256
+
+
+class _Keyed(dict):
+    """A copy of the request ``fetch`` serves, hashed once for ``get`` and ``put``."""
+
+    key = functools.cached_property(canonical_key)
 
 
 class ResultCache:
@@ -58,33 +76,33 @@ class ResultCache:
         if self._index is not None:
             return self._index
         index: dict[str, Fraction] = {}
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        rec = json.loads(line)
-                        if rec.get("engine_version") != ENGINE_VERSION:
-                            continue
-                        index[rec["key_hash"]] = Fraction(
-                            int(rec["value_numerator"]),
-                            int(rec["value_denominator"]),
-                        )
-                    except (ValueError, KeyError, TypeError):
-                        continue  # partial write or foreign line
-        except OSError:
-            pass
+        # read as bytes: json.loads decodes each line, so a bad byte spoils one
+        with contextlib.suppress(OSError), open(self.path, "rb") as fh:
+            for line in fh:
+                try:
+                    rec = json.loads(line)
+                    if rec.get("engine_version") != ENGINE_VERSION:
+                        continue
+                    index[rec["key_hash"]] = Fraction(
+                        int(rec["value_numerator"]),
+                        int(rec["value_denominator"]),
+                    )
+                except (ValueError, KeyError, TypeError, AttributeError,
+                        ZeroDivisionError):
+                    continue  # partial write or foreign line
         self._index = index
         return index
 
     def get(self, request: dict) -> Fraction | None:
         if not self.enabled:
             return None
-        return self._load().get(canonical_key(request))
+        key = request.key if isinstance(request, _Keyed) else canonical_key(request)
+        return self._load().get(key)
 
     def put(self, request: dict, value: Fraction) -> None:
         if not self.enabled:
             return
-        key = canonical_key(request)
+        key = request.key if isinstance(request, _Keyed) else canonical_key(request)
         index = self._load()
         if key in index:
             return
@@ -110,6 +128,7 @@ class ResultCache:
 
     def fetch(self, request: dict, compute) -> Fraction:
         """Return the cached value or compute, store and return it."""
+        request = _Keyed(request)
         hit = self.get(request)
         if hit is not None:
             return hit

@@ -1,5 +1,6 @@
 """Persistent result cache."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from hilbloc import cache as cache_module
 from hilbloc.cache import (
     ENGINE_VERSION,
     ResultCache,
@@ -54,6 +57,26 @@ def test_fetch_computes_once(tmp_path):
     assert len(calls) == 1
 
 
+def test_fetch_hashes_its_request_once(tmp_path, monkeypatch):
+    hashes = []
+    sha256 = cache_module._sha256()
+
+    def counting_sha256(data):
+        hashes.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(cache_module, "_sha256", lambda: counting_sha256)
+    path = tmp_path / "cache.jsonl"
+    request = {"op": "once", "k": 1}
+    assert ResultCache(path).fetch(request, lambda: Fraction(4)) == 4  # miss
+    assert len(hashes) == 1
+    assert ResultCache(path).fetch(request, lambda: Fraction(5)) == 4  # hit
+    assert len(hashes) == 2
+    [rec] = [json.loads(line) for line in path.read_text().splitlines()]
+    assert rec["request"] == request
+    assert rec["key_hash"] == canonical_key(request)
+
+
 def test_reader_tolerates_foreign_and_corrupt_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(path)
@@ -69,9 +92,20 @@ def test_reader_tolerates_foreign_and_corrupt_lines(tmp_path):
             "engine_version": "0.0.0",
         }
         fh.write(json.dumps(record) + "\n")
+        fh.write("42\n")  # JSON, but not an object
+        fh.write("[1, 2]\n")
+        zero = dict(record, key_hash=canonical_key({"op": "zero"}),
+                    value_denominator="0", engine_version=ENGINE_VERSION)
+        fh.write(json.dumps(zero) + "\n")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")  # not UTF-8
+        fh.write(b'{"key_hash": "\xff"}\n')
+    cache.put({"op": "after"}, Fraction(1, 2))
     fresh = ResultCache(path)
     assert fresh.get({"op": "keep"}) == 3
     assert fresh.get({"op": "old"}) is None  # different engine version
+    assert fresh.get({"op": "zero"}) is None
+    assert fresh.get({"op": "after"}) == Fraction(1, 2)
 
 
 def test_record_schema(tmp_path):
@@ -145,6 +179,37 @@ def test_canonical_key_is_pinned(request_, key):
     assert canonical_key(request_) == key
 
 
+json_values = st.recursive(
+    st.integers() | st.text() | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _hashlib_key(request):
+    blob = json.dumps(request, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@given(st.dictionaries(st.text(max_size=8), json_values, max_size=5))
+def test_canonical_key_is_hashlib_sha256(request_):
+    assert canonical_key(request_) == _hashlib_key(request_)
+
+
+def test_canonical_key_falls_back_to_hashlib(monkeypatch):
+    # an interpreter built without _sha2 and _sha256: imports of either fail
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    cache_module._sha256.cache_clear()
+    try:
+        assert cache_module._sha256() is hashlib.sha256
+        assert canonical_key(QUOT_REQUEST) == QUOT_KEY
+        assert canonical_key(CHI_REQUEST) == CHI_KEY
+    finally:
+        cache_module._sha256.cache_clear()
+
+
 @pytest.mark.parametrize(
     "run, key",
     [
@@ -174,8 +239,18 @@ def test_request_keys_are_stable(tmp_path, run, key):
     assert rec["key_hash"] == canonical_key(rec["request"]) == key
 
 
-def test_cacheless_run_never_loads_hashlib(tmp_path):
-    # hashlib maps OpenSSL's libcrypto; only a cache key should load it
+def _assert_hashlib_keys(path):
+    # every key written is the sha256 hashlib gives for the canonical request
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines
+    for line in lines:
+        rec = json.loads(line)
+        assert rec["key_hash"] == _hashlib_key(rec["request"])
+
+
+def test_runs_never_load_hashlib(tmp_path):
+    # hashlib maps OpenSSL's libcrypto; the cache keys with CPython's built-in
+    # sha256, so neither a cache-less nor a cached run loads it
     path = tmp_path / "cache.jsonl"
     code = (
         "import json, sys, warnings; warnings.simplefilter('ignore'); "
@@ -187,17 +262,42 @@ def test_cacheless_run_never_loads_hashlib(tmp_path):
         "v = vd.dual(); "
         "assert virtual_integral(P2, v, None, 2) == quot_count(P2, v, 2); "
         "assert chi_theta(P2, e_from_v(v.chern_data(), 2), 2) == quot_count(P2, v, 2); "
-        "loaded = {'hashlib', '_hashlib'} & set(sys.modules); "
-        "assert not loaded, loaded; "
+        "cache = ResultCache(sys.argv[1]); "
+        "assert quot_count(P2, split_bundle(P2, [-2, -3]), 2, cache=cache) == 15; "
+        "assert chi_theta(P2, split_bundle(P2, [1, 1], [2]), 2, cache=cache) == 0; "
         "assert quot_count(P2, split_bundle(P2, [-2, -3]), 2, "
         "cache=ResultCache(sys.argv[1])) == 15; "
+        "loaded = {'hashlib', '_hashlib'} & set(sys.modules); "
+        "assert not loaded, loaded; "
         "print(json.loads(open(sys.argv[1]).readline())['key_hash'])"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", code, str(path)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == QUOT_KEY
+    assert len(path.read_text().splitlines()) == 2
+    _assert_hashlib_keys(path)
+
+    # the CLI opens its default cache; -X importtime lists every module the
+    # process imports, one per stderr line, its name in the last column
+    cli_cache = tmp_path / "cli-cache.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hilbloc.cli",
+         "verify-conjecture", "--r", "3", "--d", "7", "--kmax", "2"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(env, HILBLOC_CACHE=str(cli_cache)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_equal"] is True
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "hilbloc.cache" in imported
+    assert not {"hashlib", "_hashlib"} & imported
+    assert len(cli_cache.read_text().splitlines()) == 4
+    _assert_hashlib_keys(cli_cache)
