@@ -18,13 +18,13 @@ column (0 <= j < lambda_i).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ComputationError, UsageError
 from .symbolic import Weight, ZERO_WEIGHT
 from .toric import EquivariantLineBundle, SplitBundle, ToricSurfaceModel, split_on
+from .value import Frozen, set_field
 
 __all__ = [
     "Partition",
@@ -40,26 +40,38 @@ __all__ = [
 
 
 def check_k(k: int) -> None:
-    """Refuse a number of points no sum over X^[k] can be run for: a
-    negative k, or one whose series of 2k + 1 terms (one per degree of
-    X^[k]) is longer than a list can be."""
+    """Refuse a number of points no sum over X^[k] can be run for: a k
+    that is not an int (a bool is refused too: it would key its own cache
+    lines), a negative k, or one whose series of 2k + 1 terms (one per
+    degree of X^[k]) is longer than a list can be."""
+    if type(k) is not int:
+        raise UsageError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise UsageError("negative k")
     if 2 * k + 1 > sys.maxsize:
         raise UsageError(f"k = {k} is too large: a series of 2k + 1 terms does not fit a list")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A partition as a non-increasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    # no __slots__: the cached ``conjugate`` lives in the instance __dict__
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        if any(p <= 0 for p in self.parts):
-            raise UsageError(f"partition parts must be positive: {self.parts}")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
-            raise UsageError(f"partition parts must be non-increasing: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        set_field(self, "parts", parts)
+        if any(p <= 0 for p in parts):
+            raise UsageError(f"partition parts must be positive: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise UsageError(f"partition parts must be non-increasing: {parts}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def size(self) -> int:
@@ -88,11 +100,21 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class HilbFixedPoint:
+class HilbFixedPoint(Frozen):
     """One fixed point of X^[k]: a partition per surface fixed point."""
 
-    parts: tuple[Partition, ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[Partition, ...]) -> None:
+        set_field(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def size(self) -> int:

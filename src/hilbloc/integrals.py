@@ -69,7 +69,6 @@ verification loop (verify_conjecture).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -105,6 +104,7 @@ from .toric import (
     realize_split_model,
     split_on,
 )
+from .value import Frozen, Value, set_field
 
 __all__ = [
     "Term",
@@ -137,12 +137,25 @@ __all__ = [
 # Chern-class expressions
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Frozen):
     """coefficient * product of c_index(bundle_id) factors."""
 
-    coefficient: Fraction
-    factors: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("coefficient", "factors")
+
+    def __init__(
+        self, coefficient: Fraction, factors: tuple[tuple[str, int], ...]
+    ) -> None:
+        set_field(self, "coefficient", coefficient)
+        set_field(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.coefficient, self.factors)
+                    == (other.coefficient, other.factors))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coefficient, self.factors))
 
     @property
     def degree(self) -> int:
@@ -157,11 +170,21 @@ class Term:
         return "*".join([str(self.coefficient)] + parts)
 
 
-@dataclass(frozen=True)
-class ChernExpr:
+class ChernExpr(Frozen):
     """A formal sum of Chern monomials in declared bundle identifiers."""
 
-    terms: tuple[Term, ...]
+    __slots__ = _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...]) -> None:
+        set_field(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @classmethod
     def constant(cls, value) -> "ChernExpr":
@@ -305,30 +328,41 @@ def parse_chern_expr(text: str) -> ChernExpr:
     return ChernExpr(tuple(terms)).collect()
 
 
-@dataclass
-class IntegralRequest:
+class IntegralRequest(Value):
     """One integral over X^[k]: declared bundles and a degree-2k expression."""
 
-    surface: ToricSurfaceModel
-    k: int
-    bundles: dict[str, SplitBundle]
-    expr: ChernExpr
+    __slots__ = _fields = ("surface", "k", "bundles", "expr")
 
-    def __post_init__(self) -> None:
-        check_k(self.k)
+    def __init__(
+        self,
+        surface: ToricSurfaceModel,
+        k: int,
+        bundles: dict[str, SplitBundle],
+        expr: ChernExpr,
+    ) -> None:
+        check_k(k)
+        self.surface = surface
+        self.k = k
         self.bundles = {
-            bid: split_on(self.surface, b, f"bundle {bid!r}")
-            for bid, b in self.bundles.items()
+            bid: split_on(surface, b, f"bundle {bid!r}")
+            for bid, b in bundles.items()
         }
-        missing = self.expr.bundle_ids() - set(self.bundles)
+        self.expr = expr
+        missing = expr.bundle_ids() - set(self.bundles)
         if missing:
             raise UsageError(f"undeclared bundle ids in expression: {sorted(missing)}")
-        degs = self.expr.degrees()
-        if degs != {2 * self.k} and self.expr.terms:
+        degs = expr.degrees()
+        if degs != {2 * k} and expr.terms:
             raise UsageError(
-                f"expression degrees {sorted(degs)} != 2k = {2 * self.k}; "
+                f"expression degrees {sorted(degs)} != 2k = {2 * k}; "
                 "integrals over X^[k] need homogeneous degree 2k"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.surface, self.k, self.bundles, self.expr)
+                    == (other.surface, other.k, other.bundles, other.expr))
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -861,8 +895,7 @@ def expected_dim_pairs(
     k: int,
 ) -> int:
     """chi(V*) - 1 - (rank V - 2) k, the expected dimension of the pair space."""
-    if k < 0:
-        raise UsageError("negative k")
+    check_k(k)
     if not isinstance(v, ChernData):
         v = split_on(surface, v, "V").chern_data()
     if v.rank < 1:
@@ -882,15 +915,32 @@ def c2_for_expected_dim_zero(r: int, d: int, k: int) -> int:
     return expected_dim_pairs(make_surface("P2"), ChernData(r, (-d,), 0), k)
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
-    ok: bool
-    r: int
-    d: int
-    w: int
-    lower: int
-    upper: int
-    violations: tuple[str, ...]
+class ConstructionReport(Frozen):
+    __slots__ = _fields = ("ok", "r", "d", "w", "lower", "upper", "violations")
+
+    def __init__(
+        self, ok: bool, r: int, d: int, w: int, lower: int, upper: int,
+        violations: tuple[str, ...],
+    ) -> None:
+        set_field(self, "ok", ok)
+        set_field(self, "r", r)
+        set_field(self, "d", d)
+        set_field(self, "w", w)
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "violations", violations)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok == other.ok and self.r == other.r and self.d == other.d
+                    and self.w == other.w and self.lower == other.lower
+                    and self.upper == other.upper
+                    and self.violations == other.violations)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.r, self.d, self.w, self.lower, self.upper,
+                     self.violations))
 
 
 def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
@@ -918,14 +968,30 @@ def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
     return ConstructionReport(not violations, r, d, w, lower, upper, tuple(violations))
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
-    k: int
-    c2_vstar: int
-    quot: int | None
-    chi: int | None
-    equal: bool | None
-    error: str | None = None
+class ConjectureRow(Frozen):
+    __slots__ = _fields = ("k", "c2_vstar", "quot", "chi", "equal", "error")
+
+    def __init__(
+        self, k: int, c2_vstar: int, quot: int | None, chi: int | None,
+        equal: bool | None, error: str | None = None,
+    ) -> None:
+        set_field(self, "k", k)
+        set_field(self, "c2_vstar", c2_vstar)
+        set_field(self, "quot", quot)
+        set_field(self, "chi", chi)
+        set_field(self, "equal", equal)
+        set_field(self, "error", error)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k == other.k and self.c2_vstar == other.c2_vstar
+                    and self.quot == other.quot and self.chi == other.chi
+                    and self.equal == other.equal and self.error == other.error)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.c2_vstar, self.quot, self.chi, self.equal,
+                     self.error))
 
     def to_json(self) -> dict:
         return {

@@ -26,7 +26,6 @@ Conventions used throughout the engine:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, prod
@@ -34,6 +33,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ComputationError, PoleError
+from .value import Frozen
 
 __all__ = [
     "Weight",
@@ -58,12 +58,22 @@ _ONE = Fraction(1)
 # weights
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """Integer character a*t1 + b*t2 of the two-torus."""
 
-    a: int
-    b: int
+    __slots__ = _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a + other.a, self.b + other.b)
@@ -99,6 +109,10 @@ class Weight:
     def to_json(self) -> list[int]:
         return [self.a, self.b]
 
+
+# the slots' own setters: weights are built in the inner loops, and these
+# are faster than ``set_field``
+_set_a, _set_b = Weight.a.__set__, Weight.b.__set__
 
 ZERO_WEIGHT = Weight(0, 0)
 

@@ -30,7 +30,6 @@ that regime.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm, prod
@@ -50,6 +49,7 @@ from .toric import (
     realize_split_model,
     split_on,
 )
+from .value import Frozen, Value, set_field
 
 __all__ = [
     "virtual_integral",
@@ -75,13 +75,23 @@ def _gen_binomial(m: int, t: int) -> Fraction:
     return Fraction(num, factorial(t))
 
 
-@dataclass
-class AmbientClass:
+class AmbientClass(Value):
     """Polynomial in h (degree <= hmax) and u (degree <= umax), truncated."""
 
-    hmax: int
-    umax: int
-    coeffs: dict[tuple[int, int], Fraction]
+    __slots__ = _fields = ("hmax", "umax", "coeffs")
+
+    def __init__(
+        self, hmax: int, umax: int, coeffs: dict[tuple[int, int], Fraction]
+    ) -> None:
+        self.hmax = hmax
+        self.umax = umax
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.hmax == other.hmax and self.umax == other.umax
+                    and self.coeffs == other.coeffs)
+        return NotImplemented
 
     @classmethod
     def one(cls, hmax: int, umax: int) -> "AmbientClass":
@@ -326,15 +336,42 @@ def _monomial_values(
     return [prod(symbols[name] for name in mono) for mono in monomials]
 
 
-@dataclass(frozen=True)
-class UniversalPolynomial:
-    shape_id: str
-    k: int
-    rank_v: int
-    rank_lam: int
-    monomials: tuple[tuple[str, ...], ...]
-    coefficients: tuple[Fraction, ...]
-    undetermined: tuple[str, ...]
+class UniversalPolynomial(Frozen):
+    __slots__ = _fields = (
+        "shape_id", "k", "rank_v", "rank_lam", "monomials", "coefficients",
+        "undetermined",
+    )
+
+    def __init__(
+        self,
+        shape_id: str,
+        k: int,
+        rank_v: int,
+        rank_lam: int,
+        monomials: tuple[tuple[str, ...], ...],
+        coefficients: tuple[Fraction, ...],
+        undetermined: tuple[str, ...],
+    ) -> None:
+        set_field(self, "shape_id", shape_id)
+        set_field(self, "k", k)
+        set_field(self, "rank_v", rank_v)
+        set_field(self, "rank_lam", rank_lam)
+        set_field(self, "monomials", monomials)
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "undetermined", undetermined)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shape_id == other.shape_id and self.k == other.k
+                    and self.rank_v == other.rank_v and self.rank_lam == other.rank_lam
+                    and self.monomials == other.monomials
+                    and self.coefficients == other.coefficients
+                    and self.undetermined == other.undetermined)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shape_id, self.k, self.rank_v, self.rank_lam,
+                     self.monomials, self.coefficients, self.undetermined))
 
     def evaluate(self, symbols: dict[str, int]) -> Fraction:
         den = lcm(*(c.denominator for c in self.coefficients))

@@ -24,12 +24,12 @@ is then closed-form Riemann-Roch on the Whitney Chern data.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Sequence
 
 from .errors import ComputationError, RealizationError, UsageError
 from .symbolic import Weight
+from .value import Frozen, set_field
 
 __all__ = [
     "ChernData",
@@ -52,29 +52,72 @@ __all__ = [
 SURFACE_NAMES = ("P2", "P1xP1", "Hirzebruch")
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Frozen):
     """(rank, c1 in the divisor basis, integral c2) of a coherent class."""
 
-    rank: int
-    c1: tuple[int, ...]
-    c2: int
+    __slots__ = _fields = ("rank", "c1", "c2")
+
+    def __init__(self, rank: int, c1: tuple[int, ...], c2: int) -> None:
+        set_field(self, "rank", rank)
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank == other.rank and self.c1 == other.c1
+                    and self.c2 == other.c2)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.c1, self.c2))
 
     def dual(self) -> "ChernData":
         return ChernData(self.rank, tuple(-d for d in self.c1), self.c2)
 
 
-@dataclass(frozen=True)
-class ToricSurfaceModel:
-    name: str
-    family: str
-    a: int
-    points: tuple[tuple[Weight, Weight], ...]
-    edges: tuple[tuple[int, int, Weight], ...]
-    chi_top: int
-    k_squared: int
-    canonical_degrees: tuple[int, ...]
-    divisor_rank: int
+class ToricSurfaceModel(Frozen):
+    __slots__ = _fields = (
+        "name", "family", "a", "points", "edges", "chi_top", "k_squared",
+        "canonical_degrees", "divisor_rank",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        family: str,
+        a: int,
+        points: tuple[tuple[Weight, Weight], ...],
+        edges: tuple[tuple[int, int, Weight], ...],
+        chi_top: int,
+        k_squared: int,
+        canonical_degrees: tuple[int, ...],
+        divisor_rank: int,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "family", family)
+        set_field(self, "a", a)
+        set_field(self, "points", points)
+        set_field(self, "edges", edges)
+        set_field(self, "chi_top", chi_top)
+        set_field(self, "k_squared", k_squared)
+        set_field(self, "canonical_degrees", canonical_degrees)
+        set_field(self, "divisor_rank", divisor_rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                (self.name, self.family, self.a, self.points, self.edges, self.chi_top,
+                 self.k_squared, self.canonical_degrees, self.divisor_rank)
+                == (other.name, other.family, other.a, other.points, other.edges,
+                    other.chi_top, other.k_squared, other.canonical_degrees,
+                    other.divisor_rank)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.family, self.a, self.points, self.edges,
+                     self.chi_top, self.k_squared, self.canonical_degrees,
+                     self.divisor_rank))
 
     def intersect(self, d1: Sequence[int], d2: Sequence[int]) -> int:
         """Intersection number of two divisor classes in this basis."""
@@ -200,21 +243,34 @@ def _make_surface(name: str, a: int | None) -> ToricSurfaceModel:
 # equivariant line bundles and split bundles
 
 
-@dataclass(frozen=True)
-class EquivariantLineBundle:
+class EquivariantLineBundle(Frozen):
     """A line bundle given by one weight per fixed point.
 
     The weights are checked for edge compatibility once, here, and the
     divisor ``degrees`` are derived from them; a shift of the linearization
-    changes the weights but not the degrees.
+    changes the weights but not the degrees.  Equality and hashing read the
+    surface and the weights only.
     """
 
-    surface: ToricSurfaceModel
-    weights: tuple[Weight, ...]
-    degrees: tuple[int, ...] = field(init=False, compare=False)
+    __slots__ = ("surface", "weights", "degrees")
+    _fields = ("surface", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", self.surface.degrees_of(self.weights))
+    def __init__(self, surface: ToricSurfaceModel, weights: tuple[Weight, ...]) -> None:
+        set_field(self, "surface", surface)
+        set_field(self, "weights", weights)
+        set_field(self, "degrees", surface.degrees_of(weights))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.surface, self.weights) == (other.surface, other.weights)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.weights))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(surface={self.surface!r}, "
+                f"weights={self.weights!r}, degrees={self.degrees!r})")
 
     def dual(self) -> "EquivariantLineBundle":
         return EquivariantLineBundle(self.surface, tuple(-1 * w for w in self.weights))
@@ -226,9 +282,10 @@ class EquivariantLineBundle:
 
 def line_bundle(surface: ToricSurfaceModel, degrees: Sequence[int]) -> EquivariantLineBundle:
     """O(degrees) with its canonical linearization (weight zero first)."""
-    return EquivariantLineBundle(
-        surface, surface.line_weights(tuple(int(d) for d in degrees))
-    )
+    degrees = tuple(degrees)
+    if not all(type(d) is int for d in degrees):
+        raise UsageError(f"line bundle degrees must be integers, got {degrees}")
+    return EquivariantLineBundle(surface, surface.line_weights(degrees))
 
 
 def validate_compatibility(
@@ -256,20 +313,34 @@ def validate_compatibility(
     return out
 
 
-@dataclass(frozen=True)
-class SplitBundle:
+class SplitBundle(Frozen):
     """Formal sum of line bundles, minus-lines allowed (virtual splits)."""
 
-    surface: ToricSurfaceModel
-    plus: tuple[EquivariantLineBundle, ...] = ()
-    minus: tuple[EquivariantLineBundle, ...] = ()
+    __slots__ = _fields = ("surface", "plus", "minus")
 
-    def __post_init__(self):
-        for line in self.plus + self.minus:
-            if line.surface.name != self.surface.name:
+    def __init__(
+        self,
+        surface: ToricSurfaceModel,
+        plus: tuple[EquivariantLineBundle, ...] = (),
+        minus: tuple[EquivariantLineBundle, ...] = (),
+    ) -> None:
+        set_field(self, "surface", surface)
+        set_field(self, "plus", plus)
+        set_field(self, "minus", minus)
+        for line in plus + minus:
+            if line.surface.name != surface.name:
                 raise UsageError(
-                    f"a line on {line.surface.name} in a bundle on {self.surface.name}"
+                    f"a line on {line.surface.name} in a bundle on {surface.name}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.surface, self.plus, self.minus)
+                    == (other.surface, other.plus, other.minus))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.plus, self.minus))
 
     @property
     def rank(self) -> int:
@@ -344,9 +415,7 @@ def split_bundle(
     """Convenience constructor from degree lists (ints on P2, pairs elsewhere)."""
 
     def norm(d):
-        if isinstance(d, int):
-            return (d,)
-        return tuple(int(x) for x in d)
+        return tuple(d) if isinstance(d, (tuple, list)) else (d,)
 
     return SplitBundle(
         surface,

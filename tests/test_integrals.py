@@ -448,6 +448,22 @@ def test_quot_count_trivial_cases():
         quot_count(P2, split_bundle(P2, [-2, -3]), -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: quot_count(P2, split_bundle(P2, [-2, -3]), 2.0),
+    lambda: chi_theta(P2, ChernData(1, (1,), 0), 2.5),
+    lambda: verify_conjecture(P2, 3, 7, 2.5),
+    lambda: expected_dim_pairs(P2, ChernData(3, (1,), 0), 1.5),
+    lambda: quot_count(P2, split_bundle(P2, [-2, -3]), True),
+], ids=["quot_count", "chi_theta", "verify_conjecture", "expected_dim_pairs",
+        "bool"])
+def test_a_k_that_is_not_an_integer_is_a_usage_error(call):
+    # quot_count, chi_theta and verify_conjecture ended in a raw TypeError;
+    # expected_dim_pairs returned -0.5, and k = True ran as k = 1 under a
+    # cache key of its own
+    with pytest.raises(UsageError, match="k must be an integer, got"):
+        call()
+
+
 def test_quot_count_refuses_a_bundle_on_another_surface():
     # named as the argument, not as the internal id of its dual
     for k in (0, 1):

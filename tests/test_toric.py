@@ -203,6 +203,18 @@ def test_chi_surface_rejects_edge_incompatible_weights():
         EquivariantLineBundle(P2, weights[:2])
 
 
+def test_line_bundle_refuses_a_degree_that_is_not_an_integer():
+    # O(1.5) was quietly truncated to O(1)
+    with pytest.raises(UsageError, match=r"degrees must be integers, got \(1\.5,\)"):
+        line_bundle(P2, [1.5])
+    with pytest.raises(UsageError, match="degrees must be integers"):
+        split_bundle(QUADRIC, [(1, 0.5)])
+    with pytest.raises(UsageError, match="degrees must be integers"):
+        split_bundle(P2, [2, 1.5])
+    with pytest.raises(UsageError, match=r"got \(True,\)"):
+        line_bundle(P2, [True])
+
+
 def test_split_bundle_refuses_a_line_on_another_surface():
     with pytest.raises(UsageError, match="a line on P1xP1 in a bundle on P2"):
         SplitBundle(P2, (line_bundle(QUADRIC, (1, 0)),))
