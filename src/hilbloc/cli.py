@@ -401,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # a k far above any computable size but within check_k's bound
+        # a k within MAX_K whose tables do not fit in memory
         print("error: out of memory", file=sys.stderr)
         return 1
     _emit(_report(args, seed, payload), args.format)

@@ -35,21 +35,46 @@ __all__ = [
     "count_fixed_points",
     "tangent_forms",
     "cell_tangent_weights",
+    "check_int",
     "check_k",
+    "MAX_K",
+    "check_work",
 ]
+
+MAX_K = 100
+"""The largest k that a sum over the fixed points of X^[k] is run for.
+
+Every such sum tables the partitions of each n <= k at a chart, and 100
+alone has 190569292 of them, so no run above it could finish; every k that
+the tests, the benchmark and the documentation use is at most 40."""
+
+
+def check_int(value, name: str) -> None:
+    """Refuse a value that is not an int.  A bool is refused too: it would
+    key its own cache lines."""
+    if type(value) is not int:
+        raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def check_k(k: int) -> None:
     """Refuse a number of points no sum over X^[k] can be run for: a k
-    that is not an int (a bool is refused too: it would key its own cache
-    lines), a negative k, or one whose series of 2k + 1 terms (one per
-    degree of X^[k]) is longer than a list can be."""
-    if type(k) is not int:
-        raise UsageError(f"k must be an integer, got {k!r}")
+    that is not an int, a negative k, or one whose series of 2k + 1 terms
+    (one per degree of X^[k]) is longer than a list can be."""
+    check_int(k, "k")
     if k < 0:
         raise UsageError("negative k")
     if 2 * k + 1 > sys.maxsize:
         raise UsageError(f"k = {k} is too large: a series of 2k + 1 terms does not fit a list")
+
+
+def check_work(k: int) -> None:
+    """Refuse a k that ``check_k`` passed but that is above ``MAX_K``,
+    before any table is built for it."""
+    if k > MAX_K:
+        raise UsageError(
+            f"k = {k} is above MAX_K = {MAX_K}, the largest k a sum over "
+            "the fixed points of X^[k] is run for"
+        )
 
 
 class Partition(Frozen):
@@ -60,6 +85,8 @@ class Partition(Frozen):
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         set_field(self, "parts", parts)
+        if any(type(p) is not int for p in parts):
+            raise UsageError(f"partition parts must be integers: {parts}")
         if any(p <= 0 for p in parts):
             raise UsageError(f"partition parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -161,6 +188,7 @@ def enumerate_fixed_points(
 ) -> Iterator[HilbFixedPoint]:
     """Stream the fixed points of X^[k], grouped by size composition."""
     check_k(k)
+    check_work(k)
     npts = len(surface.points)
 
     def rec(slot: int, sizes: tuple[int, ...]):
@@ -179,6 +207,7 @@ def enumerate_fixed_points(
 def count_fixed_points(surface: ToricSurfaceModel, k: int) -> int:
     """Number of fixed points: [q^k] of prod_m (1 - q^m)^(-chi_top)."""
     check_k(k)
+    check_work(k)
     series = [0] * (k + 1)
     series[0] = 1
     for m in range(1, k + 1):

@@ -63,7 +63,8 @@ independent integer specializations of (t1, t2), asserts the results equal
 (so a bad specialization cannot leak into output) and divides by D; it
 alone reads and writes the cache.
 The module also holds the Chern-expression grammar and the count-matching
-verification loop (verify_conjecture).
+verification loop (verify_conjecture), whose quot side reads V* as a
+virtual split model written down from its Chern data, not searched for.
 """
 
 from __future__ import annotations
@@ -76,14 +77,8 @@ from math import lcm, prod
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cache import ResultCache
-from .errors import (
-    ComputationError,
-    ParseError,
-    PoleError,
-    RealizationError,
-    UsageError,
-)
-from .hilb import Partition, check_k, partitions, tangent_forms
+from .errors import ComputationError, ParseError, PoleError, UsageError
+from .hilb import Partition, check_int, check_k, check_work, partitions, tangent_forms
 from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
@@ -101,7 +96,7 @@ from .toric import (
     e_from_v,
     line_bundle,
     make_surface,
-    realize_split_model,
+    split_bundle,
     split_on,
 )
 from .value import Frozen, Value, set_field
@@ -747,6 +742,7 @@ def integrate(
     which is multiplicative over the surface points.  X^[0] is a point, so
     at k = 0 the value is the expression's constant.
     """
+    check_work(req.k)
     if req.k == 0:
         return sum((term.coefficient for term in req.expr.terms), Fraction(0))
     plans = [
@@ -850,6 +846,7 @@ def chi_theta(
     if not isinstance(e, ChernData):
         e = split_on(surface, e, "e").chern_data()
     check_k(k)
+    check_work(k)
     det = SplitBundle(surface, (line_bundle(surface, e.c1),))
     if chi_pair(surface, e, k) != 0:
         warnings.warn(
@@ -906,6 +903,8 @@ def expected_dim_pairs(
 def c2_for_expected_dim_zero(r: int, d: int, k: int) -> int:
     """c2(V*) forcing expected dimension zero for degree-(-d) rank-r V on P2:
     the expected dimension at c2 = 0, since each unit of c2 lowers it by one."""
+    check_int(r, "r")
+    check_int(d, "d")
     if r < 2:
         raise UsageError("need rank r >= 2")
     if d < 1:
@@ -950,6 +949,9 @@ def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
     eps = 1 for d in {1, 2} and 0 otherwise.  C is the binomial polynomial,
     so every d gets a report.
     """
+    check_int(r, "r")
+    check_int(d, "d")
+    check_int(w, "w")
     eps = 1 if d in (1, 2) else 0
     lower = (d + 1) * d // 2  # C(d+1,2), also for d < -1
     upper = lower + d - 2 + eps  # C(d+2,2) - 3 + eps, by Pascal's rule
@@ -969,6 +971,9 @@ def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
 
 
 class ConjectureRow(Frozen):
+    """One k of ``verify_conjecture``: c2(V*), both sides and whether they
+    agree.  ``error`` stays in the report format; the sweep leaves it None."""
+
     __slots__ = _fields = ("k", "c2_vstar", "quot", "chi", "equal", "error")
 
     def __init__(
@@ -1017,9 +1022,11 @@ def verify_conjecture(
 
     For each k <= k_max: pick c2(V*) so the expected dimension vanishes,
     take e = e_from_v(V, k), assert the orthogonality chi_pair(e, k) = 0,
-    and compare the two sides.  ``chi_theta`` reads e as Chern data, so only
-    V* gets a split stand-in; a failed search for it is recorded in that
-    row instead of aborting the sweep.
+    and compare the two sides.  ``chi_theta`` reads e as Chern data, and by
+    Ellingsrud-Goettsche-Lehn universality a quot count depends on V* only
+    through its Chern data too, so ``quot_count`` gets the virtual split
+    V* = O(d) + O^(r-2) + O(c2) + O(1) - O(c2 + 1): rank r, c1 = d and, by
+    Whitney with h.h = 1, c2(V*) = c2.  Every row gets both values.
 
     The count interpretation assumes Quot(V, k) finite and reduced and the
     vanishing of higher cohomology of the determinant line bundle, which
@@ -1035,23 +1042,19 @@ def verify_conjecture(
     if k_max < 1:
         raise UsageError("need k_max >= 1")
     check_k(k_max)
+    check_work(k_max)
     rows: list[ConjectureRow] = []
     # from k_max down: the first chi_theta call builds the q-product at
     # k_max, and every smaller k reads its row of it
     for k in range(k_max, 0, -1):
         c2s = c2_for_expected_dim_zero(r, d, k)
-        v = ChernData(r, (-d,), c2s)
-        e = e_from_v(v, k)
+        e = e_from_v(ChernData(r, (-d,), c2s), k)
         if chi_pair(surface, e, k) != 0:
             raise ComputationError(
                 f"orthogonality broke at k={k}: chi_pair = {chi_pair(surface, e, k)}"
             )
-        try:
-            v_model = realize_split_model(surface, v.dual()).dual()
-        except RealizationError as exc:
-            rows.append(ConjectureRow(k, c2s, None, None, None, str(exc)))
-            continue
-        quot = quot_count(surface, v_model, k, seed=seed, cache=cache)
+        v = split_bundle(surface, (-d, *[0] * (r - 2), -c2s, -1), (-c2s - 1,))
+        quot = quot_count(surface, v, k, seed=seed, cache=cache)
         chi = chi_theta(surface, e, k, seed=seed, cache=cache)
         rows.append(ConjectureRow(k, c2s, int(quot), chi, quot == chi))
     return rows[::-1]

@@ -36,7 +36,7 @@ from math import factorial, gcd, lcm, prod
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
-from .hilb import check_k
+from .hilb import check_k, check_work
 from .integrals import ChernExpr, _chern_plan_sum, expected_dim_pairs
 from .symbolic import DEFAULT_SEED
 from .toric import (
@@ -213,6 +213,7 @@ def virtual_integral(
     if bad_ids:
         raise UsageError(f"expression may only reference c_j(IT): {sorted(bad_ids)}")
     check_k(k)
+    check_work(k)
     try:
         _require_ambient(surface, v)
     except UsageError as exc:

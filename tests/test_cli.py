@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import resource
 import shlex
 import subprocess
 import sys
@@ -19,9 +18,11 @@ from pathlib import Path
 import pytest
 
 import hilbloc
+from hilbloc import cli
 from hilbloc.cache import ENGINE_VERSION
 from hilbloc.cli import main, parse_chern_expr
 from hilbloc.errors import ParseError
+from hilbloc.hilb import MAX_K
 from hilbloc.symbolic import DEFAULT_SEED
 
 
@@ -605,31 +606,52 @@ def test_a_k_too_large_for_a_series_is_a_usage_error(argv):
     )
 
 
-BIG_K = "1000000000"  # within the bound, but its series do not fit in 1 GB
-
-
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+BIG_K = "1000000000"  # its series fit a list, but no run at it would end
 
 
 @pytest.mark.parametrize("argv", [
     ("chi-theta", "--surface", "P2", "--k", BIG_K),
     ("quot-count", "--surface", "P2", "--vstar", "1,2", "--k", BIG_K),
     ("taut-integral", "--surface", "P2", "--vstar", "2,3", "--k", BIG_K),
-], ids=lambda argv: argv[0])
-def test_running_out_of_memory_is_a_one_line_error(argv):
-    # it ended in a MemoryError traceback (taut-integral warns first); the
-    # cap keeps the process from taking the machine's memory
+    ("fixed-points", "--surface", "P2", "--k", BIG_K),
+    ("verify-conjecture", "--r", "3", "--d", "7", "--kmax", BIG_K),
+    ("fixed-points", "--surface", "P2", "--k", str(MAX_K + 1)),
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_a_k_above_max_k_is_a_usage_error(argv):
+    # it ran until a timeout stopped it, or ran out of memory
+    k = argv[-1]
     src = str(Path(hilbloc.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "hilbloc.cli", *argv, "--no-cache"],
+        [sys.executable, "-m", "hilbloc.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-        preexec_fn=_cap_address_space, timeout=30,
+        timeout=30,
     )
-    assert proc.returncode == 1
+    assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == "error: out of memory"
+    assert proc.stderr == (
+        f"error: k = {k} is above MAX_K = {MAX_K}, the largest k a sum over "
+        "the fixed points of X^[k] is run for\n"
+    )
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (("chi-theta", "--surface", "P2", "--k", "30"), "chi_theta"),
+    (("quot-count", "--surface", "P2", "--vstar", "1,2", "--k", "30"), "quot_count"),
+    (("taut-integral", "--surface", "P2", "--vstar", "2,3", "--k", "30"),
+     "virtual_integral"),
+], ids=["chi-theta", "quot-count", "taut-integral"])
+def test_running_out_of_memory_is_a_one_line_error(capsys, monkeypatch, argv, engine):
+    # a k within MAX_K can still need more memory than there is; the engine
+    # call stands in for such a run, since a real one takes seconds and may
+    # end in CPython's own fatal error instead of a MemoryError
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, engine, out_of_memory)
+    code, out, err = run_cli(capsys, *argv, "--no-cache")
+    assert code == 1
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_universal_poly_count_shape(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from hilbloc.errors import ComputationError, UsageError
 from hilbloc.hilb import (
+    MAX_K,
     HilbFixedPoint,
     Partition,
     cell_tangent_weights,
@@ -44,6 +45,14 @@ def test_small_counts():
     ]
 
 
+def test_fixed_points_stop_at_max_k():
+    assert count_fixed_points(P2, MAX_K) == 1587333926761125
+    with pytest.raises(UsageError, match=f"k = {MAX_K + 1} is above MAX_K"):
+        count_fixed_points(P2, MAX_K + 1)
+    with pytest.raises(UsageError, match=f"k = {MAX_K + 1} is above MAX_K"):
+        next(enumerate_fixed_points(P2, MAX_K + 1))
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -53,6 +62,10 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(UsageError):
         Partition((2, 0))
+    with pytest.raises(UsageError, match="parts must be integers"):
+        Partition((2.5, 1))
+    with pytest.raises(UsageError, match="parts must be integers"):
+        Partition((True,))
     assert Partition(()).size == 0
 
 

@@ -9,7 +9,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbloc import integrals
+from hilbloc import integrals, toric
 from hilbloc.cache import ResultCache
 from hilbloc.errors import ComputationError, PoleError, UsageError
 from hilbloc.hilb import cell_tangent_weights, count_fixed_points, partitions
@@ -856,6 +856,11 @@ def test_c2_for_expected_dim_zero_values():
         c2_for_expected_dim_zero(1, 3, 1)
     with pytest.raises(UsageError):
         c2_for_expected_dim_zero(3, 3, 0)
+    # it returned 34.5 and 2
+    with pytest.raises(UsageError, match="r must be an integer, got 3.5"):
+        c2_for_expected_dim_zero(3.5, 7, 2)
+    with pytest.raises(UsageError, match="d must be an integer, got True"):
+        c2_for_expected_dim_zero(3, True, 2)
 
 
 @given(st.integers(2, 8), st.integers(1, 12), st.integers(1, 20))
@@ -874,6 +879,8 @@ def test_validate_construction_fixtures():
     assert not validate_construction(2, 0, 0).ok
     upper = validate_construction(2, 2, 5)
     assert not upper.ok and any("upper" in v for v in upper.violations)
+    with pytest.raises(UsageError, match="d must be an integer, got 2.5"):
+        validate_construction(2, 2.5, 5)
 
 
 @given(st.integers(2, 4), st.integers(-12, 0), st.integers(-5, 30))
@@ -893,18 +900,16 @@ def test_verify_conjecture_small():
     assert data["quot_count"] == "21" and data["equal"] is True
 
 
-def test_verify_conjecture_realizes_a_model_for_v_star_only(tmp_path, monkeypatch):
-    calls = []
-    realize = integrals.realize_split_model
+def _refuse_to_search(*args, **kwargs):
+    raise AssertionError("a split model was searched for")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return realize(*args, **kwargs)
 
-    monkeypatch.setattr(integrals, "realize_split_model", counted)
+def test_verify_conjecture_searches_no_split_model(tmp_path, monkeypatch):
+    monkeypatch.setattr(toric, "realize_split_model", _refuse_to_search)
+    monkeypatch.setattr(integrals, "realize_split_model", _refuse_to_search,
+                        raising=False)
     cache = ResultCache(tmp_path / "c.jsonl")
     rows = verify_conjecture(P2, 3, 7, 6, cache=cache)
-    assert len(calls) == 6
     assert all(row.equal for row in rows)
     monkeypatch.setattr(integrals, "dual_specialized", _refuse_to_compute)
     assert verify_conjecture(P2, 3, 7, 6, cache=cache) == rows
@@ -940,6 +945,24 @@ def test_verify_conjecture_grows_past_the_benchmark():
     ]
 
 
+def test_verify_conjecture_beyond_the_search_box():
+    # V* needs lines of degree near 100, beyond the split-model search's box
+    # of 16, so these rows ended in "no split model" errors
+    rows = verify_conjecture(P2, 3, 100, 2)
+    assert [(row.k, row.quot, row.chi, row.error) for row in rows] == [
+        (1, 5151, 5151, None), (2, 13248675, 13248675, None),
+    ]
+
+
+@pytest.mark.parametrize("r, d", [(r, d) for r in (3, 4) for d in (1, 4, 7)])
+def test_verify_conjecture_model_counts_as_the_searched_one(r, d):
+    # universality: the quot count of the written-down V* is that of the
+    # first split model the search finds with the same Chern data
+    for row in verify_conjecture(P2, r, d, 3):
+        searched = realize_split_model(P2, ChernData(r, (d,), row.c2_vstar))
+        assert row.quot == quot_count(P2, searched.dual(), row.k)
+
+
 def test_verify_conjecture_input_validation():
     with pytest.raises(UsageError):
         verify_conjecture(QUADRIC, 3, 5, 1)
@@ -947,3 +970,10 @@ def test_verify_conjecture_input_validation():
         verify_conjecture(P2, 2, 5, 1)
     with pytest.raises(UsageError):
         verify_conjecture(P2, 3, 0, 1)
+    # it ended in "odd Riemann-Roch combination"
+    with pytest.raises(UsageError, match="d must be an integer, got 7.5"):
+        verify_conjecture(P2, 3, 7.5, 2)
+    with pytest.raises(UsageError, match="r must be an integer, got 3.5"):
+        verify_conjecture(P2, 3.5, 7, 2)
+    with pytest.raises(UsageError, match="above MAX_K = 100"):
+        verify_conjecture(P2, 3, 7, 10**9)
