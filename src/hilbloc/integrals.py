@@ -15,16 +15,19 @@ drops the parts above it, and checks that those below it integrate to zero.
 Every sum is ``top_degree`` of one ``q_product`` coefficient: the Chern
 sums take the last point's product at q^k alone, chi_theta all of q^0..q^K.
 
-What a partition contributes apart from the bundle (its cell shifts, its
-tangent weights, the inverse of their product mod m, and its parent, the
-partition one cell smaller) depends only on the specialized chart weights
-at the point, n and m.  ``partition_table`` builds it once per process for
-each of them, so every bundle, k and side of a sum under the same z shares
-it.  It specializes one chart-free table per n (``_hook_table``: each
-partition's parent, last cell, cell row and column sums, and its tangent
-weights in the basis of the chart weights), so the arm/leg formula runs
+What a partition contributes apart from the bundle (its cell shifts, the
+inverse of its tangent product mod m, and its parent, the partition one
+cell smaller) depends only on the specialized chart weights at the point,
+n and m.  ``partition_table`` builds it once per process for each of them,
+so every bundle, k and side of a sum under the same z shares it.  It
+specializes one chart-free table per n (``_hook_table``: each partition's
+parent, last cell, cell row and column sums, and its tangent weights in
+the basis of the chart weights, kept flat), so the arm/leg formula runs
 once per partition and process, and it takes one modular inverse for all
-the tangent products of the table.  Chern-class integrands are built cell
+the tangent products of the table.  It keeps no specialized tangent
+weight: 2n of them per partition, chart, n and modulus would be most of
+what a sum keeps, and only ``theta_level`` reads them past the product, so
+it specializes them again.  Chern-class integrands are built cell
 by cell: ``chern_rows`` grows each partition's row of Chern classes from
 its parent's by the lines of its last cell, instead of from all of its
 cells.  Each point factor hands ``q_product`` one series per level n, the
@@ -399,14 +402,17 @@ def _q_coefficient(a: list, b: list, n: int, fitting, m: int) -> list:
 
 
 class LocalPartition(NamedTuple):
-    """One partition of n at a chart with specialized weights (s1, s2), mod m."""
+    """One partition of n at a chart with specialized weights (s1, s2), mod m.
+
+    Its 2n tangent weights are not kept: a caller that needs them
+    specializes its forms in ``_hook_table(n)`` again.
+    """
 
     partition: Partition
     parent: int  # its index less the last cell of its last row, among n - 1
     shift: int  # the specialized shift i*s1 + j*s2 of that cell
     shift_sum: int  # the sum of the shifts of every cell
-    tangents: tuple[int, ...]  # the 2n specialized tangent weights
-    inverse: int | None  # 1 / prod(tangents) mod m; None for a pole
+    inverse: int | None  # 1 / (product of its tangent weights) mod m; None for a pole
 
 
 @lru_cache(maxsize=64)
@@ -416,9 +422,10 @@ def _hook_table(n: int) -> tuple[tuple, ...]:
     Per partition: itself, its parent's index among the partitions of
     n - 1 (in the order of ``_hook_table(n - 1)``), its last cell (i, j)
     (the last of its last row), the sums of the rows i and of the columns j
-    of its cells, and its tangent weights as the forms (a, b) of
-    ``hilb.tangent_forms``, meaning a*v1 + b*v2.  ``partition_table``
-    specializes it at each chart.
+    of its cells, and its tangent weights as the forms a*v1 + b*v2 of
+    ``hilb.tangent_forms``, kept flat: the tuple of the 2n a's, then that
+    of the 2n b's.  ``partition_table`` specializes it at each chart, and
+    ``theta_level`` specializes the forms again (``_tangents``).
     """
     parents = {} if n == 0 else {
         entry[0].parts: i for i, entry in enumerate(_hook_table(n - 1))
@@ -430,6 +437,7 @@ def _hook_table(n: int) -> tuple[tuple, ...]:
         if parts:
             last = i, j = len(parts) - 1, parts[-1] - 1
             parent = parents[parts[:-1] + ((j,) if j else ())]
+        forms = list(tangent_forms(parts, part.conjugate))
         table.append((
             part,
             parent,
@@ -438,9 +446,16 @@ def _hook_table(n: int) -> tuple[tuple, ...]:
                 sum(i * p for i, p in enumerate(parts)),
                 sum(p * (p - 1) // 2 for p in parts),
             ),
-            tuple(tangent_forms(parts, part.conjugate)),
+            tuple(a for a, _ in forms),
+            tuple(b for _, b in forms),
         ))
     return tuple(table)
+
+
+def _tangents(s1: int, s2: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The tangent weights a_i*s1 + b_i*s2 of a partition at the chart (s1, s2),
+    from its flat forms in ``_hook_table``."""
+    return [x * s1 + y * s2 for x, y in zip(a, b)]
 
 
 @lru_cache(maxsize=1024)
@@ -450,6 +465,8 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, .
     It depends only on the chart's specialized weights and the modulus, so
     a process builds it once and every bundle, k and side of a sum under
     the same z reuses it; it specializes the chart-free ``_hook_table``.
+    The specialized tangent weights serve only to take their product, and
+    are dropped once it is taken.
     A tangent product that specializes to zero is kept as a pole
     (``inverse`` None), which ``level_sum`` raises on each time it meets it.
     Every other product is a product of nonzero integers far below each
@@ -458,8 +475,7 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, .
     which the prefix products peel off each one.
     """
     hooks = _hook_table(n)
-    tangents = [tuple(a * s1 + b * s2 for a, b in forms) for *_, forms in hooks]
-    dens = [prod(t) % m for t in tangents]
+    dens = [prod(_tangents(s1, s2, a, b)) % m for *_, a, b in hooks]
     prefix = [1]  # prefix[i]: the product of the nonzero dens before i
     for den in dens:
         prefix.append(prefix[-1] * den % m if den else prefix[-1])
@@ -470,9 +486,8 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, .
             inverses[i] = inverse * prefix[i] % m
             inverse = inverse * dens[i] % m
     return tuple(
-        LocalPartition(part, parent, i * s1 + j * s2, rows * s1 + cols * s2, t, inv)
-        for (part, parent, (i, j), (rows, cols), _), t, inv
-        in zip(hooks, tangents, inverses)
+        LocalPartition(part, parent, i * s1 + j * s2, rows * s1 + cols * s2, inv)
+        for (part, parent, (i, j), (rows, cols), *_), inv in zip(hooks, inverses)
     )
 
 
@@ -799,12 +814,16 @@ def theta_level(
     level-n series of the theta bundle of an e of this rank whose
     determinant has weight det there.  det enters the log linearly, so
     det = 0 gives the det-free sum, which at rank 0 is chi of O on
-    Hilb^n C^2 in Todd form.  A pole raises PoleError.
+    Hilb^n C^2 in Todd form.  A pole raises PoleError.  The partition
+    table keeps no tangent weights, so each partition's are specialized
+    here again from its forms in ``_hook_table(n)``, one at a time.
     """
     level = partition_table(s1, s2, n, m)
     return level_sum(level, [
-        exp_todd_series(n * det + rank * part.shift_sum, part.tangents, order, m)
-        for part in level
+        exp_todd_series(
+            n * det + rank * part.shift_sum, _tangents(s1, s2, a, b), order, m
+        )
+        for part, (*_, a, b) in zip(level, _hook_table(n))
     ], m)
 
 

@@ -12,7 +12,10 @@ The universal fit's oracle is Gauss-Jordan elimination over ``Fraction``s,
 not over integers.  The oracle of theta_level at rank 0 is the plethystic
 product formula for Hilb C^2, with no partitions at all.  Lehn's series
 for the top Segre class of H^[k] is Fraction series arithmetic and a series
-reversion over the surface's intersection form.  The tests
+reversion over the surface's intersection form.  The rank-3 closed forms
+of the paper's family are Lagrange inversions in Fractions of products
+of powers of 1 + ct and (1 + sqrt(1 + 4t))/2, read off intersection
+numbers alone.  The tests
 compare the engine against these implementations, so they must not import
 from the modules they check beyond plain data access.
 """
@@ -411,3 +414,60 @@ def lehn_segre_series(surface, degrees, k_max):
     for _ in range(k_max):
         w = [Fraction(0)] + product_of_powers(factors(w), (-1, -4, 3))[:k_max]
     return product_of_powers(factors(w), (a, b, -c))
+
+
+# ---------------------------------------------------------------------------
+# rank-3 closed forms: numbers in, rows out, no partitions and no hilbloc
+
+
+def _lagrange_rows(lines, h_exponent, phi, k_max):
+    """[q^0..q^k_max] of H(t(q)) for H = prod (1 + c t)^alpha * h^h_exponent.
+
+    ``lines`` holds the pairs (c, alpha), h = (1 + sqrt(1 + 4t))/2, and
+    t(q) inverts q = t (1 + c' t)^e for ``phi`` = (c', e).  By Lagrange
+    inversion [q^n] H(t(q)) = (1/n) [t^(n-1)] H'(t) (1 + c' t)^(-n e).
+    """
+    root = _series_power([1, 4], Fraction(1, 2), k_max)
+    h = [Fraction(1)] + [x / 2 for x in root[1:]]
+    series = _series_power(h, Fraction(h_exponent), k_max)
+    for c, alpha in lines:
+        series = _truncated_mul(series, _series_power([1, c], Fraction(alpha), k_max), k_max)
+    derivative = [j * x for j, x in enumerate(series)][1:]
+    c, e = phi
+    rows = [series[0]]
+    for n in range(1, k_max + 1):
+        psi = _series_power([1, c], -n * e, n - 1)
+        rows.append(sum(d * p for d, p in zip(derivative, reversed(psi))) / n)
+    return rows
+
+
+def closed_quot_series(k2, c2_surface, c1_c1, c1_k, c2, k_max):
+    """[q^0..q^k_max] of sum_k q^k int_{X^[k]} c_2k(V*^[k]) for V* of rank 3.
+
+    The surface enters through K^2 and c2(X), V* through c1.c1, c1.K and
+    c2 = c2(V*).  The series is (1+t)^a (1+2t)^b (1+4t)^c h^d with
+    q = t(1+2t), h = (1 + sqrt(1+4t))/2 and
+    a = 2K^2/3 - c2(X)/3 - c1^2 + 3 c2, b = (K^2 + c2(X))/4 + c1^2/2 -
+    c1.K/2 - c2, c = 11K^2/24 - c2(X)/24, d = -3K^2 + c1.K.  It was found
+    by fitting chart series of the Ellingsrud-Goettsche-Lehn factorization
+    at n <= 16, and holds wherever the tests compare it.
+    """
+    a = Fraction(2 * k2 - c2_surface, 3) - c1_c1 + 3 * c2
+    b = Fraction(k2 + c2_surface, 4) + Fraction(c1_c1 - c1_k, 2) - c2
+    c = Fraction(11 * k2 - c2_surface, 24)
+    return _lagrange_rows(((1, a), (2, b), (4, c)), c1_k - 3 * k2, (2, 1), k_max)
+
+
+def closed_chi_series(chi_l, chi_o, k2, l_k, k_max):
+    """[q^0..q^k_max] of sum_k q^k chi(X^[k], theta_e) for e of rank 2.
+
+    The surface enters through chi(O) and K^2, e through chi(L) and L.K for
+    L = det e.  The series is (1+t)^chi(L) ((1+t)^2 (1+4t)^(-1/2))^chi(O)
+    ((1+t) (1+4t)^(1/2) h^(-3))^(K^2) ((1+t)^(-1) h)^(L.K) with
+    q = t(1+t)^3 and h as in ``closed_quot_series``; its K-trivial part is
+    Marian-Oprea-Pandharipande's rank-2 Verlinde series.
+    """
+    return _lagrange_rows(
+        ((1, chi_l + 2 * chi_o + k2 - l_k), (4, Fraction(k2 - chi_o, 2))),
+        l_k - 3 * k2, (1, 3), k_max,
+    )

@@ -14,6 +14,11 @@ stay cheap at k where the brute tuple sums cannot go.
 Lehn's series for the top Segre class of H^[k] (``oracles.lehn_segre_series``)
 is a closed form for an integrand with a minus line, which none of the
 binomials reaches: in the engine it is c_2k of the virtual bundle -H.
+
+For rank 3, ``oracles.closed_quot_series`` and ``closed_chi_series`` give
+both sides of the paper's (3, d) family from intersection numbers alone,
+by Lagrange inversion in Fractions.  They were found by fitting chart
+series, so they stand as an oracle only where these tests compare them.
 """
 
 import warnings
@@ -22,11 +27,24 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hilbloc.integrals import ChernExpr, IntegralRequest, chi_theta, integrate, quot_count
+from hilbloc.integrals import (
+    ChernExpr,
+    IntegralRequest,
+    chi_theta,
+    integrate,
+    quot_count,
+    verify_conjecture,
+)
 from hilbloc.symbolic import Weight
 from hilbloc.toric import SplitBundle, line_bundle, make_surface, split_bundle
 
-from oracles import brute_chi_surface, c2_by_surface_localization, lehn_segre_series
+from oracles import (
+    brute_chi_surface,
+    c2_by_surface_localization,
+    closed_chi_series,
+    closed_quot_series,
+    lehn_segre_series,
+)
 
 SURFACES = (
     make_surface("P2"),
@@ -196,3 +214,65 @@ def test_segre_integral_of_o1_on_p2():
     # from k = 12 down, the smaller k read the points' Chern levels off the
     # k = 12 build
     assert {k: segre_integral(p2, (1,), k) for k in pins} == pins
+
+
+# the (3, 7) rows pinned by the benchmark (k <= 9), test_integrals (k = 10..13)
+# and the CI growth run (k = 15, 16, 18 and 20)
+SWEEP_PINS = {
+    1: 36, 2: 546, 3: 4556, 4: 22935, 5: 71940, 6: 140504, 7: 166308,
+    8: 112827, 9: 39820, 10: 6804, 11: -7272, 12: 87639, 13: -950460,
+    15: -99801856, 16: 984227088, 18: 90680741474, 20: 7882041702801,
+}
+
+
+def closed_sweep_rows(d, k_max):
+    """Both closed forms at the rows k = 1..k_max of the (3, d) sweep on P2:
+    V* has c1 = d h and c2 = 2 + d(d+3)/2 - k, e = e_from_v(V, k) has rank 2
+    and det O(d); on P2, K^2 = 9, c2(X) = 3, chi(O) = 1 and h.K = -3."""
+    chi = closed_chi_series((d + 1) * (d + 2) // 2, 1, 9, -3 * d, k_max)
+    return {
+        k: (closed_quot_series(9, 3, d * d, -3 * d, 2 + d * (d + 3) // 2 - k, k)[k], chi[k])
+        for k in range(1, k_max + 1)
+    }
+
+
+def test_closed_forms_give_every_pinned_sweep_row():
+    rows = closed_sweep_rows(7, max(SWEEP_PINS))
+    assert {k: rows[k] for k in SWEEP_PINS} == {k: (v, v) for k, v in SWEEP_PINS.items()}
+
+
+@pytest.mark.parametrize("d", [4, 9])
+def test_closed_forms_are_the_direct_sweep_rows(d):
+    closed = closed_sweep_rows(d, 6)
+    for row in verify_conjecture(make_surface("P2"), 3, d, 6):
+        assert row.c2_vstar == 2 + d * (d + 3) // 2 - row.k
+        assert (row.quot, row.chi) == closed[row.k]
+
+
+def test_closed_forms_agree_along_the_sweep():
+    # strange duality for the (3, d) family on P2, from the forms alone
+    for d in range(1, 10):
+        assert all(quot == chi for quot, chi in closed_sweep_rows(d, 16).values())
+
+
+@settings(max_examples=15, deadline=None)
+@given(surfaces_and_degrees(), st.integers(1, 4))
+def test_closed_forms_on_every_surface(case, k):
+    # V* = L1 + L2 + O and e = L1 + L2 on any toric surface, whose c2(X)
+    # is its number of fixed points, chi_top
+    surface, d1, d2 = case
+    zero = (0,) * surface.divisor_rank
+    canonical = surface.canonical_degrees
+    k2 = surface.intersect(canonical, canonical)
+    c1 = tuple(x + y for x, y in zip(d1, d2))
+    c1_c1, c1_k = surface.intersect(c1, c1), surface.intersect(c1, canonical)
+    vstar = split_bundle(surface, [d1, d2, zero])
+    c2 = c2_by_surface_localization(surface, vstar)
+    quot = closed_quot_series(k2, surface.chi_top, c1_c1, c1_k, c2, k)[k]
+    assert quot_count(surface, vstar.dual(), k) == quot
+    e = split_bundle(surface, [d1, d2])
+    chi_l = brute_chi_surface(surface, split_bundle(surface, [c1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # e is rarely orthogonal
+        value = chi_theta(surface, e, k)
+    assert value == closed_chi_series(chi_l, 1, k2, c1_k, k)[k]
