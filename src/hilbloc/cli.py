@@ -275,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated degrees; a:b pairs on 2D lattices")
     p.add_argument("--minus", default="",
                    help="minus-line degrees for virtual splits")
-    _add_compute(p)
 
     p = cmd("expected-dim", _cmd_expected_dim,
             "expected dimension of the pair space")

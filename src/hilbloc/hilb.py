@@ -92,14 +92,6 @@ class Partition(Frozen):
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise UsageError(f"partition parts must be non-increasing: {parts}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
-
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -134,14 +126,6 @@ class HilbFixedPoint(Frozen):
 
     def __init__(self, parts: tuple[Partition, ...]) -> None:
         set_field(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @property
     def size(self) -> int:

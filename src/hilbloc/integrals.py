@@ -146,15 +146,6 @@ class Term(Frozen):
         set_field(self, "coefficient", coefficient)
         set_field(self, "factors", factors)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.coefficient, self.factors)
-                    == (other.coefficient, other.factors))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coefficient, self.factors))
-
     @property
     def degree(self) -> int:
         return sum(idx for _, idx in self.factors)
@@ -175,14 +166,6 @@ class ChernExpr(Frozen):
 
     def __init__(self, terms: tuple[Term, ...]) -> None:
         set_field(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
 
     @classmethod
     def constant(cls, value) -> "ChernExpr":
@@ -355,12 +338,6 @@ class IntegralRequest(Value):
                 f"expression degrees {sorted(degs)} != 2k = {2 * k}; "
                 "integrals over X^[k] need homogeneous degree 2k"
             )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.surface, self.k, self.bundles, self.expr)
-                    == (other.surface, other.k, other.bundles, other.expr))
-        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +843,7 @@ def chi_theta(
         e = split_on(surface, e, "e").chern_data()
     check_k(k)
     check_work(k)
-    det = SplitBundle(surface, (line_bundle(surface, e.c1),))
+    det = line_bundle(surface, e.c1).weights
     if chi_pair(surface, e, k) != 0:
         warnings.warn(
             f"chi_pair(e, k={k}) != 0: theta class is not orthogonal",
@@ -878,10 +855,8 @@ def chi_theta(
     def residue_at(z: tuple[int, int], m: int) -> int:
         built = _chi_product(surface, e.rank, tuple(e.c1), z, m)
         if len(built) <= k:
-            dets = _spec_lines(det, z)
-
             def factor(p, s1, s2):
-                (weight,), _ = dets[p]
+                weight = det[p].spec_int(*z)
                 for n in range(k + 1):
                     yield theta_level(s1, s2, n, m, e.rank, weight, 2 * k)
 
@@ -948,18 +923,6 @@ class ConstructionReport(Frozen):
         set_field(self, "upper", upper)
         set_field(self, "violations", violations)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ok == other.ok and self.r == other.r and self.d == other.d
-                    and self.w == other.w and self.lower == other.lower
-                    and self.upper == other.upper
-                    and self.violations == other.violations)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.r, self.d, self.w, self.lower, self.upper,
-                     self.violations))
-
 
 def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
     """Check the (r, d, w) bounds under which good split constructions exist.
@@ -1005,17 +968,6 @@ class ConjectureRow(Frozen):
         set_field(self, "chi", chi)
         set_field(self, "equal", equal)
         set_field(self, "error", error)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.k == other.k and self.c2_vstar == other.c2_vstar
-                    and self.quot == other.quot and self.chi == other.chi
-                    and self.equal == other.equal and self.error == other.error)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.c2_vstar, self.quot, self.chi, self.equal,
-                     self.error))
 
     def to_json(self) -> dict:
         return {

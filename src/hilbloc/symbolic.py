@@ -67,14 +67,6 @@ class Weight(Frozen):
         _set_a(self, a)
         _set_b(self, b)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.a == other.a and self.b == other.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.a + other.a, self.b + other.b)
 

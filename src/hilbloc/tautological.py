@@ -87,12 +87,6 @@ class AmbientClass(Value):
         self.umax = umax
         self.coeffs = coeffs
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.hmax == other.hmax and self.umax == other.umax
-                    and self.coeffs == other.coeffs)
-        return NotImplemented
-
     @classmethod
     def one(cls, hmax: int, umax: int) -> "AmbientClass":
         return cls(hmax, umax, {(0, 0): Fraction(1)})
@@ -360,19 +354,6 @@ class UniversalPolynomial(Frozen):
         set_field(self, "monomials", monomials)
         set_field(self, "coefficients", coefficients)
         set_field(self, "undetermined", undetermined)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.shape_id == other.shape_id and self.k == other.k
-                    and self.rank_v == other.rank_v and self.rank_lam == other.rank_lam
-                    and self.monomials == other.monomials
-                    and self.coefficients == other.coefficients
-                    and self.undetermined == other.undetermined)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.shape_id, self.k, self.rank_v, self.rank_lam,
-                     self.monomials, self.coefficients, self.undetermined))
 
     def evaluate(self, symbols: dict[str, int]) -> Fraction:
         den = lcm(*(c.denominator for c in self.coefficients))

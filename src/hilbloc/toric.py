@@ -62,15 +62,6 @@ class ChernData(Frozen):
         set_field(self, "c1", c1)
         set_field(self, "c2", c2)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank == other.rank and self.c1 == other.c1
-                    and self.c2 == other.c2)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.c1, self.c2))
-
     def dual(self) -> "ChernData":
         return ChernData(self.rank, tuple(-d for d in self.c1), self.c2)
 
@@ -102,22 +93,6 @@ class ToricSurfaceModel(Frozen):
         set_field(self, "k_squared", k_squared)
         set_field(self, "canonical_degrees", canonical_degrees)
         set_field(self, "divisor_rank", divisor_rank)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                (self.name, self.family, self.a, self.points, self.edges, self.chi_top,
-                 self.k_squared, self.canonical_degrees, self.divisor_rank)
-                == (other.name, other.family, other.a, other.points, other.edges,
-                    other.chi_top, other.k_squared, other.canonical_degrees,
-                    other.divisor_rank)
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.family, self.a, self.points, self.edges,
-                     self.chi_top, self.k_squared, self.canonical_degrees,
-                     self.divisor_rank))
 
     def intersect(self, d1: Sequence[int], d2: Sequence[int]) -> int:
         """Intersection number of two divisor classes in this basis."""
@@ -260,14 +235,6 @@ class EquivariantLineBundle(Frozen):
         set_field(self, "weights", weights)
         set_field(self, "degrees", surface.degrees_of(weights))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.surface, self.weights) == (other.surface, other.weights)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.surface, self.weights))
-
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(surface={self.surface!r}, "
                 f"weights={self.weights!r}, degrees={self.degrees!r})")
@@ -332,15 +299,6 @@ class SplitBundle(Frozen):
                 raise UsageError(
                     f"a line on {line.surface.name} in a bundle on {surface.name}"
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.surface, self.plus, self.minus)
-                    == (other.surface, other.plus, other.minus))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.surface, self.plus, self.minus))
 
     @property
     def rank(self) -> int:

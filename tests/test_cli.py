@@ -195,15 +195,12 @@ GOLDEN_REPORTS = [
             '{\n'
             '  "command": "chi",\n'
             '  "engine_version": "0.1.0",\n'
-            '  "seed": 20717,\n'
+            '  "seed": null,\n'
             '  "inputs": {\n'
             '    "surface": "Hirzebruch",\n'
             '    "a": 2,\n'
             '    "bundle": "1:1,0:-1",\n'
-            '    "minus": "2:0",\n'
-            '    "seed": "20717",\n'
-            '    "threads": 1,\n'
-            '    "no_cache": false\n'
+            '    "minus": "2:0"\n'
             '  },\n'
             '  "value": "3"\n'
             '}\n'
@@ -447,18 +444,36 @@ def test_golden_report_bytes(capsys, argv, stdout):
 
 
 def test_default_seed_is_fixed(capsys):
-    report = run_json(capsys, "chi", "--surface", "P2", "--bundle", "2")
+    report = run_json(capsys, "quot-count", "--surface", "P2", "--vstar", "2,3",
+                      "--k", "1")
     assert report["seed"] == DEFAULT_SEED
     assert report["value"] == "6"
 
 
 def test_random_seed_is_echoed(capsys):
     report = run_json(
-        capsys, "chi", "--surface", "P2", "--bundle", "2", "--seed", "random"
+        capsys, "quot-count", "--surface", "P2", "--vstar", "2,3", "--k", "1",
+        "--seed", "random",
     )
     assert isinstance(report["seed"], int)
     assert report["inputs"]["seed"] == "random"
     assert report["value"] == "6"
+
+
+def test_chi_takes_no_seed(capsys):
+    # closed-form Riemann-Roch: no seed, threads or cache to echo, so two
+    # runs print the same bytes, and the flags are refused
+    argv = ("chi", "--surface", "P2", "--bundle", "2")
+    code1, first, _ = run_cli(capsys, *argv)
+    code2, second, _ = run_cli(capsys, *argv)
+    assert code1 == code2 == 0 and first == second
+    report = json.loads(first)
+    assert report["seed"] is None and report["value"] == "6"
+    assert report["inputs"] == {"surface": "P2", "a": None, "bundle": "2",
+                                "minus": ""}
+    for flag in (("--seed", "random"), ("--threads", "1"), ("--no-cache",)):
+        code, out, _ = run_cli(capsys, *argv, *flag)
+        assert code == 2 and out == ""
 
 
 def test_threads_do_not_change_values(capsys):
@@ -479,7 +494,8 @@ def test_threads_do_not_change_values(capsys):
         ("surface-info", "--surface", "Hirzebruch"),
         ("chi", "--surface", "P2", "--bundle", "oops"),
         ("chi", "--surface", "P2", "--bundle", "1:2"),
-        ("chi", "--surface", "P2", "--bundle", "2", "--seed", "sometimes"),
+        ("quot-count", "--surface", "P2", "--vstar", "2", "--k", "1", "--seed",
+         "sometimes"),
         ("chi-theta", "--surface", "P2", "--k", "-1"),
         ("quot-count", "--surface", "P2", "--vstar", "2,3", "--k", "-1"),
         ("taut-integral", "--surface", "P2", "--vstar", "2,3", "--k", "1",

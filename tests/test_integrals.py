@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 from math import factorial, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,17 +374,23 @@ def _clear_tables():
 
 @pytest.fixture
 def tampered_lines(monkeypatch):
-    """Shift every line weight at the first surface point by one.
+    """Shift every line weight at the first surface point by one (by t1 for
+    chi_theta's determinant, which it reads off ``line_bundle``).
 
     The local integrands then no longer come from one equivariant bundle,
     so their classes of degree below 2k stop cancelling."""
-    spec_lines = integrals._spec_lines
+    spec_lines, line_bundle = integrals._spec_lines, integrals.line_bundle
 
     def tampered(bundle, z):
         (plus, minus), *rest = spec_lines(bundle, z)
         return [([w + 1 for w in plus], [w + 1 for w in minus]), *rest]
 
+    def tampered_line(surface, degrees):
+        first, *rest = line_bundle(surface, degrees).weights
+        return SimpleNamespace(weights=(first + Weight(1, 0), *rest))
+
     monkeypatch.setattr(integrals, "_spec_lines", tampered)
+    monkeypatch.setattr(integrals, "line_bundle", tampered_line)
     # a product built from untampered lines must not be served, and one
     # built from tampered lines must not outlive the test
     _clear_tables()

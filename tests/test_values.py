@@ -68,6 +68,8 @@ MUTABLE = (IntegralRequest, AmbientClass)
 @pytest.mark.parametrize("cls, fields, args, index, changed", CASES,
                          ids=[case[0].__name__ for case in CASES])
 def test_value_class_semantics(cls, fields, args, index, changed):
+    # equality and hashing come from hilbloc.value's Value and Frozen alone
+    assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
     x, y = cls(*args), cls(*args)
     assert tuple(getattr(x, name) for name in fields) == args
     assert x == y and not x != y
@@ -84,6 +86,8 @@ def test_value_class_semantics(cls, fields, args, index, changed):
         assert getattr(y, fields[index]) == changed and x != y
         return
     assert hash(x) == hash(y)
+    # the hash that lru_cache keys and set and dict orders depend on
+    assert hash(x) == hash(tuple(getattr(x, name) for name in fields))
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(x, name, getattr(x, name))
