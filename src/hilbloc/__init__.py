@@ -11,7 +11,6 @@ from .errors import (
     EngineError,
     ParseError,
     PoleError,
-    RealizationError,
     UsageError,
 )
 from .hilb import (
@@ -65,7 +64,6 @@ __all__ = [
     "UsageError",
     "ComputationError",
     "PoleError",
-    "RealizationError",
     "ParseError",
     "ToricSurfaceModel",
     "make_surface",

@@ -19,10 +19,6 @@ class PoleError(ComputationError):
     """A localization denominator specialized to zero; retry with a fresh pair."""
 
 
-class RealizationError(ComputationError):
-    """No split line-bundle model with the requested Chern data inside the search box."""
-
-
 class ParseError(UsageError):
     """Expression syntax error; carries a 1-based column."""
 

@@ -66,8 +66,8 @@ independent integer specializations of (t1, t2), asserts the results equal
 (so a bad specialization cannot leak into output) and divides by D; it
 alone reads and writes the cache.
 The module also holds the Chern-expression grammar and the count-matching
-verification loop (verify_conjecture), whose quot side reads V* as a
-virtual split model written down from its Chern data, not searched for.
+verification loop (verify_conjecture), whose quot side reads V* as the
+virtual split model ``realize_split_model`` writes down from its Chern data.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ from .toric import (
     e_from_v,
     line_bundle,
     make_surface,
-    split_bundle,
+    realize_split_model,
     split_on,
 )
 from .value import Frozen, Value, set_field
@@ -995,9 +995,9 @@ def verify_conjecture(
     take e = e_from_v(V, k), assert the orthogonality chi_pair(e, k) = 0,
     and compare the two sides.  ``chi_theta`` reads e as Chern data, and by
     Ellingsrud-Goettsche-Lehn universality a quot count depends on V* only
-    through its Chern data too, so ``quot_count`` gets the virtual split
-    V* = O(d) + O^(r-2) + O(c2) + O(1) - O(c2 + 1): rank r, c1 = d and, by
-    Whitney with h.h = 1, c2(V*) = c2.  Every row gets both values.
+    through its Chern data too, so ``quot_count`` gets the dual of
+    ``realize_split_model``'s V* = O(d) + O^(r-2) + O(c2) + O(1) - O(c2 + 1).
+    Every row gets both values.
 
     The count interpretation assumes Quot(V, k) finite and reduced and the
     vanishing of higher cohomology of the determinant line bundle, which
@@ -1024,7 +1024,7 @@ def verify_conjecture(
             raise ComputationError(
                 f"orthogonality broke at k={k}: chi_pair = {chi_pair(surface, e, k)}"
             )
-        v = split_bundle(surface, (-d, *[0] * (r - 2), -c2s, -1), (-c2s - 1,))
+        v = realize_split_model(surface, ChernData(r, (d,), c2s)).dual()
         quot = quot_count(surface, v, k, seed=seed, cache=cache)
         chi = chi_theta(surface, e, k, seed=seed, cache=cache)
         rows.append(ConjectureRow(k, c2s, int(quot), chi, quot == chi))

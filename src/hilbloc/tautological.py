@@ -36,7 +36,7 @@ from math import factorial, gcd, lcm, prod
 
 from .cache import ResultCache
 from .errors import ComputationError, UsageError
-from .hilb import check_k, check_work
+from .hilb import check_int, check_k, check_work
 from .integrals import ChernExpr, _chern_plan_sum, expected_dim_pairs
 from .symbolic import DEFAULT_SEED
 from .toric import (
@@ -463,15 +463,20 @@ def universal_poly(
 ) -> UniversalPolynomial:
     """Interpolate the integral shape as a polynomial in intersection numbers.
 
-    Ranks of V and Lambda and the expected dimension are fixed; sampled
-    configurations run over P2, P1xP1 and Hirzebruch(1) with varying split
-    degrees on the fixed-expected-dimension family.  The exact linear system
+    Ranks of V and Lambda and the expected dimension are fixed integers;
+    sampled configurations run over P2, P1xP1 and Hirzebruch(1) with varying
+    Chern data on the fixed-expected-dimension family, each integrated on
+    the split model ``realize_split_model`` writes down for it (the integral
+    reads a bundle only through its Chern data).  The exact linear system
     over monomials of degree <= k in the intersection symbols is solved by
     fraction-free Gauss-Jordan elimination on integers; directions the
     family cannot distinguish get coefficient zero and are reported, and at
     least five held-out configurations (always including a Hirzebruch one)
     are checked against the direct integral, failing hard on mismatch.
     """
+    check_int(rank_v, "rank_v")
+    check_int(rank_lam, "rank_lam")
+    check_int(expected_dim, "expected_dim")
     if k < 0:
         raise UsageError("negative k")
     if k > 3:

@@ -18,16 +18,16 @@ smooth complete surfaces an edge-compatible weight assignment is exactly an
 equivariant line bundle, and the weights fix its divisor class (the degrees)
 up to a global shift of the linearization, so a bundle is its weights and
 its degrees are read off them.  The Euler characteristic over the surface
-is then closed-form Riemann-Roch on the Whitney Chern data.
+is then closed-form Riemann-Roch on the Whitney Chern data, and any Chern
+data has a split model written down by Whitney (``realize_split_model``).
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import combinations_with_replacement, product as iproduct
 from typing import Iterable, Sequence
 
-from .errors import ComputationError, RealizationError, UsageError
+from .errors import ComputationError, UsageError
 from .symbolic import Weight
 from .value import Frozen, set_field
 
@@ -453,138 +453,30 @@ def e_from_v(v: ChernData, k: int) -> ChernData:
 # split models with prescribed Chern data
 
 
-def _plus_search(surface: ToricSurfaceModel, atoms: Sequence[tuple[int, ...]],
-                 bound: int):
-    """Lexicographic search for non-decreasing atom tuples by two sums.
-
-    ``atoms`` are the sorted degree tuples within ``bound``.  The returned
-    function yields, for a start index, a length n, a component-wise sum R
-    and a self-intersection sum Q, the non-decreasing n-tuples of
-    ``atoms[start:]`` with sum R and sum of d.d equal to Q, in
-    lexicographic order.  The root call and every branch are cut when R is
-    out of reach, when Q leaves n times the range of d.d over the atoms
-    still allowed, and on P2, whose form is definite, when n Q < R^2
-    (Cauchy-Schwarz); so a search for an unreachable pair of sums costs one
-    check.  The loop over atoms also stops once R's first coordinate falls
-    below n times the current atom's (the atoms are sorted, so every later
-    one fails too).  The last element must equal R, so it is looked up,
-    not searched.  Every cut branch holds no such tuple, so the order of
-    the survivors is that of the plain enumeration.
-    """
-    squares = [surface.intersect(a, a) for a in atoms]
-    lo, hi = squares[:], squares[:]
-    for i in range(len(atoms) - 2, -1, -1):
-        lo[i], hi[i] = min(lo[i], lo[i + 1]), max(hi[i], hi[i + 1])
-    index = {a: i for i, a in enumerate(atoms)}
-    definite = surface.divisor_rank == 1
-
-    def reachable(start: int, n: int, rest: tuple[int, ...], q: int) -> bool:
-        return (
-            all(abs(x) <= n * bound for x in rest)
-            and n * lo[start] <= q <= n * hi[start]
-            and not (definite and n * q < rest[0] * rest[0])
-        )
-
-    def rec(start: int, n: int, rest: tuple[int, ...], q: int):
-        if n == 1:
-            i = index.get(rest)
-            if i is not None and i >= start and squares[i] == q:
-                yield (rest,)
-            return
-        for i in range(start, len(atoms)):
-            a = atoms[i]
-            if rest[0] < n * a[0]:
-                break
-            r = tuple(x - y for x, y in zip(rest, a))
-            left = q - squares[i]
-            if reachable(i, n - 1, r, left):
-                for tail in rec(i, n - 1, r, left):
-                    yield (a,) + tail
-
-    def search(start: int, n: int, rest: tuple[int, ...], q: int):
-        return rec(start, n, rest, q) if reachable(start, n, rest, q) else iter(())
-
-    return search
-
-
-@functools.lru_cache(maxsize=256)
-def _box_table(family: str, a: int, bound: int, m: int):
-    """The target-free part of one step of the split-model search.
-
-    For the surface, the box ``bound`` and ``m`` minus lines: the plus
-    search over the sorted atoms within the box, and every non-decreasing
-    m-tuple of atoms as (minus, e1m, e2m), the tuple with its Whitney c1
-    and c2, in lexicographic order.  Built once per process and shared by
-    every target.
-    """
-    surface = make_surface(family, a)
-    atoms = sorted(iproduct(range(-bound, bound + 1), repeat=surface.divisor_rank))
-    rows = tuple(
-        (minus, *_whitney(surface, minus, ()))
-        for minus in combinations_with_replacement(atoms, m)
-    )
-    return _plus_search(surface, atoms, bound), rows
-
-
-@functools.lru_cache(maxsize=None)
-def _realize_cached(
-    surface_name: str, a: int, rank: int, c1: tuple[int, ...], c2: int,
-    box: int, max_minus: int,
-) -> SplitBundle:
-    """The first split model within ``box`` and up to ``max_minus`` minus
-    lines: a loop over the rows of the shared ``_box_table`` of each minus
-    count and bound, in the search order, with one plus search per minus
-    tuple.  The bundle is frozen, so one object serves every request for
-    the same target."""
-    surface = make_surface(surface_name, a)
-    inter = surface.intersect
-
-    for m in range(0, max_minus + 1):
-        p = rank + m
-        for bound in range(0, box + 1):
-            plus_tuples, rows = _box_table(surface_name, a, bound, m)
-            for minus, e1m, e2m in rows:
-                # the plus lines sum to s = c1 + e1m, and Whitney's c2 =
-                # e2p - s.e1m + e1m.e1m - e2m with 2 e2p = s.s - sum d.d
-                # fixes the sum of their self-intersections; the minus
-                # lines alone have (c1, c2) = (e1m, e2m)
-                s = tuple(x + y for x, y in zip(c1, e1m))
-                squares = inter(s, s) - 2 * (
-                    c2 + inter(s, e1m) - inter(e1m, e1m) + e2m
-                )
-                for plus in plus_tuples(0, p, s, squares):
-                    if _whitney(surface, plus, minus) == (c1, c2):
-                        return split_bundle(surface, plus, minus)
-    raise RealizationError(
-        f"no split model for rank={rank}, c1={c1}, c2={c2} on {surface.name} "
-        f"within box {box} and up to {max_minus} minus lines"
-    )
-
-
 def realize_split_model(surface: ToricSurfaceModel, target: ChernData) -> SplitBundle:
-    """Find a split bundle with the requested Chern data.
+    """A split bundle with the requested Chern data, written down by Whitney.
 
-    The search is deterministic: fewest minus lines first (at most 2), then
-    smallest bounding box (max coordinate magnitude, at most 16 on P2 and 4
-    on the other surfaces), then lexicographically first degree tuples,
-    both lists kept non-decreasing.  Minus lines make every integral Chern
-    datum reachable; the tradeoff is that the model is only a K-theory
-    stand-in, which is all the localized integrals depend on.
-
-    Branches that the Whitney formula rules out (the plus lines' degree sum
-    and self-intersection sum are fixed once the minus lines are chosen)
-    are cut without being walked, the root of each plus search included,
-    so the first model of this order is found, and returned, as by a plain
-    enumeration.  The atoms, plus search and minus tuples of each (surface,
-    bound, minus count) are one table per process (``_box_table``), shared
-    by every target, and a repeated target returns the same bundle object.
+    With A and B the first and the last basis class (A.B = 1 on every
+    supported surface), the model is
+    O(c1) + O^(r-2) + O(c2 A) + O(B) - O(c2 A + B): rank r, c1 and, by
+    Whitney, c2.  At rank 1 one trivial line moves to the minus side.  The
+    model always has minus lines, so it is a K-theory stand-in; by
+    Ellingsrud-Goettsche-Lehn universality the localized integrals read a
+    bundle only through its Chern data, so any model gives their value.
     """
+    if type(target.rank) is not int:
+        raise UsageError(f"rank must be an integer, got {target.rank!r}")
     if target.rank < 1:
         raise UsageError("realize_split_model needs rank >= 1")
     _check_c1(surface, target.c1)
-    return _realize_cached(
-        surface.family, surface.a, target.rank, tuple(target.c1), target.c2,
-        16 if surface.divisor_rank == 1 else 4, 2,
+    r = target.rank
+    zero = (0,) * surface.divisor_rank
+    a, b = (1,) + zero[1:], zero[:-1] + (1,)
+    c2a = tuple(target.c2 * x for x in a)
+    return split_bundle(
+        surface,
+        [target.c1, *[zero] * (r - 2), c2a, b],
+        [tuple(x + y for x, y in zip(c2a, b)), *[zero] * (2 - r)],
     )
 
 

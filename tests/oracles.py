@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, factorial, prod
 
-from hilbloc.errors import ComputationError, RealizationError
+from hilbloc.errors import ComputationError
 
 from hilbloc.hilb import (
     enumerate_fixed_points,
@@ -267,13 +267,19 @@ def _sum_tuples(atoms, length, want, bound):
             yield (a,) + rest
 
 
+class NoSplitModel(Exception):
+    """The box of ``brute_realize_split_model`` holds no model."""
+
+
 def brute_realize_split_model(surface, target, box, max_minus):
     """The (plus, minus) degree tuples of the first split model by plain search.
 
-    Same order as the engine: fewest minus lines, then smallest box, then
-    lexicographically first non-decreasing tuples.  Every plus tuple with
-    the right degree sum is tested against the Whitney c2 written out here.
-    Raises ``RealizationError`` when the box holds no model.
+    Fewest minus lines first, then smallest box, then lexicographically
+    first non-decreasing tuples.  Every plus tuple with the right degree sum
+    is tested against the Whitney c2 written out here.  Raises
+    ``NoSplitModel`` when the box holds no model.  The engine writes its
+    model down instead (``realize_split_model``); the tests check that both
+    models give the same integrals.
     """
     inter = surface.intersect
 
@@ -300,7 +306,7 @@ def brute_realize_split_model(surface, target, box, max_minus):
                     hug = max((abs(x) for t in plus + minus for x in t), default=0)
                     if hug == bound and whitney_c2(plus, minus) == target.c2:
                         return plus, minus
-    raise RealizationError(
+    raise NoSplitModel(
         f"no split model for rank={target.rank}, c1={target.c1}, c2={target.c2} "
         f"on {surface.name} within box {box} and up to {max_minus} minus lines"
     )

@@ -448,3 +448,9 @@ def test_universal_poly_input_validation():
         universal_poly("count", k=1, rank_v=0)
     with pytest.raises(UsageError, match="rank Lambda >= 0"):
         universal_poly("count", k=1, rank_lam=-1)
+    # a non-integer rank Lambda recursed without end, and a non-integer
+    # rank V or expected dimension searched the whole box for a split model
+    for name, value in (("rank_lam", 1.5), ("rank_v", 2.5), ("expected_dim", 0.5),
+                        ("rank_v", True)):
+        with pytest.raises(UsageError, match=f"{name} must be an integer"):
+            universal_poly("count", k=1, **{name: value})

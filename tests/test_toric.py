@@ -1,12 +1,13 @@
 """Surface models, bundles and surface-level Riemann-Roch."""
 
+import warnings
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from hilbloc.errors import RealizationError, UsageError
+from hilbloc.errors import UsageError
 from hilbloc.symbolic import Weight, ZERO_WEIGHT
 from hilbloc.toric import (
     ChernData,
@@ -22,11 +23,9 @@ from hilbloc.toric import (
     split_bundle,
     surface_to_json,
     validate_compatibility,
-    _box_table,
-    _plus_search,
-    _realize_cached,
 )
-from hilbloc.integrals import c2_for_expected_dim_zero
+from hilbloc.integrals import c2_for_expected_dim_zero, parse_chern_expr, quot_count
+from hilbloc.tautological import _config_menu, virtual_integral
 
 from oracles import brute_chi_surface, brute_realize_split_model
 
@@ -277,12 +276,26 @@ def test_orthogonality_on_the_expected_dim_zero_family(r, d, k):
 # split realization
 
 
+def _degrees(model):
+    return (
+        tuple(l.degrees for l in model.plus),
+        tuple(l.degrees for l in model.minus),
+    )
+
+
 def test_realize_fixtures():
-    m = realize_split_model(P2, ChernData(2, (5,), 6))
-    assert sorted(l.degrees for l in m.plus) == [(2,), (3,)]
-    assert not m.minus
-    m2 = realize_split_model(P2, ChernData(2, (5,), 4))
-    assert sorted(l.degrees for l in m2.plus) == [(1,), (4,)]
+    # O(c1) + O^(r-2) + O(c2 A) + O(B) - O(c2 A + B), A and B the first and
+    # the last basis class
+    assert _degrees(realize_split_model(P2, ChernData(2, (5,), 6))) == (
+        ((5,), (6,), (1,)), ((7,),),
+    )
+    assert _degrees(realize_split_model(F2, ChernData(3, (1, -2), -4))) == (
+        ((1, -2), (0, 0), (-4, 0), (0, 1)), ((-4, 1),),
+    )
+    # at rank 1 the trivial line is a minus line
+    assert _degrees(realize_split_model(QUADRIC, ChernData(1, (2, 3), 0))) == (
+        ((2, 3), (0, 0), (0, 1)), ((0, 1), (0, 0)),
+    )
 
 
 def test_realize_needs_minus_lines_sometimes():
@@ -306,187 +319,107 @@ def test_realize_is_deterministic_and_exact():
         assert a.chern_data() == target
 
 
-def _realize(surface, target, box, max_minus):
-    """The split model of the search within ``box`` and up to ``max_minus``
-    minus lines; a box of None is ``realize_split_model``'s own search."""
-    if box is None:
-        assert max_minus == 2
-        return realize_split_model(surface, target)
-    return _realize_cached(
-        surface.family, surface.a, target.rank, tuple(target.c1), target.c2,
-        box, max_minus,
+@given(st.data())
+@settings(max_examples=80)
+def test_realize_reaches_every_chern_data(data):
+    # degrees up to 200, far beyond any small search box
+    surface = data.draw(st.sampled_from((P2, QUADRIC, F0, F1, F2)))
+    degree = st.integers(-200, 200)
+    target = ChernData(
+        data.draw(st.integers(1, 5)),
+        data.draw(st.tuples(*[degree] * surface.divisor_rank)),
+        data.draw(degree),
     )
+    model = realize_split_model(surface, target)
+    assert model.surface is surface
+    assert model.chern_data() == target
 
 
 def test_realize_failure_reports():
-    with pytest.raises(RealizationError):
-        _realize(P2, ChernData(1, (0,), 50), 2, 1)
     with pytest.raises(UsageError):
         realize_split_model(P2, ChernData(0, (0,), 0))
-    # c1 in the wrong divisor basis: rejected before any search
+    # c1 in the wrong divisor basis
     with pytest.raises(UsageError, match="divisor degree"):
         realize_split_model(P2, ChernData(2, (1, 2), 0))
     with pytest.raises(UsageError, match="divisor degree"):
         realize_split_model(QUADRIC, ChernData(2, (1,), 0))
+    # a bool rank gave a rank-1 model, and 2.5 would repeat a list 0.5 times
+    for rank in (True, False, 2.5, "2"):
+        with pytest.raises(UsageError, match="rank must be an integer"):
+            realize_split_model(P2, ChernData(rank, (1,), 0))
+    with pytest.raises(UsageError, match="degrees must be integers"):
+        realize_split_model(P2, ChernData(2, (1,), 0.5))
 
 
-@st.composite
-def realize_cases(draw):
-    """(surface, target, box, max_minus): Chern data of a random split
-    bundle, which a box of 3 and one minus line always reach, or raw
-    (c1, c2) in a small box, which often has no model."""
-    surface = draw(st.sampled_from((P2, QUADRIC, F0, F1, F2)))
-    degree = st.tuples(*[st.integers(-3, 3)] * surface.divisor_rank)
-    if draw(st.booleans()):
-        nminus = draw(st.integers(0, 1))
-        plus = draw(st.lists(degree, min_size=nminus + 1, max_size=nminus + 3))
-        minus = draw(st.lists(degree, min_size=nminus, max_size=nminus))
-        return surface, split_bundle(surface, plus, minus).chern_data(), 3, 2
-    target = ChernData(draw(st.integers(1, 3)), draw(degree), draw(st.integers(-12, 12)))
-    box = draw(st.integers(0, 4 if surface.divisor_rank == 1 else 2))
-    return surface, target, box, draw(st.integers(0, 2))
+@pytest.mark.parametrize("surface", (P2, QUADRIC, F1, F2), ids=lambda s: s.name)
+def test_realize_integrals_match_the_searched_model(surface):
+    # universality, by a route that shares no code with the formula: the
+    # first split model of a plain search (box 16 on P2 and 4 elsewhere, up
+    # to 2 minus lines) has the same Chern data, so every integral of it is
+    # the formula model's
+    box = 16 if surface.divisor_rank == 1 else 4
+    models = {}
 
+    def both(target):
+        if target.rank == 0:
+            return None, None
+        if target not in models:
+            searched = brute_realize_split_model(surface, target, box, 2)
+            models[target] = (
+                realize_split_model(surface, target), split_bundle(surface, *searched)
+            )
+        return models[target]
 
-@given(realize_cases())
-@example((P2, e_from_v(ChernData(3, (-7,), 33), 4), 16, 2))  # sweep e, k=4
-@example((P2, ChernData(4, (4,), 15), 16, 2))  # criterion-5 grid, r=4 d=4 k=3
-@settings(max_examples=60)
-def test_realize_matches_brute_search(case):
-    surface, target, box, max_minus = case
-    try:
-        expected = brute_realize_split_model(surface, target, box, max_minus)
-    except RealizationError as exc:
-        with pytest.raises(RealizationError) as got:
-            _realize(surface, target, box, max_minus)
-        assert str(got.value) == str(exc)
-        return
-    model = _realize(surface, target, box, max_minus)
-    assert (
-        tuple(l.degrees for l in model.plus),
-        tuple(l.degrees for l in model.minus),
-    ) == expected
-    assert model.chern_data() == target
-
-
-def _model_or_error(case):
-    """The (plus, minus) degree tuples of the case's model, or the text of
-    its RealizationError."""
-    surface, target, box, max_minus = case
-    try:
-        model = _realize(surface, target, box, max_minus)
-    except RealizationError as exc:
-        return str(exc)
-    return (
-        tuple(l.degrees for l in model.plus),
-        tuple(l.degrees for l in model.minus),
+    shapes = (
+        (0, None),
+        (2, parse_chern_expr("c1(IT)*c1(IT)")),
+        (2, parse_chern_expr("c2(IT)")),
     )
+    compared = 0
+    for rank_v, rank_lam, k, (dim, expr) in product((2, 3), (0, 1, 2), (1, 2), shapes):
+        for v, lam in _config_menu(surface, rank_v, rank_lam, k, dim):
+            (v_formula, v_searched), (lam_formula, lam_searched) = both(v), both(lam)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # minus lines in the formula V
+                assert virtual_integral(
+                    surface, v_formula, lam_formula, k, expr
+                ) == virtual_integral(surface, v_searched, lam_searched, k, expr)
+            if rank_lam == 0 and expr is None:
+                assert quot_count(surface, v_formula, k) == quot_count(
+                    surface, v_searched, k
+                )
+            compared += 1
+    assert compared == 360
 
 
-@st.composite
-def shared_table_cases(draw):
-    """Cases of ``realize_cases``, one in two with the search of
-    ``realize_split_model`` (its own box, up to 2 minus lines)."""
-    surface, target, box, max_minus = draw(realize_cases())
-    return surface, target, *draw(st.sampled_from(((box, max_minus), (None, 2))))
-
-
-@given(st.data())
-@settings(max_examples=40)
-def test_realize_is_the_same_in_any_request_order(data):
-    # the search's tables are shared by every target of a process: asked
-    # for in any order, each target gets the model of a search on cleared
-    # caches, and in a small box the model of the plain search
-    cases = data.draw(st.lists(shared_table_cases(), min_size=1, max_size=6))
-    cases = data.draw(st.permutations(cases))
-    _realize_cached.cache_clear()
-    _box_table.cache_clear()
-    shared = [_model_or_error(case) for case in cases]
-    for case, got in zip(cases, shared):
-        _realize_cached.cache_clear()
-        _box_table.cache_clear()
-        assert _model_or_error(case) == got
-        surface, target, box, max_minus = case
-        if box is not None:
-            try:
-                expected = brute_realize_split_model(surface, target, box, max_minus)
-            except RealizationError as exc:
-                expected = str(exc)
-            assert got == expected
-
-
-# default-box models of V* on P2, recorded before the search shared its
-# tables: quot_count keys its cache lines by V*'s line weights, so another
-# model would orphan every cached quot line
-SWEEP_MODELS = {  # (3, 7) sweep, k -> (plus, minus) degrees
-    1: ((0, 0, 1, 1), (-5,)), 2: ((-1, 1, 1, 1), (-5,)),
-    3: ((-1, 0, 1, 2), (-5,)), 4: ((-3, 0, 1, 3), (-6,)),
-    5: ((-2, 1, 1, 2), (-5,)), 6: ((0, 1, 1, 1), (-4,)),
-    7: ((0, 0, 1, 2), (-4,)), 8: ((-1, 1, 1, 2), (-4,)),
-    9: ((-1, 0, 2, 2), (-4,)), 10: ((1, 1, 1, 1), (-3,)),
-    11: ((0, 1, 1, 2), (-3,)), 12: ((0, 0, 2, 2), (-3,)),
-    13: ((-1, 1, 2, 2), (-3,)), 14: ((1, 1, 1, 2), (-2,)),
-    15: ((0, 1, 2, 2), (-2,)), 16: ((-2, 2, 2, 2), (-3,)),
-    17: ((-1, 2, 2, 2), (-2,)), 18: ((0, 2, 2, 2), (-1,)),
-    19: ((1, 2, 2, 2), (0,)), 20: ((2, 2, 2, 2), (1,)),
-}
-GRID_MODELS = {  # criterion-5 grid, (r, d, k) -> (plus, minus) degrees
-    (3, 4, 1): ((-1, 0, 0, 1), (-4,)), (3, 4, 2): ((-1, -1, 1, 1), (-4,)),
-    (3, 4, 3): ((-2, 0, 1, 1), (-4,)), (3, 4, 4): ((0, 0, 0, 1), (-3,)),
-    (3, 5, 1): ((-2, 0, 0, 2), (-5,)), (3, 5, 2): ((0, 0, 0, 1), (-4,)),
-    (3, 5, 3): ((-1, 0, 1, 1), (-4,)), (3, 5, 4): ((-1, 0, 0, 2), (-4,)),
-    (3, 6, 1): ((-1, 0, 0, 2), (-5,)), (3, 6, 2): ((-2, 1, 1, 1), (-5,)),
-    (3, 6, 3): ((-2, 0, 1, 2), (-5,)), (3, 6, 4): ((0, 0, 1, 1), (-4,)),
-    (3, 7, 1): ((0, 0, 1, 1), (-5,)), (3, 7, 2): ((-1, 1, 1, 1), (-5,)),
-    (3, 7, 3): ((-1, 0, 1, 2), (-5,)), (3, 7, 4): ((-3, 0, 1, 3), (-6,)),
-    (4, 4, 1): ((-1, 0, 0, 0, 1), (-4,)), (4, 4, 2): ((-2, 0, 0, 1, 1), (-4,)),
-    (4, 4, 3): ((-1, 0, 0, 1, 1), (-3,)), (4, 4, 4): ((0, 0, 0, 1, 1), (-2,)),
-    (4, 5, 1): ((-2, -1, 1, 1, 1), (-5,)), (4, 5, 2): ((-1, 0, 0, 1, 1), (-4,)),
-    (4, 5, 3): ((-2, 0, 1, 1, 1), (-4,)), (4, 5, 4): ((-1, 0, 1, 1, 1), (-3,)),
-    (4, 6, 1): ((-1, -1, 1, 1, 1), (-5,)), (4, 6, 2): ((-2, 0, 0, 1, 2), (-5,)),
-    (4, 6, 3): ((-1, 0, 1, 1, 1), (-4,)), (4, 6, 4): ((-2, 1, 1, 1, 1), (-4,)),
-    (4, 7, 1): ((0, 0, 0, 1, 1), (-5,)), (4, 7, 2): ((-1, 0, 0, 1, 2), (-5,)),
-    (4, 7, 3): ((-2, 0, 1, 1, 2), (-5,)), (4, 7, 4): ((-1, 1, 1, 1, 1), (-4,)),
+# The formula's degrees for V* of the criterion-5 grid, (r, d, k) ->
+# (plus, minus): virtual_integral keys its cache lines by V's line
+# weights, so another model would orphan every cached grid line
+GRID_MODELS = {
+    (3, 4, 1): ((4, 0, 15, 1), (16,)), (3, 4, 2): ((4, 0, 14, 1), (15,)),
+    (3, 4, 3): ((4, 0, 13, 1), (14,)), (3, 4, 4): ((4, 0, 12, 1), (13,)),
+    (3, 5, 1): ((5, 0, 21, 1), (22,)), (3, 5, 2): ((5, 0, 20, 1), (21,)),
+    (3, 5, 3): ((5, 0, 19, 1), (20,)), (3, 5, 4): ((5, 0, 18, 1), (19,)),
+    (3, 6, 1): ((6, 0, 28, 1), (29,)), (3, 6, 2): ((6, 0, 27, 1), (28,)),
+    (3, 6, 3): ((6, 0, 26, 1), (27,)), (3, 6, 4): ((6, 0, 25, 1), (26,)),
+    (3, 7, 1): ((7, 0, 36, 1), (37,)), (3, 7, 2): ((7, 0, 35, 1), (36,)),
+    (3, 7, 3): ((7, 0, 34, 1), (35,)), (3, 7, 4): ((7, 0, 33, 1), (34,)),
+    (4, 4, 1): ((4, 0, 0, 15, 1), (16,)), (4, 4, 2): ((4, 0, 0, 13, 1), (14,)),
+    (4, 4, 3): ((4, 0, 0, 11, 1), (12,)), (4, 4, 4): ((4, 0, 0, 9, 1), (10,)),
+    (4, 5, 1): ((5, 0, 0, 21, 1), (22,)), (4, 5, 2): ((5, 0, 0, 19, 1), (20,)),
+    (4, 5, 3): ((5, 0, 0, 17, 1), (18,)), (4, 5, 4): ((5, 0, 0, 15, 1), (16,)),
+    (4, 6, 1): ((6, 0, 0, 28, 1), (29,)), (4, 6, 2): ((6, 0, 0, 26, 1), (27,)),
+    (4, 6, 3): ((6, 0, 0, 24, 1), (25,)), (4, 6, 4): ((6, 0, 0, 22, 1), (23,)),
+    (4, 7, 1): ((7, 0, 0, 36, 1), (37,)), (4, 7, 2): ((7, 0, 0, 34, 1), (35,)),
+    (4, 7, 3): ((7, 0, 0, 32, 1), (33,)), (4, 7, 4): ((7, 0, 0, 30, 1), (31,)),
 }
 
 
 def test_split_models_are_pinned():
-    targets = {(3, 7, k): pin for k, pin in SWEEP_MODELS.items()} | GRID_MODELS
-    for (r, d, k), (plus, minus) in targets.items():
+    for (r, d, k), (plus, minus) in GRID_MODELS.items():
         target = ChernData(r, (d,), c2_for_expected_dim_zero(r, d, k))
         expected = (tuple((x,) for x in plus), tuple((x,) for x in minus))
-        model = realize_split_model(P2, target)
-        got = tuple(l.degrees for l in model.plus), tuple(l.degrees for l in model.minus)
-        assert got == expected, (r, d, k)
-
-
-def test_repeated_request_returns_the_same_model():
-    # the model is frozen and cached whole, so a repeat builds no lines
-    target = ChernData(3, (7,), c2_for_expected_dim_zero(3, 7, 4))
-    assert realize_split_model(P2, target) is realize_split_model(P2, target)
-
-
-@given(st.data())
-@settings(max_examples=60)
-def test_plus_search_yields_every_tuple(data):
-    # every branch the search cuts is empty: it yields exactly the
-    # non-decreasing tuples with the two sums, in lexicographic order
-    surface = data.draw(st.sampled_from((P2, QUADRIC, F1)))
-    bound = data.draw(st.integers(0, 3 if surface.divisor_rank == 1 else 2))
-    atoms = sorted(product(range(-bound, bound + 1), repeat=surface.divisor_rank))
-    n = data.draw(st.integers(1, 4))
-    degs = data.draw(st.lists(st.sampled_from(atoms), min_size=n, max_size=n))
-
-    def sums(t):
-        return tuple(map(sum, zip(*t))), sum(surface.intersect(d, d) for d in t)
-
-    want, q = sums(degs)
-    # off the drawn sums, out of reach too, so the root's own cuts are tried
-    want = (want[0] + data.draw(st.sampled_from((0, 0, 1, n * bound + 1))),) + want[1:]
-    q += data.draw(st.sampled_from((0, 0, 1, -2)))
-    expected = [
-        t for t in combinations_with_replacement(atoms, n) if sums(t) == (want, q)
-    ]
-    assert list(_plus_search(surface, atoms, bound)(0, n, want, q)) == expected
+        assert _degrees(realize_split_model(P2, target)) == expected, (r, d, k)
 
 
 # ---------------------------------------------------------------------------
