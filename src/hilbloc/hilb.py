@@ -109,12 +109,6 @@ class Partition(Frozen):
             for j in range(p):
                 yield (i, j)
 
-    def arm(self, i: int, j: int) -> int:
-        return self.parts[i] - 1 - j
-
-    def leg(self, i: int, j: int) -> int:
-        return self.conjugate[j] - 1 - i
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 

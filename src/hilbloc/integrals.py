@@ -15,24 +15,24 @@ drops the parts above it, and checks that those below it integrate to zero.
 Every sum is ``top_degree`` of one ``q_product`` coefficient: the Chern
 sums take the last point's product at q^k alone, chi_theta all of q^0..q^K.
 
-What a partition contributes apart from the bundle (its cell shifts, the
-inverse of its tangent product mod m, and its parent, the partition one
-cell smaller) depends only on the specialized chart weights at the point,
-n and m.  ``partition_table`` builds it once per process for each of them,
-so every bundle, k and side of a sum under the same z shares it.  It
-specializes one chart-free table per n (``_hook_table``: each partition's
-parent, last cell, cell row and column sums, and its tangent weights in
-the basis of the chart weights, kept flat), so the arm/leg formula runs
-once per partition and process, and it takes one modular inverse for all
-the tangent products of the table.  It keeps no specialized tangent
-weight: 2n of them per partition, chart, n and modulus would be most of
-what a sum keeps, and only ``theta_level`` reads them past the product, so
-it specializes them again.  Chern-class integrands are built cell
-by cell: ``chern_rows`` grows each partition's row of Chern classes from
-its parent's by the lines of its last cell, instead of from all of its
-cells.  Each point factor hands ``q_product`` one series per level n, the
-sum over the partitions of n of their integrands over their tangent
-products (``level_sum``).
+What a partition contributes apart from the bundle depends on the chart
+only through one costly number: the inverse of its tangent product mod m.
+The rest is chart-free: ``_hook_table`` keeps, once per n and process, each
+partition's parent (the partition one cell smaller), last cell, cell row
+and column sums, and its tangent weights in the basis of the chart weights,
+kept flat, so the arm/leg formula runs once per partition and process.
+``partition_table`` keeps only the inverses, one table per specialized
+chart weights, n and m, so every bundle, k and side of a sum under the same
+z shares it, and it takes one modular inverse for all the tangent products
+of the table.  Neither keeps a specialized weight: a cell shift is one
+multiply away from the hook table, and the 2n tangent weights per
+partition, chart, n and modulus would be most of what a sum keeps, so
+``theta_level``, the one reader past the product, specializes them again.
+Chern-class integrands are built cell by cell: ``chern_rows`` grows each
+partition's row of Chern classes from its parent's by the lines of its
+last cell, instead of from all of its cells.  Each point factor hands
+``q_product`` one series per level n, the sum over the partitions of n of
+their integrands over their tangent products (``level_sum``).
 
 For the Chern sums that level series depends on the bundles only through
 their line weights at the point, so ``chern_levels`` keeps it per chart,
@@ -77,11 +77,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cache import ResultCache
 from .errors import ComputationError, ParseError, PoleError, UsageError
-from .hilb import Partition, check_int, check_k, check_work, partitions, tangent_forms
+from .hilb import check_int, check_k, check_work, partitions, tangent_forms
 from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
@@ -109,7 +109,6 @@ __all__ = [
     "ChernExpr",
     "parse_chern_expr",
     "IntegralRequest",
-    "LocalPartition",
     "partition_table",
     "level_sum",
     "q_product",
@@ -378,34 +377,21 @@ def _q_coefficient(a: list, b: list, n: int, fitting, m: int) -> list:
     return [x % m for x in out]
 
 
-class LocalPartition(NamedTuple):
-    """One partition of n at a chart with specialized weights (s1, s2), mod m.
-
-    Its 2n tangent weights are not kept: a caller that needs them
-    specializes its forms in ``_hook_table(n)`` again.
-    """
-
-    partition: Partition
-    parent: int  # its index less the last cell of its last row, among n - 1
-    shift: int  # the specialized shift i*s1 + j*s2 of that cell
-    shift_sum: int  # the sum of the shifts of every cell
-    inverse: int | None  # 1 / (product of its tangent weights) mod m; None for a pole
-
-
 @lru_cache(maxsize=64)
 def _hook_table(n: int) -> tuple[tuple, ...]:
     """The chart-free data of every partition of n, in ``partitions`` order.
 
-    Per partition: itself, its parent's index among the partitions of
+    Per partition: its parts, its parent's index among the partitions of
     n - 1 (in the order of ``_hook_table(n - 1)``), its last cell (i, j)
     (the last of its last row), the sums of the rows i and of the columns j
     of its cells, and its tangent weights as the forms a*v1 + b*v2 of
     ``hilb.tangent_forms``, kept flat: the tuple of the 2n a's, then that
-    of the 2n b's.  ``partition_table`` specializes it at each chart, and
-    ``theta_level`` specializes the forms again (``_tangents``).
+    of the 2n b's.  At a chart (s1, s2) a shift is i*s1 + j*s2: ``chern_rows``
+    takes the last cell's, ``theta_level`` the sums', and it and
+    ``partition_table`` specialize the forms (``_tangents``).
     """
     parents = {} if n == 0 else {
-        entry[0].parts: i for i, entry in enumerate(_hook_table(n - 1))
+        entry[0]: i for i, entry in enumerate(_hook_table(n - 1))
     }
     table = []
     for part in partitions(n):
@@ -416,7 +402,7 @@ def _hook_table(n: int) -> tuple[tuple, ...]:
             parent = parents[parts[:-1] + ((j,) if j else ())]
         forms = list(tangent_forms(parts, part.conjugate))
         table.append((
-            part,
+            parts,
             parent,
             last,
             (
@@ -436,23 +422,22 @@ def _tangents(s1: int, s2: int, a: Sequence[int], b: Sequence[int]) -> list[int]
 
 
 @lru_cache(maxsize=1024)
-def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, ...]:
-    """The bundle-free data of every partition of n, in ``partitions`` order.
+def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[int | None, ...]:
+    """1 / (the product of its tangent weights at the chart (s1, s2)) mod m
+    for every partition of n, in ``_hook_table(n)`` order.
 
     It depends only on the chart's specialized weights and the modulus, so
     a process builds it once and every bundle, k and side of a sum under
-    the same z reuses it; it specializes the chart-free ``_hook_table``.
-    The specialized tangent weights serve only to take their product, and
-    are dropped once it is taken.
-    A tangent product that specializes to zero is kept as a pole
-    (``inverse`` None), which ``level_sum`` raises on each time it meets it.
+    the same z reuses it.  The specialized tangent weights serve only to
+    take their product, and are dropped once it is taken.
+    A tangent product that specializes to zero is kept as a pole (None),
+    which ``level_sum`` raises on each time it meets it.
     Every other product is a product of nonzero integers far below each
     word prime, so it is invertible mod m, and the table takes one inverse
     for all of them (Montgomery's trick): that of their product, from
     which the prefix products peel off each one.
     """
-    hooks = _hook_table(n)
-    dens = [prod(_tangents(s1, s2, a, b)) % m for *_, a, b in hooks]
+    dens = [prod(_tangents(s1, s2, a, b)) % m for *_, a, b in _hook_table(n)]
     prefix = [1]  # prefix[i]: the product of the nonzero dens before i
     for den in dens:
         prefix.append(prefix[-1] * den % m if den else prefix[-1])
@@ -462,24 +447,21 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[LocalPartition, .
         if dens[i]:
             inverses[i] = inverse * prefix[i] % m
             inverse = inverse * dens[i] % m
-    return tuple(
-        LocalPartition(part, parent, i * s1 + j * s2, rows * s1 + cols * s2, inv)
-        for (part, parent, (i, j), (rows, cols), *_), inv in zip(hooks, inverses)
-    )
+    return tuple(inverses)
 
 
 def level_sum(
-    level: Sequence[LocalPartition], series: Sequence[Sequence[int]], m: int
+    inverses: Sequence[int | None], series: Sequence[Sequence[int]], m: int
 ) -> list[int]:
     """sum over the partitions of one level of each one's series divided by
     its tangent product, mod m.
 
-    ``series`` holds a truncated series per partition of ``level``, in table
-    order.  A tangent product that specializes to zero raises PoleError.
+    ``inverses`` is the level's ``partition_table`` and ``series`` holds a
+    truncated series per partition, in the same order.  A tangent product
+    that specializes to zero raises PoleError.
     """
     acc = [0] * len(series[0])
-    for part, values in zip(level, series):
-        inv = part.inverse
+    for inv, values in zip(inverses, series):
         if inv is None:
             raise PoleError("tangent weight vanished")
         for i, c in enumerate(values):
@@ -566,32 +548,28 @@ def _spec_lines(bundle: SplitBundle, z: tuple[int, int]):
 
 
 def chern_rows(
-    table: Sequence[Sequence[LocalPartition]],
-    plus: Sequence[int],
-    minus: Sequence[int],
-    top: int,
-    m: int,
+    s1: int, s2: int, k: int, plus: Sequence[int], minus: Sequence[int], top: int, m: int
 ) -> Iterator[list[list[int]]]:
-    """Per level of ``table``, the rows c_0..c_top of the signed Chern class
-    of the plus lines less the minus lines, each shifted by every cell of the
-    partition, mod m.
+    """Per level n = 0..k at the chart (s1, s2), the rows c_0..c_top of the
+    signed Chern class of the plus lines less the minus lines, each shifted
+    by every cell of the partition, mod m, in ``_hook_table(n)`` order.
 
     A partition's row is its parent's row times the lines shifted by its
     last cell, so each row costs one cell, and only the rows of two
     consecutive sizes are kept.
     """
     rows = [[1] + [0] * top]
-    for n, level in enumerate(table):
-        if n:
-            rows = [
-                signed_chern_coefficients(
-                    [w + part.shift for w in plus],
-                    [w + part.shift for w in minus],
-                    rows[part.parent],
-                    m,
-                )
-                for part in level
-            ]
+    yield rows
+    for n in range(1, k + 1):
+        grown = []
+        for entry in _hook_table(n):
+            i, j = entry[2]
+            shift = i * s1 + j * s2
+            grown.append(signed_chern_coefficients(
+                [w + shift for w in plus], [w + shift for w in minus],
+                rows[entry[1]], m,
+            ))
+        rows = grown
         yield rows
 
 
@@ -626,20 +604,19 @@ def chern_levels(
     have_k, have_first, levels = built or (-1, -1, [])
     if have_k < k or tops[0] > have_first:
         have_k, have_first = max(k, have_k), max(tops[0], have_first)
-        table = [partition_table(s1, s2, n, m) for n in range(have_k + 1)]
         grown = [
-            chern_rows(table, plus, minus, top, m)
+            chern_rows(s1, s2, have_k, plus, minus, top, m)
             for (plus, minus), top in zip(lines, (have_first, *tops[1:]))
         ]
         levels = []
-        for level in table:
+        for n in range(have_k + 1):
             flats, *rest = [next(rows) for rows in grown]
             for rows in rest:
                 flats = [
                     [x * y % m for x in flat for y in row]
                     for flat, row in zip(flats, rows)
                 ]
-            levels.append(level_sum(level, flats, m))
+            levels.append(level_sum(partition_table(s1, s2, n, m), flats, m))
         built[:] = have_k, have_first, levels
     width = prod(top + 1 for top in tops)
     return [series[:width] for series in levels[: k + 1]]
@@ -791,16 +768,16 @@ def theta_level(
     level-n series of the theta bundle of an e of this rank whose
     determinant has weight det there.  det enters the log linearly, so
     det = 0 gives the det-free sum, which at rank 0 is chi of O on
-    Hilb^n C^2 in Todd form.  A pole raises PoleError.  The partition
-    table keeps no tangent weights, so each partition's are specialized
-    here again from its forms in ``_hook_table(n)``, one at a time.
+    Hilb^n C^2 in Todd form.  A pole raises PoleError.  Each partition's
+    S_lambda and tangent weights are specialized here from its row and
+    column sums and its forms in ``_hook_table(n)``, one at a time.
     """
-    level = partition_table(s1, s2, n, m)
-    return level_sum(level, [
+    return level_sum(partition_table(s1, s2, n, m), [
         exp_todd_series(
-            n * det + rank * part.shift_sum, _tangents(s1, s2, a, b), order, m
+            n * det + rank * (rows * s1 + cols * s2),
+            _tangents(s1, s2, a, b), order, m,
         )
-        for part, (*_, a, b) in zip(level, _hook_table(n))
+        for _, _, _, (rows, cols), a, b in _hook_table(n)
     ], m)
 
 

@@ -58,6 +58,13 @@ class ChernData(Frozen):
     __slots__ = _fields = ("rank", "c1", "c2")
 
     def __init__(self, rank: int, c1: tuple[int, ...], c2: int) -> None:
+        # a float or bool field would key cache lines of its own
+        if type(rank) is not int:
+            raise UsageError(f"rank must be an integer, got {rank!r}")
+        if not all(type(d) is int for d in c1):
+            raise UsageError(f"c1 entries must be integers, got {c1!r}")
+        if type(c2) is not int:
+            raise UsageError(f"c2 must be an integer, got {c2!r}")
         set_field(self, "rank", rank)
         set_field(self, "c1", c1)
         set_field(self, "c2", c2)
@@ -192,8 +199,11 @@ def make_surface(name: str, a: int | None = None) -> ToricSurfaceModel:
     ``name`` is one of P2, P1xP1, Hirzebruch; Hirzebruch takes the
     non-negative twist ``a`` (Hirzebruch(0) has the same intersection numbers
     as P1xP1 but a different divisor basis).  P2 and P1xP1 read ``a = 0``
-    as no twist.
+    as no twist.  A twist that is not an int is refused: the model cache
+    would hand a bool's or a float's model, named by it, to the equal int.
     """
+    if a is not None and type(a) is not int:
+        raise UsageError(f"the twist a must be an integer, got {a!r}")
     return _make_surface(name, None if a == 0 and name != "Hirzebruch" else a)
 
 
@@ -464,8 +474,6 @@ def realize_split_model(surface: ToricSurfaceModel, target: ChernData) -> SplitB
     Ellingsrud-Goettsche-Lehn universality the localized integrals read a
     bundle only through its Chern data, so any model gives their value.
     """
-    if type(target.rank) is not int:
-        raise UsageError(f"rank must be an integer, got {target.rank!r}")
     if target.rank < 1:
         raise UsageError("realize_split_model needs rank >= 1")
     _check_c1(surface, target.c1)

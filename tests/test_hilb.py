@@ -15,6 +15,7 @@ from hilbloc.hilb import (
     count_fixed_points,
     enumerate_fixed_points,
     partitions,
+    tangent_forms,
     tangent_weights,
     taut_weights,
     theta_weight,
@@ -74,8 +75,10 @@ def test_partition_basics():
     assert lam.size == 4
     assert lam.conjugate == (2, 1, 1)
     assert list(lam.cells()) == [(0, 0), (0, 1), (0, 2), (1, 0)]
-    assert lam.arm(0, 0) == 2 and lam.leg(0, 0) == 1
-    assert lam.arm(0, 2) == 0 and lam.leg(0, 2) == 0
+    forms = list(tangent_forms(lam.parts, lam.conjugate))
+    # cell (0, 0) has arm 2 and leg 1, cell (0, 2) arm 0 and leg 0
+    assert forms[0:2] == [(2, -2), (-1, 3)]
+    assert forms[4:6] == [(1, 0), (0, 1)]
     assert str(lam) == "(3,1)"
 
 

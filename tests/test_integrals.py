@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hilbloc import integrals
 from hilbloc.cache import ResultCache
 from hilbloc.errors import ComputationError, PoleError, UsageError
-from hilbloc.hilb import cell_tangent_weights, count_fixed_points, partitions
+from hilbloc.hilb import Partition, cell_tangent_weights, count_fixed_points, partitions
 from hilbloc.integrals import (
     ChernExpr,
     IntegralRequest,
@@ -204,25 +204,26 @@ def test_partition_table_grows_chern_rows_from_parents(data):
     minus = [line.weights[p].spec_int(*z) for line in bundle.minus]
 
     table = [partition_table(s1, s2, n, m) for n in range(n_max + 1)]
-    grown = chern_rows(table, plus, minus, top, m)
-    for n, (level, rows) in enumerate(zip(table, grown)):
+    grown = chern_rows(s1, s2, n_max, plus, minus, top, m)
+    for n, (inverses, rows) in enumerate(zip(table, grown, strict=True)):
+        hooks = integrals._hook_table(n)
         # every partition of n, once
-        assert sorted(e.partition.parts for e in level) == sorted(
+        assert sorted(entry[0] for entry in hooks) == sorted(
             lam.parts for lam in partitions(n)
         )
-        assert len(rows) == len(level)
-        for entry, row in zip(level, rows):
-            cells = set(entry.partition.cells())
+        assert len(inverses) == len(rows) == len(hooks)
+        for entry, inverse, row in zip(hooks, inverses, rows):
+            parts, parent, (i, j), (row_sum, col_sum), *_ = entry
+            cells = set(Partition(parts).cells())
             if n:
-                # the parent is the partition with one cell removed
-                parent = set(table[n - 1][entry.parent].partition.cells())
-                assert parent < cells and len(cells - parent) == 1
-                ((i, j),) = cells - parent
-                assert entry.shift == i * s1 + j * s2
+                # the parent is the partition with one cell removed, the
+                # last cell
+                smaller = set(Partition(integrals._hook_table(n - 1)[parent][0]).cells())
+                assert smaller < cells and cells - smaller == {(i, j)}
             shifts = [i * s1 + j * s2 for i, j in cells]
-            assert entry.shift_sum == sum(shifts)
-            tangents = cell_tangent_weights(s1, s2, entry.partition)
-            assert entry.inverse * prod(tangents) % m == 1
+            assert row_sum * s1 + col_sum * s2 == sum(shifts)
+            tangents = cell_tangent_weights(s1, s2, Partition(parts))
+            assert inverse * prod(tangents) % m == 1
             # the grown row is the row of all the cells, from scratch
             assert row == signed_chern_coefficients(
                 [w + s for w in plus for s in shifts],
@@ -233,8 +234,9 @@ def test_partition_table_grows_chern_rows_from_parents(data):
 
 
 def _arm_leg_table(s1, s2, n, m):
-    """partition_table's entries, each from Partition.cells and
-    ``hilb.cell_tangent_weights`` alone."""
+    """Per partition of n: its parts, its parent's index, its last cell's
+    shift, its shift sum and its inverse tangent product, each from
+    Partition.cells and ``hilb.cell_tangent_weights`` alone."""
     smaller = [lam.parts for lam in partitions(n - 1)] if n else []
     for lam in partitions(n):
         parent = shift = 0
@@ -244,12 +246,23 @@ def _arm_leg_table(s1, s2, n, m):
             shift = i * s1 + j * s2
         den = prod(cell_tangent_weights(s1, s2, lam))
         yield (
-            lam,
+            lam.parts,
             parent,
             shift,
             sum(i * s1 + j * s2 for i, j in lam.cells()),
             pow(den, -1, m) if den else None,
         )
+
+
+def _table_at(s1, s2, n, m):
+    """``_arm_leg_table``'s entries, read off ``_hook_table(n)`` at the chart
+    and ``partition_table``."""
+    return [
+        (parts, parent, i * s1 + j * s2, rows * s1 + cols * s2, inverse)
+        for (parts, parent, (i, j), (rows, cols), *_), inverse in zip(
+            integrals._hook_table(n), partition_table(s1, s2, n, m), strict=True
+        )
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,9 +277,7 @@ def test_partition_table_is_the_arm_leg_route(data):
     m = data.draw(st.sampled_from((WORD_PRIMES[0], WORD_PRIMES[0] * WORD_PRIMES[1])))
     v1, v2 = surface.points[p]
     s1, s2 = v1.spec_int(*z), v2.spec_int(*z)
-    assert [tuple(e) for e in partition_table(s1, s2, n, m)] == list(
-        _arm_leg_table(s1, s2, n, m)
-    )
+    assert _table_at(s1, s2, n, m) == list(_arm_leg_table(s1, s2, n, m))
 
 
 def test_partition_table_keeps_poles_at_a_pole_chart():
@@ -276,18 +287,17 @@ def test_partition_table_keeps_poles_at_a_pole_chart():
     s1, s2 = v1.spec_int(1, 1), v2.spec_int(1, 1)
     assert 0 in (s1, s2)
     for n in range(5):
-        table = partition_table(s1, s2, n, m)
-        assert [tuple(e) for e in table] == list(_arm_leg_table(s1, s2, n, m))
-        assert all((e.inverse is None) == bool(n) for e in table)
+        assert _table_at(s1, s2, n, m) == list(_arm_leg_table(s1, s2, n, m))
+        assert all((inv is None) == bool(n) for inv in partition_table(s1, s2, n, m))
     # at (2, 1) a cell with arm a = 2(leg + 1) or a + 1 = 2 leg has a zero
     # weight, so a level mixes poles and non-poles, and the one inverse of
     # the table must skip exactly the poles
     poles = {3: {(3,), (2, 1)}, 4: {(4,), (2, 2)}}
     for n in range(6):
-        table = partition_table(2, 1, n, m)
-        assert [tuple(e) for e in table] == list(_arm_leg_table(2, 1, n, m))
+        table = _table_at(2, 1, n, m)
+        assert table == list(_arm_leg_table(2, 1, n, m))
         if n in poles:
-            assert {e.partition.parts for e in table if e.inverse is None} == poles[n]
+            assert {parts for parts, *_, inv in table if inv is None} == poles[n]
 
 
 def _tangent_products(k, m):
@@ -295,11 +305,10 @@ def _tangent_products(k, m):
 
     def factor(p, s1, s2):
         for n in range(k + 1):
-            level = partition_table(s1, s2, n, m)
             pad = [0] * (2 * n), [0] * (2 * (k - n))
-            yield level_sum(level, [
-                pad[0] + [prod(cell_tangent_weights(s1, s2, part.partition))] + pad[1]
-                for part in level
+            yield level_sum(partition_table(s1, s2, n, m), [
+                pad[0] + [prod(cell_tangent_weights(s1, s2, lam))] + pad[1]
+                for lam in partitions(n)
             ], m)
 
     return factor
@@ -510,6 +519,20 @@ def test_a_k_that_is_not_an_integer_is_a_usage_error(call):
     # expected_dim_pairs returned -0.5, and k = True ran as k = 1 under a
     # cache key of its own
     with pytest.raises(UsageError, match="k must be an integer, got"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi_theta(P2, ChernData(2.0, (1,), 0), 1), "rank must be an integer"),
+    (lambda: chi_theta(P2, ChernData(True, (1,), 0), 1), "rank must be an integer"),
+    (lambda: expected_dim_pairs(P2, ChernData(2, (1,), 0.5), 1), "c2 must be an integer"),
+    (lambda: chi_pair(P2, ChernData(2, ("a",), 0), 1), "c1 entries must be integers"),
+], ids=["float rank", "bool rank", "c2", "c1"])
+def test_chern_data_that_is_not_made_of_integers_is_a_usage_error(call, message):
+    # chi_theta keyed a float or bool rank under cache lines of its own (True
+    # ran as rank 1), expected_dim_pairs returned -0.5, and chi_pair ended
+    # in a raw TypeError
+    with pytest.raises(UsageError, match=message):
         call()
 
 

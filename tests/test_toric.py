@@ -98,6 +98,16 @@ def test_make_surface_validation():
     assert make_surface("P2") is make_surface("P2")  # cached
 
 
+@pytest.mark.parametrize("a", [1.5, "2", True, 2.0])
+def test_make_surface_refuses_a_twist_that_is_not_an_integer(a):
+    # 1.5 built a surface of float weights and "2" ended in a TypeError; the
+    # model cache took True for 1 and 2.0 for 2, so the model named
+    # Hirzebruch(True) answered a later make_surface("Hirzebruch", 1)
+    with pytest.raises(UsageError, match="twist a must be an integer"):
+        make_surface("Hirzebruch", a)
+    assert make_surface("Hirzebruch", 1).name == "Hirzebruch(1)"
+
+
 # ---------------------------------------------------------------------------
 # line bundle weights and edge compatibility
 
@@ -347,7 +357,7 @@ def test_realize_failure_reports():
     for rank in (True, False, 2.5, "2"):
         with pytest.raises(UsageError, match="rank must be an integer"):
             realize_split_model(P2, ChernData(rank, (1,), 0))
-    with pytest.raises(UsageError, match="degrees must be integers"):
+    with pytest.raises(UsageError, match="c2 must be an integer"):
         realize_split_model(P2, ChernData(2, (1,), 0.5))
 
 
