@@ -23,7 +23,6 @@ from .integrals import (
     ChernExpr,
     ConjectureRow,
     ConstructionReport,
-    IntegralRequest,
     c2_for_expected_dim_zero,
     chi_theta,
     expected_dim_pairs,
@@ -83,7 +82,6 @@ __all__ = [
     "enumerate_fixed_points",
     "count_fixed_points",
     "ChernExpr",
-    "IntegralRequest",
     "integrate",
     "quot_count",
     "chi_theta",

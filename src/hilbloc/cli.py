@@ -144,12 +144,11 @@ def _cmd_expected_dim(args, seed, cache):
     surface = _surface_from_args(args)
     if args.vstar is not None:
         v = _split_from_args(surface, args.vstar, args.vstar_minus).dual()
-        cd = v.chern_data()
     elif args.r is not None and args.c1 is not None and args.c2 is not None:
-        cd = ChernData(args.r, _c1_from_text(args.c1, surface), args.c2)
+        v = ChernData(args.r, _c1_from_text(args.c1, surface), args.c2)
     else:
         raise UsageError("give either --vstar or all of --r, --c1, --c2 (for V)")
-    return {"value": str(expected_dim_pairs(surface, cd, args.k))}, 0
+    return {"value": str(expected_dim_pairs(surface, v, args.k))}, 0
 
 
 def _cmd_c2_for_zero(args, seed, cache):

@@ -68,8 +68,9 @@ def check_k(k: int) -> None:
 
 
 def check_work(k: int) -> None:
-    """Refuse a k that ``check_k`` passed but that is above ``MAX_K``,
-    before any table is built for it."""
+    """Refuse a k that ``check_k`` refuses, or one above ``MAX_K``, before
+    any table is built for it."""
+    check_k(k)
     if k > MAX_K:
         raise UsageError(
             f"k = {k} is above MAX_K = {MAX_K}, the largest k a sum over "
@@ -165,7 +166,6 @@ def enumerate_fixed_points(
     surface: ToricSurfaceModel, k: int
 ) -> Iterator[HilbFixedPoint]:
     """Stream the fixed points of X^[k], grouped by size composition."""
-    check_k(k)
     check_work(k)
     npts = len(surface.points)
 
@@ -184,7 +184,6 @@ def enumerate_fixed_points(
 
 def count_fixed_points(surface: ToricSurfaceModel, k: int) -> int:
     """Number of fixed points: [q^k] of prod_m (1 - q^m)^(-chi_top)."""
-    check_k(k)
     check_work(k)
     series = [0] * (k + 1)
     series[0] = 1

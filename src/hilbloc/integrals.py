@@ -94,6 +94,7 @@ from .toric import (
     EquivariantLineBundle,
     SplitBundle,
     ToricSurfaceModel,
+    chern_data_on,
     chi_from_chern,
     chi_pair,
     e_from_v,
@@ -102,13 +103,12 @@ from .toric import (
     realize_split_model,
     split_on,
 )
-from .value import Frozen, Value, set_field
+from .value import Frozen
 
 __all__ = [
     "Term",
     "ChernExpr",
     "parse_chern_expr",
-    "IntegralRequest",
     "partition_table",
     "level_sum",
     "q_product",
@@ -139,12 +139,6 @@ class Term(Frozen):
 
     __slots__ = _fields = ("coefficient", "factors")
 
-    def __init__(
-        self, coefficient: Fraction, factors: tuple[tuple[str, int], ...]
-    ) -> None:
-        set_field(self, "coefficient", coefficient)
-        set_field(self, "factors", factors)
-
     @property
     def degree(self) -> int:
         return sum(idx for _, idx in self.factors)
@@ -162,9 +156,6 @@ class ChernExpr(Frozen):
     """A formal sum of Chern monomials in declared bundle identifiers."""
 
     __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: tuple[Term, ...]) -> None:
-        set_field(self, "terms", terms)
 
     @classmethod
     def constant(cls, value) -> "ChernExpr":
@@ -306,37 +297,6 @@ def parse_chern_expr(text: str) -> ChernExpr:
             raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
         pos += 1
     return ChernExpr(tuple(terms)).collect()
-
-
-class IntegralRequest(Value):
-    """One integral over X^[k]: declared bundles and a degree-2k expression."""
-
-    __slots__ = _fields = ("surface", "k", "bundles", "expr")
-
-    def __init__(
-        self,
-        surface: ToricSurfaceModel,
-        k: int,
-        bundles: dict[str, SplitBundle],
-        expr: ChernExpr,
-    ) -> None:
-        check_k(k)
-        self.surface = surface
-        self.k = k
-        self.bundles = {
-            bid: split_on(surface, b, f"bundle {bid!r}")
-            for bid, b in bundles.items()
-        }
-        self.expr = expr
-        missing = expr.bundle_ids() - set(self.bundles)
-        if missing:
-            raise UsageError(f"undeclared bundle ids in expression: {sorted(missing)}")
-        degs = expr.degrees()
-        if degs != {2 * k} and expr.terms:
-            raise UsageError(
-                f"expression degrees {sorted(degs)} != 2k = {2 * k}; "
-                "integrals over X^[k] need homogeneous degree 2k"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -700,35 +660,49 @@ def _chern_plan_sum(
 
 
 def integrate(
-    req: IntegralRequest,
+    surface: ToricSurfaceModel,
+    k: int,
+    bundles: dict[str, SplitBundle | EquivariantLineBundle],
+    expr: ChernExpr,
     seed: int = DEFAULT_SEED,
     cache: ResultCache | None = None,
 ) -> Fraction:
     """Atiyah-Bott evaluation of a Chern-class integral over X^[k].
 
+    ``expr`` is homogeneous of degree 2k in the ids ``bundles`` declares.
     Each term c_{i1}(B1)...c_{im}(Bm) is the t1^i1...tm^im coefficient of
     the product of total Chern classes c_{t1}(B1^[k])...c_{tm}(Bm^[k]),
     which is multiplicative over the surface points.  X^[0] is a point, so
     at k = 0 the value is the expression's constant.
     """
-    check_work(req.k)
-    if req.k == 0:
-        return sum((term.coefficient for term in req.expr.terms), Fraction(0))
+    check_work(k)
+    bundles = {bid: split_on(surface, b, f"bundle {bid!r}") for bid, b in bundles.items()}
+    missing = expr.bundle_ids() - set(bundles)
+    if missing:
+        raise UsageError(f"undeclared bundle ids in expression: {sorted(missing)}")
+    degs = expr.degrees()
+    if degs != {2 * k} and expr.terms:
+        raise UsageError(
+            f"expression degrees {sorted(degs)} != 2k = {2 * k}; "
+            "integrals over X^[k] need homogeneous degree 2k"
+        )
+    if k == 0:
+        return sum((term.coefficient for term in expr.terms), Fraction(0))
     plans = [
         (
-            [(req.bundles[bid], idx) for bid, idx in term.factors],
+            [(bundles[bid], idx) for bid, idx in term.factors],
             [(tuple(idx for _, idx in term.factors), term.coefficient)],
         )
-        for term in req.expr.terms
+        for term in expr.terms
     ]
     request = {
         "op": "integrate",
-        "surface": req.surface.name,
-        "k": req.k,
-        "bundles": {bid: b.weight_key() for bid, b in sorted(req.bundles.items())},
-        "expr": str(req.expr),
+        "surface": surface.name,
+        "k": k,
+        "bundles": {bid: b.weight_key() for bid, b in sorted(bundles.items())},
+        "expr": str(expr),
     }
-    return _chern_plan_sum(req.surface, req.k, plans, seed, cache, request)
+    return _chern_plan_sum(surface, k, plans, seed, cache, request)
 
 
 def quot_count(
@@ -747,11 +721,10 @@ def quot_count(
     check_k(k)
     if v.rank < 1:
         raise UsageError("quot_count needs rank V >= 1")
-    vd = v.dual()
-    req = IntegralRequest(
-        surface, k, {"Vdual_k": vd}, ChernExpr.chern(2 * k, "Vdual_k")
+    value = integrate(
+        surface, k, {"Vdual_k": v.dual()}, ChernExpr.chern(2 * k, "Vdual_k"),
+        seed=seed, cache=cache,
     )
-    value = integrate(req, seed=seed, cache=cache)
     if value.denominator != 1:
         raise ComputationError(f"quot count came out non-integral: {value}")
     return value
@@ -816,9 +789,7 @@ def chi_theta(
     (chi_pair nonzero) only warns: the line bundle exists, it is just not
     the canonical pairing class.
     """
-    if not isinstance(e, ChernData):
-        e = split_on(surface, e, "e").chern_data()
-    check_k(k)
+    e = chern_data_on(surface, e, "e")
     check_work(k)
     det = line_bundle(surface, e.c1).weights
     if chi_pair(surface, e, k) != 0:
@@ -864,8 +835,7 @@ def expected_dim_pairs(
 ) -> int:
     """chi(V*) - 1 - (rank V - 2) k, the expected dimension of the pair space."""
     check_k(k)
-    if not isinstance(v, ChernData):
-        v = split_on(surface, v, "V").chern_data()
+    v = chern_data_on(surface, v, "V")
     if v.rank < 1:
         raise UsageError("expected_dim_pairs needs rank V >= 1")
     return chi_from_chern(surface, v.dual()) - 1 - (v.rank - 2) * k
@@ -876,6 +846,7 @@ def c2_for_expected_dim_zero(r: int, d: int, k: int) -> int:
     the expected dimension at c2 = 0, since each unit of c2 lowers it by one."""
     check_int(r, "r")
     check_int(d, "d")
+    check_int(k, "k")
     if r < 2:
         raise UsageError("need rank r >= 2")
     if d < 1:
@@ -887,18 +858,6 @@ def c2_for_expected_dim_zero(r: int, d: int, k: int) -> int:
 
 class ConstructionReport(Frozen):
     __slots__ = _fields = ("ok", "r", "d", "w", "lower", "upper", "violations")
-
-    def __init__(
-        self, ok: bool, r: int, d: int, w: int, lower: int, upper: int,
-        violations: tuple[str, ...],
-    ) -> None:
-        set_field(self, "ok", ok)
-        set_field(self, "r", r)
-        set_field(self, "d", d)
-        set_field(self, "w", w)
-        set_field(self, "lower", lower)
-        set_field(self, "upper", upper)
-        set_field(self, "violations", violations)
 
 
 def validate_construction(r: int, d: int, w: int) -> ConstructionReport:
@@ -934,17 +893,6 @@ class ConjectureRow(Frozen):
     agree.  ``error`` stays in the report format; the sweep leaves it None."""
 
     __slots__ = _fields = ("k", "c2_vstar", "quot", "chi", "equal", "error")
-
-    def __init__(
-        self, k: int, c2_vstar: int, quot: int | None, chi: int | None,
-        equal: bool | None, error: str | None = None,
-    ) -> None:
-        set_field(self, "k", k)
-        set_field(self, "c2_vstar", c2_vstar)
-        set_field(self, "quot", quot)
-        set_field(self, "chi", chi)
-        set_field(self, "equal", equal)
-        set_field(self, "error", error)
 
     def to_json(self) -> dict:
         return {
@@ -983,13 +931,15 @@ def verify_conjecture(
     """
     if surface.family != "P2":
         raise UsageError("the expected-dimension-zero family is built on P2")
+    check_int(r, "r")
+    check_int(d, "d")
+    check_int(k_max, "k")
     if r < 3:
         raise UsageError("need rank r >= 3")
     if d < 1:
         raise UsageError("need degree d >= 1")
     if k_max < 1:
         raise UsageError("need k_max >= 1")
-    check_k(k_max)
     check_work(k_max)
     rows: list[ConjectureRow] = []
     # from k_max down: the first chi_theta call builds the q-product at
@@ -1004,5 +954,5 @@ def verify_conjecture(
         v = realize_split_model(surface, ChernData(r, (d,), c2s)).dual()
         quot = quot_count(surface, v, k, seed=seed, cache=cache)
         chi = chi_theta(surface, e, k, seed=seed, cache=cache)
-        rows.append(ConjectureRow(k, c2s, int(quot), chi, quot == chi))
+        rows.append(ConjectureRow(k, c2s, int(quot), chi, quot == chi, error=None))
     return rows[::-1]

@@ -49,7 +49,7 @@ from .toric import (
     realize_split_model,
     split_on,
 )
-from .value import Frozen, Value, set_field
+from .value import Frozen, Value
 
 __all__ = [
     "virtual_integral",
@@ -79,13 +79,6 @@ class AmbientClass(Value):
     """Polynomial in h (degree <= hmax) and u (degree <= umax), truncated."""
 
     __slots__ = _fields = ("hmax", "umax", "coeffs")
-
-    def __init__(
-        self, hmax: int, umax: int, coeffs: dict[tuple[int, int], Fraction]
-    ) -> None:
-        self.hmax = hmax
-        self.umax = umax
-        self.coeffs = coeffs
 
     @classmethod
     def one(cls, hmax: int, umax: int) -> "AmbientClass":
@@ -206,7 +199,6 @@ def virtual_integral(
     bad_ids = p_expr.bundle_ids() - {"IT"}
     if bad_ids:
         raise UsageError(f"expression may only reference c_j(IT): {sorted(bad_ids)}")
-    check_k(k)
     check_work(k)
     try:
         _require_ambient(surface, v)
@@ -337,24 +329,6 @@ class UniversalPolynomial(Frozen):
         "undetermined",
     )
 
-    def __init__(
-        self,
-        shape_id: str,
-        k: int,
-        rank_v: int,
-        rank_lam: int,
-        monomials: tuple[tuple[str, ...], ...],
-        coefficients: tuple[Fraction, ...],
-        undetermined: tuple[str, ...],
-    ) -> None:
-        set_field(self, "shape_id", shape_id)
-        set_field(self, "k", k)
-        set_field(self, "rank_v", rank_v)
-        set_field(self, "rank_lam", rank_lam)
-        set_field(self, "monomials", monomials)
-        set_field(self, "coefficients", coefficients)
-        set_field(self, "undetermined", undetermined)
-
     def evaluate(self, symbols: dict[str, int]) -> Fraction:
         den = lcm(*(c.denominator for c in self.coefficients))
         values = _monomial_values(self.monomials, symbols)
@@ -477,8 +451,7 @@ def universal_poly(
     check_int(rank_v, "rank_v")
     check_int(rank_lam, "rank_lam")
     check_int(expected_dim, "expected_dim")
-    if k < 0:
-        raise UsageError("negative k")
+    check_k(k)
     if k > 3:
         raise UsageError("universal_poly is budgeted for k <= 3")
     if rank_v < 1:

@@ -42,6 +42,7 @@ __all__ = [
     "validate_compatibility",
     "chi_from_chern",
     "split_on",
+    "chern_data_on",
     "chi_surface",
     "chi_pair",
     "e_from_v",
@@ -78,28 +79,6 @@ class ToricSurfaceModel(Frozen):
         "name", "family", "a", "points", "edges", "chi_top", "k_squared",
         "canonical_degrees", "divisor_rank",
     )
-
-    def __init__(
-        self,
-        name: str,
-        family: str,
-        a: int,
-        points: tuple[tuple[Weight, Weight], ...],
-        edges: tuple[tuple[int, int, Weight], ...],
-        chi_top: int,
-        k_squared: int,
-        canonical_degrees: tuple[int, ...],
-        divisor_rank: int,
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "family", family)
-        set_field(self, "a", a)
-        set_field(self, "points", points)
-        set_field(self, "edges", edges)
-        set_field(self, "chi_top", chi_top)
-        set_field(self, "k_squared", k_squared)
-        set_field(self, "canonical_degrees", canonical_degrees)
-        set_field(self, "divisor_rank", divisor_rank)
 
     def intersect(self, d1: Sequence[int], d2: Sequence[int]) -> int:
         """Intersection number of two divisor classes in this basis."""
@@ -428,6 +407,14 @@ def split_on(
     return bundle
 
 
+def chern_data_on(
+    surface: ToricSurfaceModel, x: ChernData | SplitBundle | EquivariantLineBundle, name: str
+) -> ChernData:
+    """x as Chern data, a bundle's by Whitney; a bundle on another surface
+    is a UsageError naming it ``name``."""
+    return x if isinstance(x, ChernData) else split_on(surface, x, name).chern_data()
+
+
 def chi_surface(
     surface: ToricSurfaceModel,
     bundle: SplitBundle | EquivariantLineBundle,
@@ -442,8 +429,9 @@ def chi_pair(
     k: int,
 ) -> int:
     """chi(E tensor I_Z) for any length-k Z: chi(E) - rank(E) * k."""
-    if not isinstance(e, ChernData):
-        e = split_on(surface, e, "e").chern_data()
+    e = chern_data_on(surface, e, "e")
+    if type(k) is not int:
+        raise UsageError(f"k must be an integer, got {k!r}")
     return chi_from_chern(surface, e) - e.rank * k
 
 
@@ -454,6 +442,8 @@ def e_from_v(v: ChernData, k: int) -> ChernData:
     c2 = (c1^2 - 2 ch2)/2, and the c1^2 terms cancel, leaving
     c2(E) = c2(V) - k on any surface.
     """
+    if type(k) is not int:
+        raise UsageError(f"k must be an integer, got {k!r}")
     if v.rank < 2:
         raise UsageError("pairing construction needs rank V >= 2")
     return ChernData(v.rank - 1, tuple(-d for d in v.c1), v.c2 - k)

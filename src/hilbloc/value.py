@@ -1,20 +1,20 @@
 """The base of the engine's value classes.
 
-A value class names its fields in ``_fields``, in ``__init__`` order, and
-takes its ``repr``, pickling and ``__eq__`` from ``Value``; a frozen one
-also takes ``Frozen``'s ``__hash__`` and its refusal of every assignment,
-so its ``__init__`` stores each field with ``set_field``.  An instance
-equals only an instance of its own class, a mutable value is unhashable,
-and a frozen one hashes as the tuple of its fields.
+A value class names its fields in ``_fields`` and takes its ``repr``,
+pickling and ``__eq__`` from ``Value``; a frozen one also takes
+``Frozen``'s ``__hash__`` and its refusal of every assignment, so its
+fields are stored with ``set_field``.  An instance equals only an instance
+of its own class, a mutable value is unhashable, and a frozen one hashes
+as the tuple of its fields.
 
-Each class writes out its own ``__init__``: ``Weight`` alone is built about
-8000 times in a pass of the benchmark's ambient_grid, and one generic
-initializer that read ``_fields`` took about twice as long per call.
-``__eq__`` and ``__hash__`` are generic: a pass of any benchmark workload
-calls them at most a few hundred times, so their cost per call does not
-show.  The standard library's class generator would import ``inspect``,
-``ast`` and ``dis`` and pass every method it writes through ``exec``: about
-1 MB and 15-20 ms of each fresh process.
+A class that only stores its fields takes ``Value``'s ``__init__``, which
+binds them in ``_fields`` order, by position or by name.  One that checks
+or derives a field, has a default, or is built in an inner loop writes its
+own: ``Weight`` is built about 10700 times in a pass of the benchmark's
+ambient_grid, where the generic loop over ``_fields`` would show.  The
+standard library's class generator would import ``inspect``, ``ast`` and
+``dis`` and pass every method it writes through ``exec``: about 1 MB and
+15-20 ms of each fresh process.
 """
 
 from __future__ import annotations
@@ -26,11 +26,22 @@ set_field = object.__setattr__
 
 
 class Value:
-    """``repr`` as ``Name(field=value, ...)``, pickling by ``__init__`` and
-    equality field by field with an instance of the same class."""
+    """``__init__``, ``repr`` as ``Name(field=value, ...)``, pickling and
+    equality field by field, equal only to an instance of the same class."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            bound = dict(zip(fields, args), **kwargs)
+            if len(args) + len(kwargs) != len(fields) or bound.keys() != set(fields):
+                raise TypeError(f"{type(self).__qualname__} takes the fields {fields}; "
+                                f"got {len(args)} by position and {sorted(kwargs)} by name")
+            args = [bound[name] for name in fields]
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

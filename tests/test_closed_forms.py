@@ -29,7 +29,6 @@ from hypothesis import given, settings, strategies as st
 
 from hilbloc.integrals import (
     ChernExpr,
-    IntegralRequest,
     chi_theta,
     integrate,
     quot_count,
@@ -195,7 +194,7 @@ def test_chi_theta_of_a_line_bundle_with_negative_chi():
 def segre_integral(surface, degrees, k):
     """The integral over X^[k] of s_2k(H^[k]), c_2k of the minus line H."""
     bundle = split_bundle(surface, [], [degrees])
-    return integrate(IntegralRequest(surface, k, {"H": bundle}, ChernExpr.chern(2 * k, "H")))
+    return integrate(surface, k, {"H": bundle}, ChernExpr.chern(2 * k, "H"))
 
 
 @settings(max_examples=40, deadline=None)

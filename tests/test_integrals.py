@@ -20,7 +20,6 @@ from hilbloc.errors import ComputationError, PoleError, UsageError
 from hilbloc.hilb import Partition, cell_tangent_weights, count_fixed_points, partitions
 from hilbloc.integrals import (
     ChernExpr,
-    IntegralRequest,
     Term,
     c2_for_expected_dim_zero,
     chern_levels,
@@ -52,6 +51,7 @@ from hilbloc.toric import (
     ChernData,
     SplitBundle,
     chi_pair,
+    e_from_v,
     line_bundle,
     make_surface,
     realize_split_model,
@@ -92,31 +92,29 @@ def surfaces_and_k(draw):
 
 def test_request_rejects_inhomogeneous_expressions():
     v = split_bundle(P2, [1, 2])
-    with pytest.raises(UsageError):
-        IntegralRequest(P2, 1, {"A": v}, ChernExpr.chern(1, "A"))
+    with pytest.raises(UsageError, match="need homogeneous degree 2k"):
+        integrate(P2, 1, {"A": v}, ChernExpr.chern(1, "A"))
 
 
 def test_request_rejects_undeclared_ids():
     v = split_bundle(P2, [1, 2])
-    with pytest.raises(UsageError):
-        IntegralRequest(P2, 1, {"A": v}, ChernExpr.chern(2, "B"))
+    with pytest.raises(UsageError, match=r"undeclared bundle ids in expression: \['B'\]"):
+        integrate(P2, 1, {"A": v}, ChernExpr.chern(2, "B"))
 
 
 def test_integrate_on_a_point():
-    req = IntegralRequest(P2, 0, {}, ChernExpr.constant(Fraction(5, 3)))
-    assert integrate(req) == Fraction(5, 3)
+    assert integrate(P2, 0, {}, ChernExpr.constant(Fraction(5, 3))) == Fraction(5, 3)
 
 
 def test_integrate_composite_expression():
     # c1(A)^2 - c2(A) with A = O(1) + O(2): weights give an exact integer
     v = split_bundle(P2, [1, 2])
     expr = parse_chern_expr("c1(A)*c1(A) - c2(A)")
-    req = IntegralRequest(P2, 1, {"A": v}, expr)
-    direct = integrate(req)
+    direct = integrate(P2, 1, {"A": v}, expr)
     c1sq = parse_chern_expr("c1(A)*c1(A)")
     parts = (
-        integrate(IntegralRequest(P2, 1, {"A": v}, c1sq)),
-        integrate(IntegralRequest(P2, 1, {"A": v}, ChernExpr.chern(2, "A"))),
+        integrate(P2, 1, {"A": v}, c1sq),
+        integrate(P2, 1, {"A": v}, ChernExpr.chern(2, "A")),
     )
     assert direct == parts[0] - parts[1]
 
@@ -126,8 +124,7 @@ def test_integrate_takes_a_coefficient_over_a_word_prime():
     # taken, so one with no image in Z/p still gives the exact value
     p = WORD_PRIMES[0]
     expr = ChernExpr.chern(2, "A", Fraction(1, p))
-    req = IntegralRequest(P2, 1, {"A": split_bundle(P2, [1, 2])}, expr)
-    assert integrate(req) == Fraction(2, p)
+    assert integrate(P2, 1, {"A": split_bundle(P2, [1, 2])}, expr) == Fraction(2, p)
 
 
 @settings(max_examples=25)
@@ -144,7 +141,7 @@ def test_integrate_matches_brute_tuple_sum(data):
         Term(coeff, (("A", 2 * k),)),
     )).collect()
     bundles = {"A": a, "B": b}
-    value = integrate(IntegralRequest(surface, k, bundles, expr))
+    value = integrate(surface, k, bundles, expr)
     assert value == brute_chern_integral(surface, k, bundles, expr)
 
 
@@ -411,9 +408,9 @@ def tampered_lines(monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: integrate(IntegralRequest(
+        lambda: integrate(
             P2, 1, {"A": split_bundle(P2, [1, 2])}, ChernExpr.chern(2, "A")
-        )),
+        ),
         lambda: chi_theta(P2, split_bundle(P2, [1, 1], [2]), 1),
         lambda: virtual_integral(P2, split_bundle(P2, [-2, -3]), None, 1),
     ],
@@ -536,6 +533,22 @@ def test_chern_data_that_is_not_made_of_integers_is_a_usage_error(call, message)
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_conjecture(P2, "3", 7, 2), "r must be an integer, got '3'"),
+    (lambda: verify_conjecture(P2, True, 7, 2), "r must be an integer, got True"),
+    (lambda: verify_conjecture(P2, 3, None, 2), "d must be an integer, got None"),
+    (lambda: verify_conjecture(P2, 3, 7, "2"), "k must be an integer, got '2'"),
+    (lambda: c2_for_expected_dim_zero(3, 7, "a"), "k must be an integer, got 'a'"),
+    (lambda: chi_pair(P2, ChernData(2, (1,), 0), "a"), "k must be an integer, got 'a'"),
+    (lambda: e_from_v(ChernData(2, (1,), 0), "a"), "k must be an integer, got 'a'"),
+], ids=["verify r", "verify bool r", "verify d", "verify k_max", "c2_for_zero k",
+        "chi_pair k", "e_from_v k"])
+def test_an_argument_that_is_not_an_integer_is_a_usage_error(call, message):
+    # each ended in a raw TypeError, and a bool r read "need rank r >= 3"
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        call()
+
+
 def test_quot_count_refuses_a_bundle_on_another_surface():
     # named as the argument, not as the internal id of its dual
     for k in (0, 1):
@@ -571,8 +584,7 @@ def test_sums_at_k0_are_constants_and_write_no_cache_line(tmp_path):
     bundles = {"A": split_bundle(P2, [1, 2])}
     for expr, value in ((ChernExpr.constant(Fraction(5, 3)), Fraction(5, 3)),
                         (ChernExpr(()), 0)):
-        req = IntegralRequest(P2, 0, bundles, expr)
-        assert integrate(req, cache=ResultCache(path)) == value
+        assert integrate(P2, 0, bundles, expr, cache=ResultCache(path)) == value
     assert quot_count(P2, split_bundle(P2, [-2, -3]), 0, cache=ResultCache(path)) == 1
     assert not path.exists()
 
@@ -783,16 +795,16 @@ def _chern_level_cases(surface):
     b = split_bundle(surface, [second], [first, zero])
     cases = [
         ("quot_count", range(1, 5), lambda k: quot_count(surface, v, k)),
-        ("integrate", range(1, 5), lambda k: integrate(IntegralRequest(
+        ("integrate", range(1, 5), lambda k: integrate(
             surface, k, {"B": b}, ChernExpr.chern(2 * k, "B")
-        ))),
+        )),
     ]
     if surface is P2:
         lam = split_bundle(P2, [2], [1])
         cases += [
-            ("two factors", range(1, 5), lambda k: integrate(IntegralRequest(
+            ("two factors", range(1, 5), lambda k: integrate(
                 P2, k, {"A": v, "B": b}, parse_chern_expr(f"c1(A)*c{2 * k - 1}(B)")
-            ))),
+            )),
             ("virtual_integral", range(1, 4), lambda k: virtual_integral(
                 P2, split_bundle(P2, [1, 1], [1]).dual(), lam, k,
                 parse_chern_expr(f"2/3*c1(IT)*c{2 * k}(IT) - 1/5*c{2 * k + 1}(IT)"),

@@ -454,3 +454,7 @@ def test_universal_poly_input_validation():
                         ("rank_v", True)):
         with pytest.raises(UsageError, match=f"{name} must be an integer"):
             universal_poly("count", k=1, **{name: value})
+    # a k of "a" or None ended in a raw TypeError
+    for k in ("a", None):
+        with pytest.raises(UsageError, match=f"^k must be an integer, got {k!r}$"):
+            universal_poly("count", k)

@@ -1,18 +1,20 @@
-"""Equality, hashing, immutability and repr of the engine's value classes."""
+"""Initialization, equality, hashing, immutability and repr of the
+engine's value classes."""
 
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import hilbloc
 from hilbloc.hilb import HilbFixedPoint, Partition
 from hilbloc.integrals import (
     ChernExpr,
     ConjectureRow,
     ConstructionReport,
-    IntegralRequest,
     Term,
-    parse_chern_expr,
 )
 from hilbloc.symbolic import Weight
 from hilbloc.tautological import AmbientClass, UniversalPolynomial
@@ -23,8 +25,8 @@ from hilbloc.toric import (
     ToricSurfaceModel,
     line_bundle,
     make_surface,
-    split_bundle,
 )
+from hilbloc.value import Frozen, Value
 
 P2 = make_surface("P2")
 O1, O2 = line_bundle(P2, [1]), line_bundle(P2, [2])
@@ -48,9 +50,6 @@ CASES = [
     (SplitBundle, ("surface", "plus", "minus"), (P2, (O1,), ()), 2, (O2,)),
     (Term, ("coefficient", "factors"), (Fraction(1, 2), (("V", 2),)), 0, Fraction(1)),
     (ChernExpr, ("terms",), ((TERM,),), 0, ()),
-    (IntegralRequest, ("surface", "k", "bundles", "expr"),
-     (P2, 1, {"V": split_bundle(P2, [1, 2])}, parse_chern_expr("c2(V)")),
-     3, parse_chern_expr("c1(V)*c1(V)")),
     (ConstructionReport, ("ok", "r", "d", "w", "lower", "upper", "violations"),
      (True, 3, 2, 3, 3, 4, ()), 3, 4),
     (ConjectureRow, ("k", "c2_vstar", "quot", "chi", "equal", "error"),
@@ -62,7 +61,12 @@ CASES = [
       "undetermined"),
      ("count", 1, 2, 0, (("c2(V)",),), (Fraction(1),), ()), 1, 2),
 ]
-MUTABLE = (IntegralRequest, AmbientClass)
+MUTABLE = (AmbientClass,)
+# the classes that only store their fields, so take Value's __init__
+PLAIN_RECORDS = (
+    Term, ChernExpr, ConstructionReport, ConjectureRow, ToricSurfaceModel,
+    UniversalPolynomial, AmbientClass,
+)
 
 
 @pytest.mark.parametrize("cls, fields, args, index, changed", CASES,
@@ -72,6 +76,7 @@ def test_value_class_semantics(cls, fields, args, index, changed):
     assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
     x, y = cls(*args), cls(*args)
     assert tuple(getattr(x, name) for name in fields) == args
+    assert cls(**dict(zip(fields, args))) == x
     assert x == y and not x != y
     other = list(args)
     other[index] = changed
@@ -96,6 +101,38 @@ def test_value_class_semantics(cls, fields, args, index, changed):
     assert x == y
 
 
+def test_every_value_class_has_a_case():
+    for info in pkgutil.iter_modules(hilbloc.__path__, "hilbloc."):
+        importlib.import_module(info.name)
+    classes, todo = set(), [Value]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        todo += subclasses
+        classes.update(subclasses)
+    found = {cls for cls in classes if cls.__module__.startswith("hilbloc.")}
+    assert found - {Frozen} == {case[0] for case in CASES}
+
+
+@pytest.mark.parametrize("cls", PLAIN_RECORDS, ids=[c.__name__ for c in PLAIN_RECORDS])
+def test_plain_records_take_the_value_initializer(cls):
+    assert "__init__" not in vars(cls)
+
+
+@pytest.mark.parametrize("args, kwargs, got", [
+    ((Fraction(1),), {}, "1 by position and [] by name"),
+    ((), {"coefficient": Fraction(1)}, "0 by position and ['coefficient'] by name"),
+    ((Fraction(1), (), 2), {}, "3 by position and [] by name"),
+    ((Fraction(1), ()), {"degree": 2}, "2 by position and ['degree'] by name"),
+    ((Fraction(1),), {"coefficient": Fraction(2)},
+     "1 by position and ['coefficient'] by name"),
+    ((Fraction(1),), {"degree": 2}, "1 by position and ['degree'] by name"),
+], ids=["missing", "missing keyword", "extra", "unknown", "twice", "unknown for missing"])
+def test_a_record_with_bad_arguments_is_a_type_error(args, kwargs, got):
+    with pytest.raises(TypeError) as info:
+        Term(*args, **kwargs)
+    assert str(info.value) == f"Term takes the fields ('coefficient', 'factors'); got {got}"
+
+
 def test_line_bundle_equality_ignores_degrees():
     a, b = line_bundle(P2, [1]), line_bundle(P2, [1])
     object.__setattr__(b, "degrees", (5,))
@@ -113,7 +150,7 @@ def test_value_reprs_are_pinned():
     p = Partition((2, 1))
     assert p.conjugate == (2, 1)  # the cached conjugate stays out of the repr
     assert repr(p) == "Partition(parts=(2, 1))"
-    assert repr(ConjectureRow(3, 4556, 4556, 4556, True)) == (
+    assert repr(ConjectureRow(3, 4556, 4556, 4556, True, None)) == (
         "ConjectureRow(k=3, c2_vstar=4556, quot=4556, chi=4556, equal=True, error=None)"
     )
     assert repr(O1) == (
