@@ -124,8 +124,6 @@ def _cmd_surface_info(args, seed, cache):
 
 def _cmd_fixed_points(args, seed, cache):
     surface = _surface_from_args(args)
-    if args.k < 0:
-        raise UsageError("--k must be non-negative")
     payload = {"count": count_fixed_points(surface, args.k)}
     if args.list:
         payload["points"] = [

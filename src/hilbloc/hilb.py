@@ -17,11 +17,11 @@ column (0 <= j < lambda_i).
 
 from __future__ import annotations
 
-import sys
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import ComputationError, UsageError
+from .errors import ComputationError, UsageError, check_int
 from .symbolic import Weight, ZERO_WEIGHT
 from .toric import EquivariantLineBundle, SplitBundle, ToricSurfaceModel, split_on
 from .value import Frozen, set_field
@@ -35,7 +35,6 @@ __all__ = [
     "count_fixed_points",
     "tangent_forms",
     "cell_tangent_weights",
-    "check_int",
     "check_k",
     "MAX_K",
     "check_work",
@@ -49,27 +48,17 @@ alone has 190569292 of them, so no run above it could finish; every k that
 the tests, the benchmark and the documentation use is at most 40."""
 
 
-def check_int(value, name: str) -> None:
-    """Refuse a value that is not an int.  A bool is refused too: it would
-    key its own cache lines."""
-    if type(value) is not int:
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-
-
 def check_k(k: int) -> None:
-    """Refuse a number of points no sum over X^[k] can be run for: a k
-    that is not an int, a negative k, or one whose series of 2k + 1 terms
-    (one per degree of X^[k]) is longer than a list can be."""
+    """Refuse a k that is not an int, or a negative one.  Only a sum bounds
+    k from above (``check_work``); the closed forms build no series."""
     check_int(k, "k")
     if k < 0:
         raise UsageError("negative k")
-    if 2 * k + 1 > sys.maxsize:
-        raise UsageError(f"k = {k} is too large: a series of 2k + 1 terms does not fit a list")
 
 
 def check_work(k: int) -> None:
-    """Refuse a k that ``check_k`` refuses, or one above ``MAX_K``, before
-    any table is built for it."""
+    """Refuse a k that ``check_k`` refuses, or one above ``MAX_K`` however
+    large, before any table is built for it: every sum calls it."""
     check_k(k)
     if k > MAX_K:
         raise UsageError(
@@ -86,6 +75,8 @@ class Partition(Frozen):
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         set_field(self, "parts", parts)
+        if type(parts) is not tuple:  # a list would make a frozen value unhashable
+            raise UsageError(f"partition parts must be a tuple, got {parts!r}")
         if any(type(p) is not int for p in parts):
             raise UsageError(f"partition parts must be integers: {parts}")
         if any(p <= 0 for p in parts):
@@ -167,19 +158,9 @@ def enumerate_fixed_points(
 ) -> Iterator[HilbFixedPoint]:
     """Stream the fixed points of X^[k], grouped by size composition."""
     check_work(k)
-    npts = len(surface.points)
-
-    def rec(slot: int, sizes: tuple[int, ...]):
-        if slot == npts:
-            yield ()
-            return
-        for head in partitions(sizes[slot]):
-            for tail in rec(slot + 1, sizes):
-                yield (head,) + tail
-
-    for sizes in compositions(k, npts):
-        for tup in rec(0, sizes):
-            yield HilbFixedPoint(tup)
+    for sizes in compositions(k, len(surface.points)):
+        for parts in product(*map(partitions, sizes)):
+            yield HilbFixedPoint(parts)
 
 
 def count_fixed_points(surface: ToricSurfaceModel, k: int) -> int:

@@ -24,7 +24,9 @@ kept flat, so the arm/leg formula runs once per partition and process.
 ``partition_table`` keeps only the inverses, one table per specialized
 chart weights, n and m, so every bundle, k and side of a sum under the same
 z shares it, and it takes one modular inverse for all the tangent products
-of the table.  Neither keeps a specialized weight: a cell shift is one
+of the table.  It alone finds a pole (a tangent product that specializes to
+zero) and raises PoleError; ``dual_specialized`` retries under a fresh z.
+Neither keeps a specialized weight: a cell shift is one
 multiply away from the hook table, and the 2n tangent weights per
 partition, chart, n and modulus would be most of what a sum keeps, so
 ``theta_level``, the one reader past the product, specializes them again.
@@ -80,8 +82,8 @@ from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cache import ResultCache
-from .errors import ComputationError, ParseError, PoleError, UsageError
-from .hilb import check_int, check_k, check_work, partitions, tangent_forms
+from .errors import ComputationError, ParseError, PoleError, UsageError, check_int
+from .hilb import check_k, check_work, partitions, tangent_forms
 from .symbolic import (
     DEFAULT_SEED,
     dual_specialized,
@@ -214,13 +216,13 @@ def parse_chern_expr(text: str) -> ChernExpr:
     def parse_number() -> Fraction:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isdecimal():
             pos += 1
         value = int(text[start:pos])
         if pos < n and text[pos] == "/":
             pos += 1
             dstart = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             if dstart == pos:
                 raise ParseError("expected digits after '/'", pos + 1)
@@ -236,12 +238,12 @@ def parse_chern_expr(text: str) -> ChernExpr:
         if pos >= n:
             raise ParseError("expected a factor", pos + 1)
         ch = text[pos]
-        if ch.isdigit():
+        if ch.isdecimal():
             return parse_number()
         if ch == "c":
             pos += 1
             istart = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             if istart == pos:
                 raise ParseError("expected a Chern index after 'c'", istart + 1)
@@ -382,7 +384,7 @@ def _tangents(s1: int, s2: int, a: Sequence[int], b: Sequence[int]) -> list[int]
 
 
 @lru_cache(maxsize=1024)
-def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[int | None, ...]:
+def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[int, ...]:
     """1 / (the product of its tangent weights at the chart (s1, s2)) mod m
     for every partition of n, in ``_hook_table(n)`` order.
 
@@ -390,40 +392,39 @@ def partition_table(s1: int, s2: int, n: int, m: int) -> tuple[int | None, ...]:
     a process builds it once and every bundle, k and side of a sum under
     the same z reuses it.  The specialized tangent weights serve only to
     take their product, and are dropped once it is taken.
-    A tangent product that specializes to zero is kept as a pole (None),
-    which ``level_sum`` raises on each time it meets it.
-    Every other product is a product of nonzero integers far below each
+    If a tangent product of the level specializes to zero, it raises
+    PoleError (``q_product`` adds the point and z) and keeps no table.
+    Every product is then a product of nonzero integers far below each
     word prime, so it is invertible mod m, and the table takes one inverse
     for all of them (Montgomery's trick): that of their product, from
     which the prefix products peel off each one.
     """
     dens = [prod(_tangents(s1, s2, a, b)) % m for *_, a, b in _hook_table(n)]
-    prefix = [1]  # prefix[i]: the product of the nonzero dens before i
+    if 0 in dens:
+        raise PoleError("tangent weight vanished")
+    prefix = [1]  # prefix[i]: the product of the dens before i
     for den in dens:
-        prefix.append(prefix[-1] * den % m if den else prefix[-1])
+        prefix.append(prefix[-1] * den % m)
     inverse = pow(prefix[-1], -1, m)  # 1 / prefix[i + 1] at step i below
-    inverses: list[int | None] = [None] * len(dens)
+    inverses = [0] * len(dens)
     for i in reversed(range(len(dens))):
-        if dens[i]:
-            inverses[i] = inverse * prefix[i] % m
-            inverse = inverse * dens[i] % m
+        inverses[i] = inverse * prefix[i] % m
+        inverse = inverse * dens[i] % m
     return tuple(inverses)
 
 
 def level_sum(
-    inverses: Sequence[int | None], series: Sequence[Sequence[int]], m: int
+    inverses: Sequence[int], series: Sequence[Sequence[int]], m: int
 ) -> list[int]:
     """sum over the partitions of one level of each one's series divided by
     its tangent product, mod m.
 
-    ``inverses`` is the level's ``partition_table`` and ``series`` holds a
-    truncated series per partition, in the same order.  A tangent product
-    that specializes to zero raises PoleError.
+    ``inverses`` is the level's ``partition_table``, which has already
+    refused a pole, and ``series`` holds a truncated series per partition,
+    in the same order.
     """
     acc = [0] * len(series[0])
     for inv, values in zip(inverses, series):
-        if inv is None:
-            raise PoleError("tangent weight vanished")
         for i, c in enumerate(values):
             if c:
                 acc[i] += c * inv
@@ -449,10 +450,8 @@ def q_product(
     row-major list over one formal variable per entry of ``width``, each
     kept below its entry.  The q^n coefficient is the sum over X^[n] of the
     product of the local integrands.  The last point's product is taken
-    only at q^low..q^k, so low = k costs one coefficient there.  A tangent
-    weight that specializes to zero raises PoleError; every other tangent
-    weight is a nonzero integer far below each word prime, so it is
-    invertible mod m.
+    only at q^low..q^k, so low = k costs one coefficient there.  A pole
+    (``partition_table``'s PoleError) is raised again naming the point and z.
     """
     fitting = _fitting(width)
 
@@ -557,8 +556,8 @@ def chern_levels(
     depends only on its lower entries, a level only on the levels below
     it, and the first factor's exponent is the outermost index, so the
     table keeps the highest k and first top built so far and serves a
-    smaller request from a prefix of each level.  A pole raises PoleError
-    before the table is written.
+    smaller request from a prefix of each level.  A pole
+    (``partition_table``'s PoleError) leaves the table unwritten.
     """
     built = _chern_table(s1, s2, m, lines, tops[1:])
     have_k, have_first, levels = built or (-1, -1, [])
@@ -741,7 +740,8 @@ def theta_level(
     level-n series of the theta bundle of an e of this rank whose
     determinant has weight det there.  det enters the log linearly, so
     det = 0 gives the det-free sum, which at rank 0 is chi of O on
-    Hilb^n C^2 in Todd form.  A pole raises PoleError.  Each partition's
+    Hilb^n C^2 in Todd form.  ``partition_table`` raises a pole before any
+    Todd series is taken.  Each partition's
     S_lambda and tangent weights are specialized here from its row and
     column sums and its forms in ``_hook_table(n)``, one at a time.
     """

@@ -35,8 +35,8 @@ from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm, prod
 
 from .cache import ResultCache
-from .errors import ComputationError, UsageError
-from .hilb import check_int, check_k, check_work
+from .errors import ComputationError, UsageError, check_int
+from .hilb import check_k, check_work
 from .integrals import ChernExpr, _chern_plan_sum, expected_dim_pairs
 from .symbolic import DEFAULT_SEED
 from .toric import (
@@ -162,17 +162,6 @@ class AmbientClass(Value):
 # the ambient localization integral
 
 
-def _require_ambient(surface: ToricSurfaceModel, v: SplitBundle) -> None:
-    if not v.is_honest():
-        raise UsageError("ambient space needs an honest (minus-free) V")
-    for line in v.plus:
-        if not surface.is_nef(tuple(-d for d in line.degrees)):
-            raise UsageError(
-                "ambient space needs nef dual summands so that "
-                "dim P = chi(V*) - 1 is an honest section count"
-            )
-
-
 def virtual_integral(
     surface: ToricSurfaceModel,
     v: SplitBundle | EquivariantLineBundle,
@@ -186,9 +175,10 @@ def virtual_integral(
     virtual class of the pair space, evaluated on P x X^[k].
 
     P defaults to 1, which integrates the pushed-forward virtual class
-    itself (the count shape).  The expression may mix degrees.  Minus lines
-    in V or Lambda are accepted, with a warning that the ambient dimension
-    is then read off Chern data rather than certified by section counts.
+    itself (the count shape).  The expression may mix degrees.  A V with
+    minus lines or a dual summand that is not nef is accepted, and warned
+    about here: the ambient dimension is then read off Chern data rather
+    than certified by section counts.
     The virtual dimension is ``expected_dim_pairs``, so a V of rank < 1,
     which has no pair space, is a UsageError.
     """
@@ -200,11 +190,14 @@ def virtual_integral(
     if bad_ids:
         raise UsageError(f"expression may only reference c_j(IT): {sorted(bad_ids)}")
     check_work(k)
-    try:
-        _require_ambient(surface, v)
-    except UsageError as exc:
-        warnings.warn(f"{exc}; continuing with Dp = chi(V*) - 1 formally",
-                      stacklevel=2)
+    need = None
+    if not v.is_honest():
+        need = "an honest (minus-free) V"
+    elif any(d > 0 for line in v.plus for d in line.degrees):  # O(-d) not nef
+        need = "nef dual summands so that dim P = chi(V*) - 1 is an honest section count"
+    if need:
+        warnings.warn(f"ambient space needs {need}; continuing with "
+                      "Dp = chi(V*) - 1 formally", stacklevel=2)
     vdual = v.dual()
     chi_vdual = chi_surface(surface, vdual)
     dp = chi_vdual - 1

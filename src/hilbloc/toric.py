@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Sequence
 
-from .errors import ComputationError, UsageError
+from .errors import ComputationError, UsageError, check_int
 from .symbolic import Weight
 from .value import Frozen, set_field
 
@@ -59,13 +59,14 @@ class ChernData(Frozen):
     __slots__ = _fields = ("rank", "c1", "c2")
 
     def __init__(self, rank: int, c1: tuple[int, ...], c2: int) -> None:
-        # a float or bool field would key cache lines of its own
-        if type(rank) is not int:
-            raise UsageError(f"rank must be an integer, got {rank!r}")
+        # a float or bool field would key cache lines of its own, and a
+        # list would make the frozen value unhashable
+        check_int(rank, "rank")
+        if type(c1) is not tuple:
+            raise UsageError(f"c1 must be a tuple, got {c1!r}")
         if not all(type(d) is int for d in c1):
             raise UsageError(f"c1 entries must be integers, got {c1!r}")
-        if type(c2) is not int:
-            raise UsageError(f"c2 must be an integer, got {c2!r}")
+        check_int(c2, "c2")
         set_field(self, "rank", rank)
         set_field(self, "c1", c1)
         set_field(self, "c2", c2)
@@ -87,9 +88,6 @@ class ToricSurfaceModel(Frozen):
         if self.family == "P1xP1":
             return d1[0] * d2[1] + d1[1] * d2[0]
         return d1[0] * d2[1] + d1[1] * d2[0] + self.a * d1[1] * d2[1]
-
-    def is_nef(self, degrees: Sequence[int]) -> bool:
-        return all(d >= 0 for d in degrees)
 
     def line_weights(self, degrees: Sequence[int]) -> tuple[Weight, ...]:
         """Fixed-point weights of O(degrees), zero at the first point."""
@@ -181,8 +179,8 @@ def make_surface(name: str, a: int | None = None) -> ToricSurfaceModel:
     as no twist.  A twist that is not an int is refused: the model cache
     would hand a bool's or a float's model, named by it, to the equal int.
     """
-    if a is not None and type(a) is not int:
-        raise UsageError(f"the twist a must be an integer, got {a!r}")
+    if a is not None:
+        check_int(a, "the twist a")
     return _make_surface(name, None if a == 0 and name != "Hirzebruch" else a)
 
 
@@ -238,6 +236,8 @@ class EquivariantLineBundle(Frozen):
 
 def line_bundle(surface: ToricSurfaceModel, degrees: Sequence[int]) -> EquivariantLineBundle:
     """O(degrees) with its canonical linearization (weight zero first)."""
+    if not isinstance(degrees, (tuple, list)):
+        raise UsageError(f"line bundle degrees must be a tuple or list, got {degrees!r}")
     degrees = tuple(degrees)
     if not all(type(d) is int for d in degrees):
         raise UsageError(f"line bundle degrees must be integers, got {degrees}")
@@ -417,10 +417,10 @@ def chern_data_on(
 
 def chi_surface(
     surface: ToricSurfaceModel,
-    bundle: SplitBundle | EquivariantLineBundle,
+    bundle: ChernData | SplitBundle | EquivariantLineBundle,
 ) -> int:
     """Hirzebruch-Riemann-Roch over the surface, exact integer."""
-    return chi_from_chern(surface, split_on(surface, bundle, "bundle").chern_data())
+    return chi_from_chern(surface, chern_data_on(surface, bundle, "bundle"))
 
 
 def chi_pair(
@@ -430,8 +430,7 @@ def chi_pair(
 ) -> int:
     """chi(E tensor I_Z) for any length-k Z: chi(E) - rank(E) * k."""
     e = chern_data_on(surface, e, "e")
-    if type(k) is not int:
-        raise UsageError(f"k must be an integer, got {k!r}")
+    check_int(k, "k")
     return chi_from_chern(surface, e) - e.rank * k
 
 
@@ -442,8 +441,7 @@ def e_from_v(v: ChernData, k: int) -> ChernData:
     c2 = (c1^2 - 2 ch2)/2, and the c1^2 terms cancel, leaving
     c2(E) = c2(V) - k on any surface.
     """
-    if type(k) is not int:
-        raise UsageError(f"k must be an integer, got {k!r}")
+    check_int(k, "k")
     if v.rank < 2:
         raise UsageError("pairing construction needs rank V >= 2")
     return ChernData(v.rank - 1, tuple(-d for d in v.c1), v.c2 - k)

@@ -165,6 +165,9 @@ def test_parse_c0_folds_to_constant():
         ("2*", 3),
         ("c1(IT) & c2(IT)", 8),
         ("cc", 2),
+        # str.isdigit took these superscripts for digits, and int() failed
+        ("\u00b2", 1),
+        ("c\u00b2(IT)", 2),
     ],
 )
 def test_parse_malformed(text, column):
@@ -512,6 +515,10 @@ def test_threads_do_not_change_values(capsys):
          "--k", "1"),
         ("expected-dim", "--surface", "P2", "--r", "0", "--c1", "1", "--c2", "0",
          "--k", "1"),
+        ("taut-integral", "--surface", "P2", "--vstar", "0,0", "--lambda", "1",
+         "--k", "1", "--expr", "\u00b2"),
+        ("taut-integral", "--surface", "P2", "--vstar", "0,0", "--lambda", "1",
+         "--k", "1", "--expr", "c\u00b2(IT)"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -597,32 +604,8 @@ def test_taut_integral_far_above_the_dimension(index, lam_minus):
     assert f"virtual dimension 1 not among expression degrees [{index}]" in proc.stderr
 
 
-HUGE_K = "100000000000000000000"  # 2k + 1 is far above sys.maxsize
-
-
-@pytest.mark.parametrize("argv", [
-    ("chi-theta", "--surface", "P2", "--k", HUGE_K),
-    ("quot-count", "--surface", "P2", "--vstar", "2,3", "--k", HUGE_K),
-    ("fixed-points", "--surface", "P2", "--k", HUGE_K),
-    ("verify-conjecture", "--r", "3", "--d", "7", "--kmax", HUGE_K),
-], ids=lambda argv: argv[0])
-def test_a_k_too_large_for_a_series_is_a_usage_error(argv):
-    # it ended in an OverflowError traceback, or (verify-conjecture) ran
-    # one failing row after another with no end
-    src = str(Path(hilbloc.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "hilbloc.cli", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=30,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        f"error: k = {HUGE_K} is too large: a series of 2k + 1 terms does not fit a list\n"
-    )
-
-
 BIG_K = "1000000000"  # its series fit a list, but no run at it would end
+HUGE_K = "100000000000000000000"  # 2k + 1 is far above sys.maxsize
 
 
 @pytest.mark.parametrize("argv", [
@@ -632,9 +615,16 @@ BIG_K = "1000000000"  # its series fit a list, but no run at it would end
     ("fixed-points", "--surface", "P2", "--k", BIG_K),
     ("verify-conjecture", "--r", "3", "--d", "7", "--kmax", BIG_K),
     ("fixed-points", "--surface", "P2", "--k", str(MAX_K + 1)),
+    ("chi-theta", "--surface", "P2", "--k", HUGE_K),
+    ("quot-count", "--surface", "P2", "--vstar", "2,3", "--k", HUGE_K),
+    ("fixed-points", "--surface", "P2", "--k", HUGE_K),
+    ("verify-conjecture", "--r", "3", "--d", "7", "--kmax", HUGE_K),
 ], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
 def test_a_k_above_max_k_is_a_usage_error(argv):
-    # it ran until a timeout stopped it, or ran out of memory
+    # it ran until a timeout stopped it, or ran out of memory; a k whose
+    # series would not fit a list ended in an OverflowError traceback, or
+    # (verify-conjecture) ran one failing row after another with no end.
+    # Every such k gets the one MAX_K message, however large it is.
     k = argv[-1]
     src = str(Path(hilbloc.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -67,6 +67,9 @@ def test_partition_validation():
         Partition((2.5, 1))
     with pytest.raises(UsageError, match="parts must be integers"):
         Partition((True,))
+    # a list made a frozen value that hash() refused
+    with pytest.raises(UsageError, match=r"parts must be a tuple, got \[2, 1\]"):
+        Partition([2, 1])
     assert Partition(()).size == 0
 
 

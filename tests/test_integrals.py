@@ -177,7 +177,7 @@ def test_localize_raises_pole_error_on_vanishing_tangent_weight():
     pole = r"tangent weight vanished at point 1 under z=\(1, 1\)"
     with pytest.raises(PoleError, match=pole):
         q_product(P2, 1, _ones(1, m), (1, 1), (1,), m, 1)
-    # the shared partition table keeps the pole: a second call raises again
+    # no table is kept at a pole: a second call raises again
     with pytest.raises(PoleError, match=pole):
         q_product(P2, 1, _ones(1, m), (1, 1), (1,), m, 1)
     assert quot_count(P2, split_bundle(P2, [-2, -3]), 2) == 15
@@ -278,23 +278,24 @@ def test_partition_table_is_the_arm_leg_route(data):
 
 
 def test_partition_table_keeps_poles_at_a_pole_chart():
-    # z = (1, 1) kills t2 - t1, a chart weight at the second point of P2
+    # the table raises PoleError exactly at the levels where the arm/leg
+    # route has a zero tangent product, and matches it everywhere else.
+    # z = (1, 1) kills t2 - t1, a chart weight at the second point of P2, so
+    # every n >= 1 has a pole there; at (2, 1) a cell with arm a = 2(leg + 1)
+    # or a + 1 = 2 leg has a zero weight, so every n >= 3 has one
     m = WORD_PRIMES[0]
     v1, v2 = P2.points[1]
     s1, s2 = v1.spec_int(1, 1), v2.spec_int(1, 1)
     assert 0 in (s1, s2)
-    for n in range(5):
-        assert _table_at(s1, s2, n, m) == list(_arm_leg_table(s1, s2, n, m))
-        assert all((inv is None) == bool(n) for inv in partition_table(s1, s2, n, m))
-    # at (2, 1) a cell with arm a = 2(leg + 1) or a + 1 = 2 leg has a zero
-    # weight, so a level mixes poles and non-poles, and the one inverse of
-    # the table must skip exactly the poles
-    poles = {3: {(3,), (2, 1)}, 4: {(4,), (2, 2)}}
-    for n in range(6):
-        table = _table_at(2, 1, n, m)
-        assert table == list(_arm_leg_table(2, 1, n, m))
-        if n in poles:
-            assert {parts for parts, *_, inv in table if inv is None} == poles[n]
+    for chart, first_pole in (((s1, s2), 1), ((2, 1), 3)):
+        for n in range(6):
+            oracle = list(_arm_leg_table(*chart, n, m))
+            if n < first_pole:
+                assert _table_at(*chart, n, m) == oracle
+                continue
+            assert any(inv is None for *_, inv in oracle)
+            with pytest.raises(PoleError, match="^tangent weight vanished$"):
+                partition_table(*chart, n, m)
 
 
 def _tangent_products(k, m):
@@ -519,16 +520,26 @@ def test_a_k_that_is_not_an_integer_is_a_usage_error(call):
         call()
 
 
+def test_expected_dim_pairs_takes_any_k():
+    # a closed form builds no series, so no k is too large for it (one whose
+    # series of 2k + 1 terms would not fit a list was refused)
+    assert expected_dim_pairs(P2, ChernData(3, (-7,), 0), 10**20) == 37 - 10**20
+    assert expected_dim_pairs(P2, split_bundle(P2, [-2, -3]), 10**20) == 15
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: chi_theta(P2, ChernData(2.0, (1,), 0), 1), "rank must be an integer"),
     (lambda: chi_theta(P2, ChernData(True, (1,), 0), 1), "rank must be an integer"),
     (lambda: expected_dim_pairs(P2, ChernData(2, (1,), 0.5), 1), "c2 must be an integer"),
     (lambda: chi_pair(P2, ChernData(2, ("a",), 0), 1), "c1 entries must be integers"),
-], ids=["float rank", "bool rank", "c2", "c1"])
+    (lambda: ChernData(2, 5, 0), "c1 must be a tuple, got 5"),
+    (lambda: ChernData(2, [1], 0), r"c1 must be a tuple, got \[1\]"),
+], ids=["float rank", "bool rank", "c2", "c1", "int c1", "list c1"])
 def test_chern_data_that_is_not_made_of_integers_is_a_usage_error(call, message):
     # chi_theta keyed a float or bool rank under cache lines of its own (True
-    # ran as rank 1), expected_dim_pairs returned -0.5, and chi_pair ended
-    # in a raw TypeError
+    # ran as rank 1), expected_dim_pairs returned -0.5, chi_pair ended in a
+    # raw TypeError, an int c1 in one too, and a list c1 made a frozen value
+    # that hash() refused
     with pytest.raises(UsageError, match=message):
         call()
 

@@ -165,6 +165,26 @@ def test_virtual_integral_warns_on_non_nef_dual():
     assert _warned(P2, v.shifted(Weight(1, 0)), lam, 1) == (value, messages)
 
 
+def test_virtual_integral_ambient_warning_texts():
+    # once each, in full, pointing at the caller; an honest V with nef dual
+    # summands gets neither
+    cases = [
+        (_zero_dim_model(3, 4, 1), "an honest (minus-free) V"),
+        (split_bundle(P2, [1, -3]),
+         "nef dual summands so that dim P = chi(V*) - 1 is an honest section count"),
+        (split_bundle(P2, [-2, -3]), None),
+    ]
+    for v, need in cases:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            virtual_integral(P2, v, None, 1)
+        ambient = [w for w in rec if str(w.message).startswith("ambient")]
+        assert [str(w.message) for w in ambient] == ([] if need is None else [
+            f"ambient space needs {need}; continuing with Dp = chi(V*) - 1 formally"
+        ])
+        assert {w.filename for w in ambient} <= {__file__}
+
+
 def test_virtual_integral_warns_off_dimension():
     cases = [
         (split_bundle(P2, [-2, -3]), None, None),  # expected dim 15

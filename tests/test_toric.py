@@ -222,6 +222,9 @@ def test_line_bundle_refuses_a_degree_that_is_not_an_integer():
         split_bundle(P2, [2, 1.5])
     with pytest.raises(UsageError, match=r"got \(True,\)"):
         line_bundle(P2, [True])
+    # a bare int ended in a TypeError traceback
+    with pytest.raises(UsageError, match="degrees must be a tuple or list, got 3"):
+        line_bundle(P2, 3)
 
 
 def test_split_bundle_refuses_a_line_on_another_surface():
@@ -247,6 +250,8 @@ def test_chi_pair_refuses_a_bundle_on_another_surface():
 def test_chi_split_additivity_with_minus_lines():
     v = split_bundle(P2, [1, 3], [2])
     assert chi_surface(P2, v) == 3 + 10 - 6
+    # Chern data is read as it is by chi_pair (an AttributeError once)
+    assert chi_surface(P2, v.chern_data()) == chi_surface(P2, v)
     w = split_bundle(QUADRIC, [(1, 1)], [(0, 1), (1, 0)])
     assert chi_surface(QUADRIC, w) == 4 - 2 - 2
 
